@@ -5,9 +5,9 @@ use cpsmon_attack::{grid_cells, Fgsm, SweepContext, EPSILON_SWEEP};
 use cpsmon_core::monitor::MonitorModel;
 use cpsmon_core::CohortLstmBridge;
 use cpsmon_core::{
-    robustness_error, sweep_parallel, FeatureConfig, GuardPolicy, GuardedSession, LstmEngine,
-    LstmSessionPool, Mitigator, MonitorBundle, MonitorKind, MonitorSession, Normalizer,
-    PipelineSession, SessionPool, TrainConfig, TrainedMonitor,
+    robustness_error, sweep_parallel, FeatureConfig, GuardPolicy, LstmEngine, LstmSessionPool,
+    Mitigator, MonitorBundle, MonitorKind, MonitorSession, Normalizer, PipelineSession,
+    SessionPool, TrainConfig, TrainedMonitor,
 };
 use cpsmon_nn::par::{self, ThreadsGuard};
 use cpsmon_nn::rng::SmallRng;
@@ -287,13 +287,8 @@ fn bench_sessions(c: &mut Criterion) {
             "session_step_mlp" => "session_step_guarded_mlp",
             _ => "session_step_guarded_lstm",
         };
-        let mut session = GuardedSession::new(
-            monitor,
-            cfg,
-            norm.clone(),
-            RuleMonitor::new(ApsRules::default()),
-            GuardPolicy::aps(),
-        );
+        let mut session = PipelineSession::new(MonitorSession::new(monitor, cfg, norm.clone()))
+            .with_guard(GuardPolicy::aps(), RuleMonitor::new(ApsRules::default()));
         for r in &records[..WINDOW] {
             session.step(r);
         }

@@ -5,8 +5,8 @@
 //!
 //! For every simulator, monitor, fault class, and intensity level the
 //! experiment injects a seeded `cpsmon_sim::faults` campaign into the CGM
-//! channel of a fixed trace subset, replays the traces through a
-//! [`GuardedSession`], and reports the **robustness error**: the fraction
+//! channel of a fixed trace subset, replays the traces through a guarded
+//! [`PipelineSession`], and reports the **robustness error**: the fraction
 //! of verdict steps whose label flips relative to the clean replay (the
 //! streaming counterpart of Eq. 5). A summary table adds how often the
 //! guard imputed inputs and how often sessions degraded to the rule
@@ -27,9 +27,10 @@ use crate::context::{Context, SimContext};
 use crate::report::{fmt3, Table};
 use crate::scale::Scale;
 use cpsmon_core::guard::{GuardPolicy, HealthState};
-use cpsmon_core::{sweep_parallel, GuardedSession, MonitorKind};
+use cpsmon_core::{sweep_parallel, MonitorKind, MonitorSession, PipelineSession};
 use cpsmon_sim::faults::{ChannelFault, FaultModel, FaultPlan, SensorChannel};
 use cpsmon_sim::SimTrace;
+use cpsmon_stl::RuleMonitor;
 
 /// Root seed of every injected fault campaign.
 pub const FAULT_SEED: u64 = 0x2026_0807;
@@ -122,7 +123,8 @@ struct Replay {
 
 fn replay(sim: &SimContext, mk: MonitorKind, traces: &[SimTrace]) -> Replay {
     let monitor = sim.expect_monitor(mk);
-    let mut session = GuardedSession::for_dataset(monitor, &sim.ds, GuardPolicy::aps());
+    let mut session = PipelineSession::new(MonitorSession::for_dataset(monitor, &sim.ds))
+        .with_guard(GuardPolicy::aps(), RuleMonitor::new(sim.ds.rules));
     let mut out = Replay {
         labels: Vec::new(),
         imputed_steps: 0,

@@ -16,9 +16,10 @@
 //! bit-identical to the offline pipeline on the same records.
 //!
 //! Determinism: the shard runs with `tick_budget: None` (no clock
-//! reads), chaos plans are pure seeded functions, and the serving traces
-//! come from a fixed-seed campaign — the CSV is byte-identical across
-//! runs and CI diffs two consecutive invocations.
+//! reading reaches an event, a counter or the controller), chaos plans
+//! are pure seeded functions, and the serving traces come from a
+//! fixed-seed campaign — the CSV is byte-identical across runs and CI
+//! diffs two consecutive invocations.
 
 use crate::context::Context;
 use crate::report::Table;
@@ -83,7 +84,7 @@ fn shard_config() -> ShardConfig {
     ShardConfig {
         queue_cap: 256,
         drain_max: 64,
-        tick_budget: None, // deterministic: no clock reads
+        tick_budget: None, // deterministic: no clock-driven decisions
         max_sessions: 64,
         ..ShardConfig::default()
     }

@@ -347,10 +347,10 @@ impl InputGuard {
     }
 }
 
-/// A bank of per-session [`InputGuard`]s sharing one policy — the guarded
-/// front end of a session pool. Each slot sanitizes its own patient stream
-/// independently, so one patient's sensor outage never degrades another's
-/// health state.
+/// A bank of per-session [`InputGuard`]s sharing one policy. Each slot
+/// sanitizes its own patient stream independently, so one patient's
+/// sensor outage never degrades another's health state (the pooled
+/// executor arms one guard per slot the same way).
 #[derive(Debug, Clone)]
 pub struct GuardBank {
     guards: Vec<InputGuard>,

@@ -39,6 +39,7 @@ pub mod artifact;
 pub mod dataset;
 pub mod detectors;
 pub mod error;
+pub mod executor;
 pub mod features;
 pub mod guard;
 pub mod metrics;
@@ -51,18 +52,17 @@ pub mod train;
 pub use artifact::{dataset_fingerprint, train_config_hash, ArtifactError, MonitorBundle};
 pub use dataset::{Dataset, DatasetBuilder, LabeledDataset};
 pub use error::CoreError;
+pub use executor::{Engine, Executor, SlotStream};
 pub use features::{FeatureConfig, Normalizer, FEATURES_PER_STEP};
 pub use guard::{GuardBank, GuardPolicy, GuardStatus, HealthState, Imputation, InputGuard};
 pub use metrics::{ConfusionCounts, EvalReport};
 pub use monitor::{MonitorKind, TrainedMonitor};
 pub use pipeline::{
-    Action, GuardStage, LatencyAttribution, MitigatedObserver, MitigationPolicy, Mitigator,
-    PipelineSession, SessionStage,
+    Action, LatencyAttribution, MitigatedObserver, MitigationPolicy, Mitigator, PipelineSession,
 };
 pub use robustness::{robustness_error, sweep_parallel};
 pub use stream::{
-    CohortLstmBridge, CohortPoolBridge, GuardedSession, GuardedVerdict, InvalidSample, LstmEngine,
-    LstmSessionPool, LstmStreamSession, MonitorSession, SessionPool, StepStream, Verdict,
-    WindowStream,
+    CohortLstmBridge, GuardedVerdict, InvalidSample, LstmEngine, LstmSessionPool,
+    LstmStreamSession, MonitorSession, SessionPool, StepStream, Verdict, WindowStream,
 };
 pub use train::TrainConfig;

@@ -1,14 +1,9 @@
 //! The composable session pipeline: `Guard → Featurize → Monitor →
 //! Mitigate`.
 //!
-//! [`crate::stream`] grew its deployment forms one at a time —
-//! [`MonitorSession`], [`GuardedSession`](crate::stream::GuardedSession),
-//! the pooled executors — and each hard-wired its own composition of the
-//! same four stages. This module names the stages ([`SessionStage`]) and
-//! provides the one solo composition they all share,
-//! [`PipelineSession`]:
+//! [`PipelineSession`] is the solo composition of the four stages:
 //!
-//! 1. **Guard** ([`GuardStage`]) — optional input sanitization and the
+//! 1. **Guard** — optional input sanitization ([`InputGuard`]) and the
 //!    Healthy → Degraded → Fallback state machine, with the rule monitor
 //!    as the degraded-mode verdict source;
 //! 2. **Featurize** ([`crate::stream::WindowStream`]) — the incremental
@@ -19,10 +14,13 @@
 //!    trajectory-grounded corrective action derivation.
 //!
 //! The pooled engines ([`crate::stream::SessionPool`],
-//! [`crate::stream::LstmSessionPool`]) are batched executors of the same
-//! stage graph: they accept the same guard policy and [`Mitigator`] and
-//! run the identical per-slot decision logic, with only the classifier
-//! stage batched.
+//! [`crate::stream::LstmSessionPool`] and the serving shard) all run the
+//! same stage graph through one batched executor,
+//! [`crate::executor::Executor`]: they accept the same guard policy and
+//! [`Mitigator`], and share one copy of the per-slot decision logic, with
+//! only the classifier stage batched. The solo session stays separate so
+//! the transparency suites have an independent reference to compare the
+//! executor against.
 //!
 //! ## Closing the loop
 //!
@@ -40,17 +38,17 @@
 //! The mitigation stage is pure post-processing: it never alters a
 //! verdict's `label` or `proba`, and a pipeline without a mitigator takes
 //! exactly the pre-pipeline code path. Zero-mitigation pipeline sessions
-//! are therefore bitwise equal to the historical
-//! `MonitorSession`/`GuardedSession` behavior (property-tested in the
-//! workspace `mitigation` suite), and mitigated runs are deterministic:
+//! are therefore bitwise equal to the bare `MonitorSession` (guarded ones
+//! on clean input included; property-tested in the workspace `mitigation`
+//! and `faults` suites), and mitigated runs are deterministic:
 //! [`Mitigator::decide`] is a pure function of the verdict and the window
 //! context, so mitigated traces are identical across thread counts and
 //! SIMD backends.
 
 use std::time::{Duration, Instant};
 
-use crate::guard::{GuardPolicy, GuardStatus, HealthState, InputGuard};
-use crate::stream::{GuardedVerdict, MonitorSession, WindowStream};
+use crate::guard::{GuardPolicy, HealthState, InputGuard};
+use crate::stream::{GuardedVerdict, MonitorSession};
 use cpsmon_sim::trace::StepRecord;
 use cpsmon_sim::{PumpCommand, StepObserver};
 use cpsmon_stl::{ApsContext, ApsRules, HazardType, RuleMonitor};
@@ -244,95 +242,26 @@ impl Mitigator {
     }
 }
 
-/// A named, resettable stage of the session pipeline.
-///
-/// The trait is deliberately thin — stages have heterogeneous inputs and
-/// outputs, so the data flow stays in [`PipelineSession::step`]; what the
-/// stages share is identity (for introspection) and per-trace lifecycle.
-pub trait SessionStage {
-    /// Stage name (`guard` / `featurize` / `monitor` / `mitigate`).
-    fn name(&self) -> &'static str;
-    /// Forgets per-trace state (a patient hand-over).
-    fn reset_stage(&mut self);
-}
-
-impl SessionStage for WindowStream {
-    fn name(&self) -> &'static str {
-        "featurize"
-    }
-    fn reset_stage(&mut self) {
-        self.reset();
-    }
-}
-
-impl SessionStage for MonitorSession<'_> {
-    fn name(&self) -> &'static str {
-        "monitor"
-    }
-    fn reset_stage(&mut self) {
-        self.reset();
-    }
-}
-
-impl SessionStage for Mitigator {
-    fn name(&self) -> &'static str {
-        "mitigate"
-    }
-    fn reset_stage(&mut self) {}
-}
-
-/// The guard stage: an [`InputGuard`] plus the rule monitor that takes
-/// over while the guard reports [`HealthState::Fallback`].
-#[derive(Debug, Clone)]
-pub struct GuardStage {
-    guard: InputGuard,
-    fallback: RuleMonitor,
-}
-
-impl GuardStage {
-    /// Creates a guard stage.
-    pub fn new(policy: GuardPolicy, fallback: RuleMonitor) -> Self {
-        Self {
-            guard: InputGuard::new(policy),
-            fallback,
-        }
-    }
-
-    /// Current health (as of the last sanitized record).
-    pub fn health(&self) -> HealthState {
-        self.guard.health()
-    }
-
-    /// Sanitizes one record.
-    pub fn sanitize(&mut self, rec: &StepRecord) -> (StepRecord, GuardStatus) {
-        self.guard.sanitize(rec)
-    }
-
-    /// The fallback rule monitor.
-    pub fn fallback(&self) -> &RuleMonitor {
-        &self.fallback
-    }
-}
-
-impl SessionStage for GuardStage {
-    fn name(&self) -> &'static str {
-        "guard"
-    }
-    fn reset_stage(&mut self) {
-        self.guard.reset();
-    }
-}
-
 /// The solo composition of the stage graph: optional guard, the monitor
 /// core, optional mitigator.
 ///
-/// `MonitorSession` behavior is `PipelineSession::new(core)`;
-/// `GuardedSession` behavior is `.with_guard(..)`; the closed-loop
-/// deployment form adds `.with_mitigator(..)` and wraps the whole thing
-/// in a [`MitigatedObserver`].
+/// `MonitorSession` behavior is `PipelineSession::new(core)`; the
+/// deployment form for unreliable inputs adds `.with_guard(..)`: every
+/// record is sanitized first (invalid samples imputed within the policy's
+/// staleness budget), and while the guard reports
+/// [`HealthState::Fallback`] the emitted label/probability come from the
+/// knowledge-only [`RuleMonitor`] evaluated on the imputed window context
+/// — the paper's robust fallback. Recovery is automatic after the
+/// policy's clean-step run, and on a fully clean stream the guard passes
+/// every record through bit-identically (property-tested in the
+/// workspace `faults` suite). The closed-loop deployment form adds
+/// `.with_mitigator(..)` and wraps the whole thing in a
+/// [`MitigatedObserver`].
 #[derive(Debug, Clone)]
 pub struct PipelineSession<'m> {
-    guard: Option<GuardStage>,
+    /// The input guard and the rules that take over while it reports
+    /// [`HealthState::Fallback`].
+    guard: Option<(InputGuard, RuleMonitor)>,
     core: MonitorSession<'m>,
     mitigator: Option<Mitigator>,
 }
@@ -351,7 +280,7 @@ impl<'m> PipelineSession<'m> {
 
     /// Arms the guard stage.
     pub fn with_guard(mut self, policy: GuardPolicy, fallback: RuleMonitor) -> Self {
-        self.guard = Some(GuardStage::new(policy, fallback));
+        self.guard = Some((InputGuard::new(policy), fallback));
         self
     }
 
@@ -371,21 +300,7 @@ impl<'m> PipelineSession<'m> {
     pub fn health(&self) -> HealthState {
         self.guard
             .as_ref()
-            .map_or(HealthState::Healthy, GuardStage::health)
-    }
-
-    /// Names of the armed stages, in execution order.
-    pub fn stage_names(&self) -> Vec<&'static str> {
-        let mut names = Vec::with_capacity(4);
-        if let Some(g) = &self.guard {
-            names.push(g.name());
-        }
-        names.push(self.core.window().name());
-        names.push(self.core.name());
-        if let Some(m) = &self.mitigator {
-            names.push(m.name());
-        }
-        names
+            .map_or(HealthState::Healthy, |(g, _)| g.health())
     }
 
     /// Feeds one record through every armed stage; returns a verdict once
@@ -394,8 +309,9 @@ impl<'m> PipelineSession<'m> {
     /// # Panics
     ///
     /// With no guard armed, panics on non-finite sensor input (see
-    /// [`WindowStream::push`]); a guarded pipeline imputes instead. Use
-    /// [`try_step`](Self::try_step) when the input is untrusted.
+    /// [`WindowStream::push`](crate::stream::WindowStream::push)); a
+    /// guarded pipeline imputes instead. Use [`try_step`](Self::try_step)
+    /// when the input is untrusted.
     pub fn step(&mut self, rec: &StepRecord) -> Option<GuardedVerdict> {
         match self.try_step(rec) {
             Ok(v) => v,
@@ -414,7 +330,7 @@ impl<'m> PipelineSession<'m> {
         rec: &StepRecord,
     ) -> Result<Option<GuardedVerdict>, crate::stream::InvalidSample> {
         let (clean, status) = match &mut self.guard {
-            Some(g) => {
+            Some((g, _)) => {
                 let (clean, status) = g.sanitize(rec);
                 (clean, Some(status))
             }
@@ -427,8 +343,8 @@ impl<'m> PipelineSession<'m> {
             (s.health, s.any_imputed())
         });
         if health == HealthState::Fallback {
-            let g = self.guard.as_ref().expect("fallback implies a guard");
-            let label = g.fallback.predict(&self.core.window().context());
+            let (_, rules) = self.guard.as_ref().expect("fallback implies a guard");
+            let label = rules.predict(&self.core.window().context());
             verdict.label = label;
             verdict.proba = label as f64;
             ended = Instant::now(); // keep the fallback work out of mitigation
@@ -439,13 +355,8 @@ impl<'m> PipelineSession<'m> {
         // the instant the core's compute measurement ended.
         if let Some(m) = &self.mitigator {
             if verdict.label == 1 {
-                // Rule monitors already aggregated this step's context to
-                // classify — reuse it (cached, bit-identical) instead of
-                // paying the O(window) aggregation twice.
                 verdict.action = m.decide(verdict.label, verdict.proba, || {
-                    self.core
-                        .last_rule_context()
-                        .unwrap_or_else(|| self.core.window().context())
+                    self.core.window().context()
                 });
                 verdict.attribution.mitigation = ended.elapsed();
                 verdict.latency = verdict.attribution.total();
@@ -460,10 +371,10 @@ impl<'m> PipelineSession<'m> {
 
     /// Resets every armed stage (the monitor and scratch stay warm).
     pub fn reset(&mut self) {
-        if let Some(g) = &mut self.guard {
-            g.reset_stage();
+        if let Some((g, _)) = &mut self.guard {
+            g.reset();
         }
-        self.core.reset_stage();
+        self.core.reset();
     }
 }
 

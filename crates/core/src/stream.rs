@@ -25,6 +25,9 @@
 //!   through one fused GEMM per gate block, at either f64 or f32
 //!   ([`LstmEngine`]) precision. See DESIGN.md §12.
 //!
+//! Both pools are thin facades over the one pooled executor,
+//! [`crate::executor::Executor`].
+//!
 //! ## Batch-equivalence contract
 //!
 //! Streaming verdicts are **bit-identical** to the batch path over the same
@@ -40,10 +43,11 @@ use std::fmt;
 use std::time::{Duration, Instant};
 
 use crate::dataset::LabeledDataset;
+use crate::executor::{Engine, Executor};
 use crate::features::{step_features, FeatureConfig, Normalizer, FEATURES_PER_STEP};
-use crate::guard::{GuardBank, GuardPolicy, HealthState};
+use crate::guard::{GuardPolicy, HealthState};
 use crate::monitor::{MonitorModel, TrainedMonitor};
-use crate::pipeline::{Action, LatencyAttribution, Mitigator, PipelineSession};
+use crate::pipeline::{Action, LatencyAttribution, Mitigator};
 use cpsmon_nn::{LstmNet, LstmNetF32, LstmNetScratch, LstmStreamState, Matrix, MlpScratch};
 use cpsmon_sim::trace::StepRecord;
 use cpsmon_stl::{ApsContext, RuleMonitor};
@@ -144,13 +148,17 @@ pub struct WindowStream {
     steps_seen: usize,
     raw: Vec<f64>,
     x: Vec<f64>,
+    /// Rule context of `raw`, aggregated once per step while the window
+    /// is hot in cache; every consumer (rule monitor, guard fallback,
+    /// mitigation) reads this copy.
+    ctx: ApsContext,
 }
 
 impl WindowStream {
     /// Creates a featurizer. `normalizer` must be the one fitted with the
     /// monitor's training data (see [`LabeledDataset::normalizer`]).
     pub fn new(cfg: FeatureConfig, normalizer: Normalizer) -> Self {
-        let dim = cfg.window * FEATURES_PER_STEP;
+        let raw = vec![0.0; cfg.window * FEATURES_PER_STEP];
         Self {
             cfg,
             normalizer,
@@ -159,8 +167,9 @@ impl WindowStream {
             filled: 0,
             prev: None,
             steps_seen: 0,
-            raw: vec![0.0; dim],
-            x: vec![0.0; dim],
+            ctx: cfg.context_of(&raw),
+            x: raw.clone(),
+            raw,
         }
     }
 
@@ -173,9 +182,10 @@ impl WindowStream {
     /// Panics on non-finite sensor input — a NaN/inf would silently flow
     /// through normalization into the network and poison every later
     /// window in the ring. Deployments with unreliable inputs should
-    /// sanitize through an [`InputGuard`](crate::guard::InputGuard) /
-    /// [`GuardedSession`] first, or use [`try_push`](Self::try_push) to
-    /// receive the typed [`InvalidSample`] error instead.
+    /// sanitize through an [`InputGuard`](crate::guard::InputGuard) (a
+    /// guarded [`PipelineSession`](crate::pipeline::PipelineSession) or
+    /// pool) first, or use [`try_push`](Self::try_push) to receive the
+    /// typed [`InvalidSample`] error instead.
     pub fn push(&mut self, rec: &StepRecord) -> Option<usize> {
         match self.try_push(rec) {
             Ok(end) => end,
@@ -208,6 +218,7 @@ impl WindowStream {
         }
         self.x.copy_from_slice(&self.raw);
         self.normalizer.transform_row(&mut self.x);
+        self.ctx = self.cfg.context_of(&self.raw);
         Ok(Some(end))
     }
 
@@ -251,7 +262,7 @@ impl WindowStream {
     /// `f(μ(X_t))`), via the same [`FeatureConfig::context_of`] the batch
     /// path uses.
     pub fn context(&self) -> ApsContext {
-        self.cfg.context_of(&self.raw)
+        self.ctx
     }
 
     /// Records consumed so far.
@@ -295,7 +306,7 @@ impl NetScratch {
 /// Row argmax with the same tie-breaking as
 /// [`Matrix::argmax_rows`] (first strictly-greatest element wins), applied
 /// to a single probability row.
-fn argmax_row(row: &[f64]) -> usize {
+pub(crate) fn argmax_row(row: &[f64]) -> usize {
     let mut best = 0;
     for (i, &v) in row.iter().enumerate() {
         if v > row[best] {
@@ -332,9 +343,6 @@ pub struct MonitorSession<'m> {
     stream: WindowStream,
     scratch: NetScratch,
     xrow: Matrix,
-    /// The rule context the latest step classified with (rule monitors
-    /// only) — downstream stages reuse it instead of re-aggregating.
-    last_ctx: Option<ApsContext>,
 }
 
 impl<'m> MonitorSession<'m> {
@@ -347,7 +355,6 @@ impl<'m> MonitorSession<'m> {
             stream: WindowStream::new(cfg, normalizer),
             scratch: NetScratch::for_model(&monitor.model),
             xrow: Matrix::zeros(1, dim),
-            last_ctx: None,
         }
     }
 
@@ -406,9 +413,7 @@ impl<'m> MonitorSession<'m> {
         };
         let (label, proba) = match (&self.monitor.model, &mut self.scratch) {
             (MonitorModel::Rule(m), NetScratch::Rule) => {
-                let ctx = self.stream.context();
-                let label = m.predict(&ctx);
-                self.last_ctx = Some(ctx);
+                let label = m.predict(&self.stream.context());
                 (label, label as f64)
             }
             (MonitorModel::Mlp(net), NetScratch::Mlp(s)) => {
@@ -438,17 +443,9 @@ impl<'m> MonitorSession<'m> {
         )))
     }
 
-    /// The rule context the latest step classified with, if this session
-    /// wraps a rule monitor. Bit-identical to re-aggregating
-    /// `window().context()` at the same step — it *is* that value, cached.
-    pub fn last_rule_context(&self) -> Option<ApsContext> {
-        self.last_ctx
-    }
-
     /// Resets the featurizer state, keeping the monitor and warm scratch.
     pub fn reset(&mut self) {
         self.stream.reset();
-        self.last_ctx = None;
     }
 }
 
@@ -466,18 +463,11 @@ impl<'m> MonitorSession<'m> {
 /// [`step`](Self::step) convenience that pushes one record per session);
 /// [`drain_ready`](Self::drain_ready) classifies everything queued since
 /// the last drain in one batch and attributes latency per session: queue
-/// wait plus an equal share of the batched forward pass.
+/// wait plus an equal share of the batched forward pass. The pool is a
+/// facade over the shared [`Executor`].
 pub struct SessionPool<'m> {
     monitor: &'m TrainedMonitor,
-    streams: Vec<WindowStream>,
-    batch: Matrix,
-    ready: Vec<usize>,
-    /// Queue entry per session whose window became ready and has not
-    /// been drained yet.
-    pending: Vec<Option<PendingTick>>,
-    guards: Option<GuardBank>,
-    fallback: Option<RuleMonitor>,
-    mitigator: Option<Mitigator>,
+    exec: Executor<WindowStream>,
 }
 
 impl<'m> SessionPool<'m> {
@@ -490,13 +480,7 @@ impl<'m> SessionPool<'m> {
     ) -> Self {
         Self {
             monitor,
-            streams: vec![WindowStream::new(cfg, normalizer); n],
-            batch: Matrix::zeros(0, 0),
-            ready: Vec::with_capacity(n),
-            pending: vec![None; n],
-            guards: None,
-            fallback: None,
-            mitigator: None,
+            exec: Executor::new(WindowStream::new(cfg, normalizer), n),
         }
     }
 
@@ -504,8 +488,7 @@ impl<'m> SessionPool<'m> {
     /// fallback for slots that degrade to [`HealthState::Fallback`] —
     /// the pooled form of the pipeline's guard stage.
     pub fn with_guards(mut self, policy: GuardPolicy, fallback: RuleMonitor) -> Self {
-        self.guards = Some(GuardBank::new(policy, self.streams.len()));
-        self.fallback = Some(fallback);
+        self.exec = self.exec.with_guards(policy, fallback);
         self
     }
 
@@ -513,7 +496,7 @@ impl<'m> SessionPool<'m> {
     /// [`Action`] the mitigator derives for it. Classification is
     /// untouched, so armed pools stay bit-identical to unarmed ones.
     pub fn with_mitigator(mut self, mitigator: Mitigator) -> Self {
-        self.mitigator = Some(mitigator);
+        self.exec = self.exec.with_mitigator(mitigator);
         self
     }
 
@@ -525,17 +508,12 @@ impl<'m> SessionPool<'m> {
 
     /// Number of sessions.
     pub fn len(&self) -> usize {
-        self.streams.len()
+        self.exec.len()
     }
 
     /// Whether the pool has no sessions.
     pub fn is_empty(&self) -> bool {
-        self.streams.is_empty()
-    }
-
-    /// The per-session featurizers (e.g. to reset one patient).
-    pub fn sessions_mut(&mut self) -> &mut [WindowStream] {
-        &mut self.streams
+        self.exec.is_empty()
     }
 
     /// Feeds one record to session `i`. Returns `true` when the session's
@@ -547,80 +525,12 @@ impl<'m> SessionPool<'m> {
     ///
     /// # Panics
     ///
-    /// Panics if `i` is out of range.
+    /// Panics if `i` is out of range, or on non-finite input to an
+    /// unguarded pool (see [`WindowStream::push`]).
     pub fn push(&mut self, i: usize, rec: &StepRecord) -> bool {
-        let at = Instant::now();
-        let (ready, health, imputed) = match &mut self.guards {
-            Some(bank) => {
-                let (clean, status) = bank.sanitize(i, rec);
-                (
-                    self.streams[i].push(&clean).is_some(),
-                    status.health,
-                    status.any_imputed(),
-                )
-            }
-            None => (
-                self.streams[i].push(rec).is_some(),
-                HealthState::Healthy,
-                false,
-            ),
-        };
-        if ready {
-            self.pending[i] = Some(PendingTick {
-                at,
-                health,
-                imputed,
-            });
-        }
-        ready
-    }
-
-    /// The shared tail of the per-slot stage graph: fallback override,
-    /// mitigation, latency attribution. Free-standing so the drain loops
-    /// can call it while `self.ready` is borrowed.
-    #[allow(clippy::too_many_arguments)]
-    fn finish_slot(
-        stream: &WindowStream,
-        fallback: Option<&RuleMonitor>,
-        mitigator: Option<&Mitigator>,
-        tick: PendingTick,
-        mut label: usize,
-        mut proba: f64,
-        queue: Duration,
-        compute: Duration,
-    ) -> GuardedVerdict {
-        if tick.health == HealthState::Fallback {
-            let rules = fallback.expect("fallback rules exist when guards are armed");
-            label = rules.predict(&stream.context());
-            proba = label as f64;
-        }
-        let (action, mitigation) = match mitigator {
-            // Alarm-free slots skip the stage (decide is the identity
-            // there), clock reads included.
-            Some(m) if label == 1 => {
-                let m0 = Instant::now();
-                let action = m.decide(label, proba, || stream.context());
-                (action, m0.elapsed())
-            }
-            _ => (Action::None, Duration::ZERO),
-        };
-        let attribution = LatencyAttribution {
-            queue,
-            compute,
-            mitigation,
-        };
-        GuardedVerdict {
-            verdict: Verdict {
-                step: stream.steps_seen() - 1,
-                label,
-                proba,
-                latency: attribution.total(),
-                action,
-                attribution,
-            },
-            health: tick.health,
-            imputed: tick.imputed,
-        }
+        self.exec
+            .push(i, rec, Instant::now())
+            .unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Classifies every session whose window completed since the last
@@ -633,67 +543,9 @@ impl<'m> SessionPool<'m> {
     /// own mitigation time — not the whole pool step, so pooled latencies
     /// are comparable to [`MonitorSession::step`] ones.
     pub fn drain_ready_guarded(&mut self) -> Vec<Option<GuardedVerdict>> {
-        self.ready.clear();
-        for (i, p) in self.pending.iter().enumerate() {
-            if p.is_some() {
-                self.ready.push(i);
-            }
-        }
-        let mut out = vec![None; self.streams.len()];
-        if self.ready.is_empty() {
-            return out;
-        }
-        match &self.monitor.model {
-            MonitorModel::Rule(m) => {
-                for &i in &self.ready {
-                    let tick = self.pending[i].take().expect("queued");
-                    let stream = &self.streams[i];
-                    let t0 = Instant::now();
-                    let label = m.predict(&stream.context());
-                    let compute = t0.elapsed();
-                    out[i] = Some(Self::finish_slot(
-                        stream,
-                        self.fallback.as_ref(),
-                        self.mitigator.as_ref(),
-                        tick,
-                        label,
-                        label as f64,
-                        t0 - tick.at,
-                        compute,
-                    ));
-                }
-            }
-            MonitorModel::Mlp(_) | MonitorModel::Lstm(_) => {
-                let model = self
-                    .monitor
-                    .as_grad_model()
-                    .expect("ML monitors are gradient models");
-                let dim = model.input_width();
-                self.batch.reset_shape(self.ready.len(), dim);
-                for (r, &i) in self.ready.iter().enumerate() {
-                    self.batch
-                        .row_mut(r)
-                        .copy_from_slice(self.streams[i].window_x());
-                }
-                let t0 = Instant::now();
-                let probs = model.predict_proba(&self.batch);
-                let labels = probs.argmax_rows();
-                let share = t0.elapsed() / self.ready.len() as u32;
-                for (r, &i) in self.ready.iter().enumerate() {
-                    let tick = self.pending[i].take().expect("queued");
-                    out[i] = Some(Self::finish_slot(
-                        &self.streams[i],
-                        self.fallback.as_ref(),
-                        self.mitigator.as_ref(),
-                        tick,
-                        labels[r],
-                        probs.get(r, 1),
-                        t0 - tick.at,
-                        share,
-                    ));
-                }
-            }
-        }
+        let mut out = vec![None; self.exec.len()];
+        self.exec
+            .drain(Engine::of(self.monitor), |i, gv| out[i] = Some(gv));
         out
     }
 
@@ -707,22 +559,17 @@ impl<'m> SessionPool<'m> {
     }
 
     /// Resets one session end to end: featurizer, guard slot, and any
-    /// queued record. Unlike `sessions_mut()[i].reset()`, this cannot
-    /// leave a stale pending tick (which the next drain would classify
-    /// against the reset stream) or carry the old trace's staleness
-    /// budget into the next one.
+    /// queued record, so neither a stale pending tick (which the next
+    /// drain would classify against the reset stream) nor the old trace's
+    /// staleness budget survives into the next trace.
     pub fn reset_session(&mut self, i: usize) {
-        self.streams[i].reset();
-        self.pending[i] = None;
-        if let Some(bank) = &mut self.guards {
-            bank.reset(i);
-        }
+        self.exec.reset_slot(i);
     }
 
     /// Resets every session (a whole-fleet trace boundary).
     pub fn reset_all(&mut self) {
-        for i in 0..self.streams.len() {
-            self.reset_session(i);
+        for i in 0..self.exec.len() {
+            self.exec.reset_slot(i);
         }
     }
 
@@ -735,7 +582,7 @@ impl<'m> SessionPool<'m> {
     ///
     /// Panics if `records.len() != self.len()`.
     pub fn step(&mut self, records: &[StepRecord]) -> Vec<Option<Verdict>> {
-        assert_eq!(records.len(), self.streams.len(), "one record per session");
+        assert_eq!(records.len(), self.exec.len(), "one record per session");
         for (i, rec) in records.iter().enumerate() {
             self.push(i, rec);
         }
@@ -753,91 +600,6 @@ pub struct GuardedVerdict {
     pub health: HealthState,
     /// Whether any input channel was imputed this step.
     pub imputed: bool,
-}
-
-/// A [`MonitorSession`] behind an [`InputGuard`](crate::guard::InputGuard): the deployment form for
-/// unreliable inputs.
-///
-/// Every record is sanitized first (invalid samples imputed within the
-/// policy's staleness budget), then fed to the wrapped monitor. While the
-/// guard reports [`HealthState::Fallback`] the emitted label/probability
-/// come from the knowledge-only [`RuleMonitor`] evaluated on the imputed
-/// window context — the paper's robust fallback — and the ML verdict is
-/// suppressed; recovery is automatic after the policy's clean-step run.
-///
-/// On a fully clean stream the guard passes every record through
-/// bit-identically, so guarded verdicts equal unguarded ones to the bit
-/// (property-tested in the workspace `faults` suite).
-#[derive(Debug, Clone)]
-pub struct GuardedSession<'m> {
-    pipeline: PipelineSession<'m>,
-}
-
-impl<'m> GuardedSession<'m> {
-    /// Creates a guarded session with explicit featurization parameters
-    /// and fallback rules.
-    pub fn new(
-        monitor: &'m TrainedMonitor,
-        cfg: FeatureConfig,
-        normalizer: Normalizer,
-        fallback: RuleMonitor,
-        policy: GuardPolicy,
-    ) -> Self {
-        Self {
-            pipeline: PipelineSession::new(MonitorSession::new(monitor, cfg, normalizer))
-                .with_guard(policy, fallback),
-        }
-    }
-
-    /// Creates a guarded session using the featurization and safety rules
-    /// the monitor's dataset was built with.
-    pub fn for_dataset(
-        monitor: &'m TrainedMonitor,
-        ds: &LabeledDataset,
-        policy: GuardPolicy,
-    ) -> Self {
-        Self::new(
-            monitor,
-            ds.feature_config,
-            ds.normalizer.clone(),
-            RuleMonitor::new(ds.rules),
-            policy,
-        )
-    }
-
-    /// Arms the mitigation stage (see [`Mitigator`]); verdicts then carry
-    /// corrective [`Action`]s.
-    pub fn with_mitigator(mut self, mitigator: Mitigator) -> Self {
-        self.pipeline = self.pipeline.with_mitigator(mitigator);
-        self
-    }
-
-    /// Current guard health (as of the last step).
-    pub fn health(&self) -> HealthState {
-        self.pipeline.health()
-    }
-
-    /// The wrapped session (e.g. for window inspection).
-    pub fn session(&self) -> &MonitorSession<'m> {
-        self.pipeline.core()
-    }
-
-    /// The underlying stage pipeline.
-    pub fn pipeline(&self) -> &PipelineSession<'m> {
-        &self.pipeline
-    }
-
-    /// Sanitizes and feeds one record; returns a verdict once the window
-    /// is full.
-    pub fn step(&mut self, rec: &StepRecord) -> Option<GuardedVerdict> {
-        self.pipeline.step(rec)
-    }
-
-    /// Resets featurizer and guard state (the monitor and scratch stay
-    /// warm).
-    pub fn reset(&mut self) {
-        self.pipeline.reset();
-    }
 }
 
 /// Per-record featurizer for the *stateful* LSTM engine: one normalized
@@ -901,7 +663,7 @@ impl StepStream {
     /// # Panics
     ///
     /// Panics on non-finite sensor input, like [`WindowStream::push`];
-    /// guard unreliable inputs with a [`GuardBank`], or use
+    /// guard unreliable inputs ([`LstmSessionPool::with_guards`]), or use
     /// [`try_push`](Self::try_push) for the typed error.
     pub fn push(&mut self, rec: &StepRecord) -> usize {
         match self.try_push(rec) {
@@ -993,14 +755,14 @@ impl<'m> LstmEngine<'m> {
         }
     }
 
-    fn stream_state(&self, rows: usize) -> LstmStreamState {
+    pub(crate) fn stream_state(&self, rows: usize) -> LstmStreamState {
         match self {
             LstmEngine::F64(n) => n.stream_state(rows),
             LstmEngine::F32(n) => n.stream_state(rows),
         }
     }
 
-    fn step<'s>(&self, x: &Matrix, st: &'s mut LstmStreamState) -> &'s Matrix {
+    pub(crate) fn step<'s>(&self, x: &Matrix, st: &'s mut LstmStreamState) -> &'s Matrix {
         match self {
             LstmEngine::F64(n) => n.step_stream(x, st),
             LstmEngine::F32(n) => n.step_stream(x, st),
@@ -1068,30 +830,14 @@ impl<'m> LstmStreamSession<'m> {
     }
 }
 
-/// Queue entry for a pool slot that was pushed and awaits the next drain.
-#[derive(Clone, Copy)]
-struct PendingTick {
-    at: Instant,
-    health: HealthState,
-    imputed: bool,
-}
-
-/// Reusable scratch for one pool tick: the packed ready-row state, the
-/// batched input, and the ready index list. Lives across ticks so the
-/// steady state performs no allocation — buffers only grow, to the
-/// high-water mark of concurrent ready rows.
-struct PoolArena {
-    packed: LstmStreamState,
-    x: Matrix,
-    ready: Vec<usize>,
-}
-
 /// A fleet of *stateful* LSTM sessions advanced in lockstep: the
 /// hidden/cell state of every session lives as one row of
 /// structure-of-arrays matrices ([`LstmStreamState`]), and each
 /// [`drain_ready`](Self::drain_ready) gathers the pushed rows, advances
 /// them through **one** fused GEMM per gate block (the M dimension is the
-/// number of ready sessions), and scatters the state back.
+/// number of ready sessions), and scatters the state back. The pool is a
+/// facade over the shared [`Executor`], which owns the per-slot
+/// featurizers and guards.
 ///
 /// Because every kernel in the engine is row-independent, a pooled
 /// session's verdict stream is bit-identical to the same records fed to a
@@ -1107,13 +853,8 @@ struct PoolArena {
 /// inputs, so recovery is seamless).
 pub struct LstmSessionPool<'m> {
     engine: LstmEngine<'m>,
-    streams: Vec<StepStream>,
     state: LstmStreamState,
-    arena: PoolArena,
-    pending: Vec<Option<PendingTick>>,
-    guards: Option<GuardBank>,
-    fallback: Option<RuleMonitor>,
-    mitigator: Option<Mitigator>,
+    exec: Executor<StepStream>,
 }
 
 impl<'m> LstmSessionPool<'m> {
@@ -1127,17 +868,8 @@ impl<'m> LstmSessionPool<'m> {
     ) -> Self {
         Self {
             state: engine.stream_state(n),
-            arena: PoolArena {
-                packed: engine.stream_state(0),
-                x: Matrix::zeros(0, 0),
-                ready: Vec::with_capacity(n),
-            },
             engine,
-            streams: vec![StepStream::new(cfg, normalizer); n],
-            pending: vec![None; n],
-            guards: None,
-            fallback: None,
-            mitigator: None,
+            exec: Executor::new(StepStream::new(cfg, normalizer), n),
         }
     }
 
@@ -1150,8 +882,7 @@ impl<'m> LstmSessionPool<'m> {
     /// Arms per-session input guards with a shared policy and a rule
     /// fallback for slots that degrade to [`HealthState::Fallback`].
     pub fn with_guards(mut self, policy: GuardPolicy, fallback: RuleMonitor) -> Self {
-        self.guards = Some(GuardBank::new(policy, self.streams.len()));
-        self.fallback = Some(fallback);
+        self.exec = self.exec.with_guards(policy, fallback);
         self
     }
 
@@ -1159,18 +890,18 @@ impl<'m> LstmSessionPool<'m> {
     /// [`Action`] the mitigator derives for it. Classification is
     /// untouched, so armed pools stay bit-identical to unarmed ones.
     pub fn with_mitigator(mut self, mitigator: Mitigator) -> Self {
-        self.mitigator = Some(mitigator);
+        self.exec = self.exec.with_mitigator(mitigator);
         self
     }
 
     /// Number of sessions.
     pub fn len(&self) -> usize {
-        self.streams.len()
+        self.exec.len()
     }
 
     /// Whether the pool has no sessions.
     pub fn is_empty(&self) -> bool {
-        self.streams.is_empty()
+        self.exec.is_empty()
     }
 
     /// The engine precision ("f64" / "f32").
@@ -1189,27 +920,13 @@ impl<'m> LstmSessionPool<'m> {
     /// record, so dropping a queued record would silently skip state.
     pub fn push(&mut self, i: usize, rec: &StepRecord) {
         assert!(
-            self.pending[i].is_none(),
+            !self.exec.is_pending(i),
             "session {i} pushed twice without drain_ready; \
              stateful sessions must drain between records"
         );
-        let at = Instant::now();
-        let (health, imputed) = match &mut self.guards {
-            Some(bank) => {
-                let (clean, status) = bank.sanitize(i, rec);
-                self.streams[i].push(&clean);
-                (status.health, status.any_imputed())
-            }
-            None => {
-                self.streams[i].push(rec);
-                (HealthState::Healthy, false)
-            }
-        };
-        self.pending[i] = Some(PendingTick {
-            at,
-            health,
-            imputed,
-        });
+        if let Err(e) = self.exec.push(i, rec, Instant::now()) {
+            panic!("{e}");
+        }
     }
 
     /// Advances every pushed session by one timestep through a single
@@ -1219,84 +936,9 @@ impl<'m> LstmSessionPool<'m> {
     /// Latency is attributed per session — queue wait plus an equal share
     /// of the batched step.
     pub fn drain_ready(&mut self) -> Vec<Option<GuardedVerdict>> {
-        let n = self.streams.len();
-        let mut out = vec![None; n];
-        let arena = &mut self.arena;
-        arena.ready.clear();
-        for (i, p) in self.pending.iter().enumerate() {
-            if p.is_some() {
-                arena.ready.push(i);
-            }
-        }
-        if arena.ready.is_empty() {
-            return out;
-        }
-        let rows = arena.ready.len();
-        // Lockstep fast path: with every session ready the pool state IS
-        // the batch (ready = 0..n in order), so the gather/scatter row
-        // copies — ~2 × state-size of pure memcpy per tick — are skipped
-        // and the engine steps the pool state in place.
-        let full = rows == n;
-        if !full {
-            arena.packed.gather_from(&self.state, &arena.ready);
-        }
-        arena.x.reset_shape(rows, self.engine.feature_dim());
-        for (r, &i) in arena.ready.iter().enumerate() {
-            arena
-                .x
-                .row_mut(r)
-                .copy_from_slice(self.streams[i].features());
-        }
-        let t0 = Instant::now();
-        let state = if full {
-            &mut self.state
-        } else {
-            &mut arena.packed
-        };
-        let probs = self.engine.step(&arena.x, state);
-        let share = t0.elapsed() / rows as u32;
-        for (r, &i) in arena.ready.iter().enumerate() {
-            let tick = self.pending[i].take().expect("queued");
-            let (mut label, mut proba) = (argmax_row(probs.row(r)), probs.get(r, 1));
-            if tick.health == HealthState::Fallback {
-                let rules = self
-                    .fallback
-                    .as_ref()
-                    .expect("fallback rules exist when guards are armed");
-                label = rules.predict(&self.streams[i].context());
-                proba = label as f64;
-            }
-            let (action, mitigation) = match &self.mitigator {
-                // Alarm-free slots skip the stage (decide is the identity
-                // there), clock reads included.
-                Some(m) if label == 1 => {
-                    let m0 = Instant::now();
-                    let action = m.decide(label, proba, || self.streams[i].context());
-                    (action, m0.elapsed())
-                }
-                _ => (Action::None, Duration::ZERO),
-            };
-            let attribution = LatencyAttribution {
-                queue: t0 - tick.at,
-                compute: share,
-                mitigation,
-            };
-            out[i] = Some(GuardedVerdict {
-                verdict: Verdict {
-                    step: self.streams[i].steps_seen() - 1,
-                    label,
-                    proba,
-                    latency: attribution.total(),
-                    action,
-                    attribution,
-                },
-                health: tick.health,
-                imputed: tick.imputed,
-            });
-        }
-        if !full {
-            arena.packed.scatter_to(&mut self.state, &arena.ready);
-        }
+        let mut out = vec![None; self.exec.len()];
+        let engine = Engine::Stateful(&self.engine, &mut self.state);
+        self.exec.drain(engine, |i, gv| out[i] = Some(gv));
         out
     }
 
@@ -1307,7 +949,7 @@ impl<'m> LstmSessionPool<'m> {
     ///
     /// Panics if `records.len() != self.len()`.
     pub fn step(&mut self, records: &[StepRecord]) -> Vec<Option<GuardedVerdict>> {
-        assert_eq!(records.len(), self.streams.len(), "one record per session");
+        assert_eq!(records.len(), self.exec.len(), "one record per session");
         for (i, rec) in records.iter().enumerate() {
             self.push(i, rec);
         }
@@ -1317,75 +959,28 @@ impl<'m> LstmSessionPool<'m> {
     /// Resets one session: featurizer, recurrent state row, guard slot,
     /// and any queued record.
     pub fn reset_session(&mut self, i: usize) {
-        self.streams[i].reset();
         self.state.reset_row(i);
-        self.pending[i] = None;
-        if let Some(bank) = &mut self.guards {
-            bank.reset(i);
-        }
+        self.exec.reset_slot(i);
     }
 
     /// Resets every session (a whole-fleet trace boundary).
     pub fn reset_all(&mut self) {
-        for i in 0..self.streams.len() {
+        for i in 0..self.exec.len() {
             self.reset_session(i);
         }
     }
 }
 
-/// Bridges a cohort run into a [`SessionPool`]: monitor-in-the-loop over an
-/// entire population.
+/// Feeds a cohort run through an [`LstmSessionPool`]: monitor-in-the-loop
+/// over an entire population, one fused gate-block GEMM per step.
 ///
 /// Used as the observer of a [`cpsmon_sim::CohortEngine`] run, it routes
 /// member `j`'s record to pool session `j` during the per-member front end
-/// and drains one batched forward pass at each step boundary
-/// (`on_step_end`), so the whole cohort costs one classifier call per step.
-/// Verdicts accumulate as `(member, step, verdict)` triples; fetch them
-/// with [`take_verdicts`](Self::take_verdicts).
+/// and drains the pool at each step boundary (`on_step_end`). Verdicts
+/// accumulate as `(member, step, verdict)` triples; fetch them with
+/// [`take_verdicts`](Self::take_verdicts).
 ///
 /// The pool must have one session per cohort member (index-aligned).
-pub struct CohortPoolBridge<'p, 'm> {
-    pool: &'p mut SessionPool<'m>,
-    verdicts: Vec<(usize, usize, Verdict)>,
-}
-
-impl<'p, 'm> CohortPoolBridge<'p, 'm> {
-    /// Wraps a pool sized to the cohort.
-    pub fn new(pool: &'p mut SessionPool<'m>) -> Self {
-        Self {
-            pool,
-            verdicts: Vec::new(),
-        }
-    }
-
-    /// Verdicts collected so far, in emission order.
-    pub fn verdicts(&self) -> &[(usize, usize, Verdict)] {
-        &self.verdicts
-    }
-
-    /// Drains the collected verdicts (for steady-memory benchmark loops).
-    pub fn take_verdicts(&mut self) -> Vec<(usize, usize, Verdict)> {
-        std::mem::take(&mut self.verdicts)
-    }
-}
-
-impl cpsmon_sim::CohortObserver for CohortPoolBridge<'_, '_> {
-    fn on_step(&mut self, member: usize, _step: usize, record: &StepRecord) {
-        self.pool.push(member, record);
-    }
-
-    fn on_step_end(&mut self, step: usize) {
-        for (member, verdict) in self.pool.drain_ready().into_iter().enumerate() {
-            if let Some(v) = verdict {
-                self.verdicts.push((member, step, v));
-            }
-        }
-    }
-}
-
-/// [`CohortPoolBridge`]'s stateful-LSTM counterpart: feeds a cohort run
-/// through an [`LstmSessionPool`], one fused gate-block GEMM per step for
-/// the whole population. See [`CohortPoolBridge`] for the protocol.
 pub struct CohortLstmBridge<'p, 'm> {
     pool: &'p mut LstmSessionPool<'m>,
     verdicts: Vec<(usize, usize, GuardedVerdict)>,
@@ -1430,6 +1025,7 @@ mod tests {
     use super::*;
     use crate::dataset::DatasetBuilder;
     use crate::monitor::MonitorKind;
+    use crate::pipeline::PipelineSession;
     use crate::train::TrainConfig;
     use cpsmon_sim::{CampaignConfig, SimulatorKind};
 
@@ -1537,7 +1133,7 @@ mod tests {
         // Stagger: session 1 joins 3 steps late via a reset.
         for (t, rec) in records.iter().take(10).enumerate() {
             if t == 3 {
-                pool.sessions_mut()[1].reset();
+                pool.reset_session(1);
             }
             let out = pool.step(&[*rec, *rec]);
             let w = ds.feature_config.window;
@@ -1567,8 +1163,8 @@ mod tests {
             .train(&ds, &TrainConfig::quick_test())
             .unwrap();
         let mut plain = MonitorSession::for_dataset(&monitor, &ds);
-        let mut guarded =
-            GuardedSession::for_dataset(&monitor, &ds, crate::guard::GuardPolicy::aps());
+        let mut guarded = PipelineSession::new(MonitorSession::for_dataset(&monitor, &ds))
+            .with_guard(crate::guard::GuardPolicy::aps(), RuleMonitor::new(ds.rules));
         for rec in traces[0].records() {
             let a = plain.step(rec);
             let b = guarded.step(rec);
@@ -1593,7 +1189,8 @@ mod tests {
             .train(&ds, &TrainConfig::quick_test())
             .unwrap();
         let policy = crate::guard::GuardPolicy::aps();
-        let mut guarded = GuardedSession::for_dataset(&monitor, &ds, policy);
+        let mut guarded = PipelineSession::new(MonitorSession::for_dataset(&monitor, &ds))
+            .with_guard(policy, RuleMonitor::new(ds.rules));
         let rules = cpsmon_stl::RuleMonitor::new(ds.rules);
         let mut saw_fallback = false;
         for (t, rec) in traces[0].records().iter().enumerate() {
@@ -1604,7 +1201,7 @@ mod tests {
             if let Some(v) = guarded.step(&r) {
                 if v.health == HealthState::Fallback {
                     saw_fallback = true;
-                    let expect = rules.predict(&guarded.session().window().context());
+                    let expect = rules.predict(&guarded.core().window().context());
                     assert_eq!(v.verdict.label, expect, "fallback label is the rule's");
                     assert_eq!(v.verdict.proba, expect as f64);
                 }
@@ -1612,6 +1209,58 @@ mod tests {
         }
         assert!(saw_fallback, "budget exhaustion must reach Fallback");
         assert_eq!(guarded.health(), HealthState::Fallback);
+    }
+
+    #[test]
+    fn guarded_windowed_pool_falls_back_per_slot() {
+        // Slot 1 loses its CGM from step 10 on; slot 0 stays clean. The
+        // reference for slot 1 is its own guard + featurizer replayed
+        // alone, whose window context the rule fallback must read.
+        let (traces, ds) = dataset();
+        let monitor = MonitorKind::Mlp
+            .train(&ds, &TrainConfig::quick_test())
+            .unwrap();
+        let policy = crate::guard::GuardPolicy::aps();
+        let rules = RuleMonitor::new(ds.rules);
+        let mut pool = SessionPool::for_dataset(&monitor, &ds, 2).with_guards(policy, rules);
+        let mut clean_single = MonitorSession::for_dataset(&monitor, &ds);
+        let mut guard = crate::guard::InputGuard::new(policy);
+        let mut window = WindowStream::new(ds.feature_config, ds.normalizer.clone());
+        let mut saw_fallback = false;
+        for (t, rec) in traces[0].records().iter().take(60).enumerate() {
+            let mut bad = *rec;
+            if t >= 10 {
+                bad.bg_sensor = f64::NAN;
+            }
+            pool.push(0, rec);
+            pool.push(1, &bad);
+            let out = pool.drain_ready_guarded();
+            let (clean_bad, status) = guard.sanitize(&bad);
+            window.push(&clean_bad);
+            match (out[0], clean_single.step(rec)) {
+                (Some(v0), Some(s)) => {
+                    assert_eq!(v0.health, HealthState::Healthy);
+                    assert!(!v0.imputed);
+                    assert_eq!(v0.verdict.step, s.step);
+                    assert_eq!(v0.verdict.label, s.label, "clean slot step {t}");
+                    assert_eq!(v0.verdict.proba.to_bits(), s.proba.to_bits());
+                }
+                (None, None) => {}
+                other => panic!("readiness mismatch at step {t}: {other:?}"),
+            }
+            let Some(v1) = out[1] else {
+                assert!(!window.is_ready(), "ready slot 1 emitted nothing at {t}");
+                continue;
+            };
+            assert_eq!(v1.health, status.health, "slot 1 health at step {t}");
+            if v1.health == HealthState::Fallback {
+                saw_fallback = true;
+                let expect = rules.predict(&window.context());
+                assert_eq!(v1.verdict.label, expect, "fallback label at step {t}");
+                assert_eq!(v1.verdict.proba, expect as f64);
+            }
+        }
+        assert!(saw_fallback, "budget exhaustion must reach Fallback");
     }
 
     fn lstm_net(ds: &LabeledDataset) -> TrainedMonitor {
@@ -1813,10 +1462,6 @@ mod tests {
         let mut session = PipelineSession::new(MonitorSession::for_dataset(&monitor, &ds))
             .with_guard(crate::guard::GuardPolicy::aps(), RuleMonitor::new(ds.rules))
             .with_mitigator(Mitigator::aps());
-        assert_eq!(
-            session.stage_names(),
-            ["guard", "featurize", "monitor", "mitigate"]
-        );
         let mut checked = 0;
         for rec in traces[0].records() {
             if let Some(v) = session.step(rec) {
@@ -1899,9 +1544,9 @@ mod tests {
 
     #[test]
     fn windowed_pool_reset_session_clears_pending_and_guard() {
-        // Regression (see DESIGN.md §14): resetting a slot through
-        // `sessions_mut()[i].reset()` used to leave the queued tick — and,
-        // with guards armed, the old trace's staleness budget — behind.
+        // Regression (see DESIGN.md §14): resetting only a slot's
+        // featurizer used to leave the queued tick — and, with guards
+        // armed, the old trace's staleness budget — behind.
         let (traces, ds) = dataset();
         let monitor = MonitorKind::RuleBased
             .train(&ds, &TrainConfig::quick_test())
@@ -1936,45 +1581,6 @@ mod tests {
         assert!(!ws.is_ready());
         assert_eq!(ws.steps_seen(), 0);
         assert_eq!(ws.push(&records[0]), None);
-    }
-
-    #[test]
-    fn cohort_bridge_matches_pool_over_scalar_traces() {
-        let (traces, ds) = dataset();
-        let monitor = MonitorKind::Mlp
-            .train(&ds, &TrainConfig::quick_test())
-            .unwrap();
-        let cfg = CampaignConfig::new(SimulatorKind::Glucosym)
-            .patients(2)
-            .runs_per_patient(2)
-            .steps(96)
-            .fault_ratio(0.5)
-            .seed(77);
-        let n = traces.len();
-        // Reference: the same records through a pool driven per-step from
-        // the scalar traces.
-        let mut ref_pool = SessionPool::for_dataset(&monitor, &ds, n);
-        let mut expected: Vec<(usize, usize, usize, u64)> = Vec::new();
-        let steps = traces[0].len();
-        for t in 0..steps {
-            let records: Vec<StepRecord> = traces.iter().map(|tr| tr.records()[t]).collect();
-            for (i, v) in ref_pool.step(&records).into_iter().enumerate() {
-                if let Some(v) = v {
-                    expected.push((i, t, v.label, v.proba.to_bits()));
-                }
-            }
-        }
-        // Cohort run with the bridge as monitor-in-the-loop observer.
-        let mut pool = SessionPool::for_dataset(&monitor, &ds, n);
-        let mut bridge = CohortPoolBridge::new(&mut pool);
-        cpsmon_sim::CohortEngine::from_campaign(&cfg).run_observed(&mut bridge);
-        let got: Vec<(usize, usize, usize, u64)> = bridge
-            .take_verdicts()
-            .into_iter()
-            .map(|(m, t, v)| (m, t, v.label, v.proba.to_bits()))
-            .collect();
-        assert!(!got.is_empty());
-        assert_eq!(got, expected);
     }
 
     #[test]

@@ -2,16 +2,15 @@
 //!
 //! Every hot inner kernel — the blocked GEMM behind [`Matrix::matmul`],
 //! the sigmoid/tanh/softmax element-wise passes, and the fused LSTM state
-//! update — exists in up to four implementations:
+//! update — exists in up to three implementations:
 //!
 //! - a **scalar** kernel, identical to the original portable code (libm
-//!   transcendentals, unfused multiply-add),
-//! - an **AVX2+FMA** kernel (256-bit lanes),
+//!   transcendentals, unfused multiply-add), which every non-x86 host
+//!   (`aarch64` included) runs,
+//! - an **AVX2+FMA** kernel (256-bit lanes), and
 //! - an **AVX-512F** kernel (512-bit lanes, same ascending-`k` FMA chains
 //!   as the AVX2 tier so the two x86 vector tiers are bit-identical per
-//!   element), and
-//! - a **NEON** GEMM tier on `aarch64` (128-bit fused lanes; the
-//!   element-wise passes use the portable scalar kernels there).
+//!   element).
 //!
 //! The active backend is resolved once per process (see [`backend`]) from
 //! the `CPSMON_SIMD` environment variable and the CPU's feature flags:
@@ -21,8 +20,7 @@
 //! | `0`, `off`, `scalar` | force the portable scalar kernels               |
 //! | `avx2`           | cap at AVX2+FMA (scalar if unsupported)             |
 //! | `avx512`         | request AVX-512 (degrades to AVX2+FMA, then scalar) |
-//! | `neon`           | request NEON (scalar if unsupported)                |
-//! | `max`, `1`, unset | widest backend the CPU supports                    |
+//! | `max`, `1`, unset, anything else | widest backend the CPU supports     |
 //!
 //! # Determinism contract
 //!
@@ -60,10 +58,6 @@ pub enum Backend {
     /// AVX-512F vector kernels (512-bit GEMM tiles, 8-lane
     /// transcendentals); per element bit-identical to [`Backend::Avx2Fma`].
     Avx512,
-    /// NEON fused GEMM on `aarch64`; element-wise passes run the portable
-    /// scalar kernels (`f64::mul_add` fuses natively there, matching the
-    /// `vfmaq` lanes).
-    Neon,
 }
 
 impl Backend {
@@ -73,19 +67,15 @@ impl Backend {
             Backend::Scalar => "scalar",
             Backend::Avx2Fma => "avx2+fma",
             Backend::Avx512 => "avx512",
-            Backend::Neon => "neon",
         }
     }
 
     /// Native `f64` vector width of the backend's registers. Batched
     /// structure-of-arrays passes (e.g. the cohort ODE integrators in
-    /// `cpsmon-sim`) use this to size their lane blocks; the NEON answer is
-    /// 2 even though those element-wise passes currently fall back to the
-    /// scalar kernels.
+    /// `cpsmon-sim`) use this to size their lane blocks.
     pub fn f64_lanes(self) -> usize {
         match self {
             Backend::Scalar => 1,
-            Backend::Neon => 2,
             Backend::Avx2Fma => 4,
             Backend::Avx512 => 8,
         }
@@ -98,7 +88,6 @@ impl Backend {
 struct Caps {
     avx2_fma: bool,
     avx512: bool,
-    neon: bool,
 }
 
 /// Pure backend resolution from the `CPSMON_SIMD` setting and the detected
@@ -110,8 +99,6 @@ fn resolve(simd_env: Option<&str>, caps: Caps) -> Backend {
         Backend::Avx512
     } else if caps.avx2_fma {
         Backend::Avx2Fma
-    } else if caps.neon {
-        Backend::Neon
     } else {
         Backend::Scalar
     };
@@ -132,12 +119,6 @@ fn resolve(simd_env: Option<&str>, caps: Caps) -> Backend {
             Backend::Avx512
         } else if caps.avx2_fma {
             Backend::Avx2Fma
-        } else {
-            Backend::Scalar
-        }
-    } else if v.eq_ignore_ascii_case("neon") {
-        if caps.neon {
-            Backend::Neon
         } else {
             Backend::Scalar
         }
@@ -172,14 +153,9 @@ fn detect_avx512() -> bool {
 }
 
 fn detect_caps() -> Caps {
-    #[cfg(target_arch = "aarch64")]
-    let neon = std::arch::is_aarch64_feature_detected!("neon");
-    #[cfg(not(target_arch = "aarch64"))]
-    let neon = false;
     Caps {
         avx2_fma: detect_avx2_fma(),
         avx512: detect_avx512(),
-        neon,
     }
 }
 
@@ -229,8 +205,6 @@ pub fn gemm_acc(a: &[f64], m: usize, k: usize, b: &[f64], n: usize, out: &mut [f
         Backend::Avx512 => unsafe { avx512::gemm_acc(a, m, k, b, n, out) },
         #[cfg(target_arch = "x86_64")]
         Backend::Avx2Fma => unsafe { gemm_acc_avx2(a, m, k, b, n, out) },
-        #[cfg(target_arch = "aarch64")]
-        Backend::Neon => unsafe { neon::gemm_acc(a, m, k, b, n, out) },
         _ => gemm_acc_scalar(a, m, k, b, n, out),
     }
 }
@@ -1201,54 +1175,6 @@ mod avx512 {
     }
 }
 
-#[cfg(target_arch = "aarch64")]
-mod neon {
-    //! NEON GEMM tier (2-lane f64 `vfmaq_f64`). Only the GEMM is
-    //! vectorized; the element-wise transcendental passes use the portable
-    //! scalar kernels under [`Backend::Neon`](super::Backend::Neon). The
-    //! scalar column tail's `f64::mul_add` lowers to a native fused
-    //! multiply-add on aarch64, matching the vector lanes bit-for-bit.
-    #![allow(unsafe_op_in_unsafe_fn)]
-
-    use super::*;
-    use std::arch::aarch64::*;
-
-    /// Blocked ikj axpy GEMM: per output element one fused multiply-add
-    /// per `k` step in strictly ascending order.
-    ///
-    /// # Safety
-    ///
-    /// Requires NEON; buffer lengths must match the stated shapes (checked
-    /// by the safe wrappers).
-    #[target_feature(enable = "neon")]
-    pub unsafe fn gemm_acc(a: &[f64], m: usize, k: usize, b: &[f64], n: usize, out: &mut [f64]) {
-        let bp = b.as_ptr();
-        let op = out.as_mut_ptr();
-        for k0 in (0..k).step_by(GEMM_KC) {
-            let k1 = (k0 + GEMM_KC).min(k);
-            for i in 0..m {
-                let a_row = &a[i * k..(i + 1) * k];
-                let or = op.add(i * n);
-                for kk in k0..k1 {
-                    let av = vdupq_n_f64(a_row[kk]);
-                    let br = bp.add(kk * n);
-                    let mut j = 0;
-                    while j + 2 <= n {
-                        let c = vld1q_f64(or.add(j));
-                        let c = vfmaq_f64(c, av, vld1q_f64(br.add(j)));
-                        vst1q_f64(or.add(j), c);
-                        j += 2;
-                    }
-                    while j < n {
-                        *or.add(j) = a_row[kk].mul_add(*br.add(j), *or.add(j));
-                        j += 1;
-                    }
-                }
-            }
-        }
-    }
-}
-
 // ---------------------------------------------------------------------------
 // f32 GEMM (quantized serving engine)
 // ---------------------------------------------------------------------------
@@ -1566,23 +1492,19 @@ mod tests {
         let x86_512 = Caps {
             avx2_fma: true,
             avx512: true,
-            neon: false,
         };
         let x86_256 = Caps {
             avx2_fma: true,
             avx512: false,
-            neon: false,
         };
         let arm = Caps {
             avx2_fma: false,
             avx512: false,
-            neon: true,
         };
         let none = Caps::default();
         // Unset / max / unrecognised: widest available.
         assert_eq!(resolve(None, x86_512), Backend::Avx512);
         assert_eq!(resolve(None, x86_256), Backend::Avx2Fma);
-        assert_eq!(resolve(None, arm), Backend::Neon);
         assert_eq!(resolve(None, none), Backend::Scalar);
         assert_eq!(resolve(Some("max"), x86_512), Backend::Avx512);
         assert_eq!(resolve(Some("1"), x86_256), Backend::Avx2Fma);
@@ -1599,13 +1521,10 @@ mod tests {
         assert_eq!(resolve(Some("avx512"), x86_256), Backend::Avx2Fma);
         assert_eq!(resolve(Some("avx512"), none), Backend::Scalar);
         assert_eq!(resolve(Some("avx2"), arm), Backend::Scalar);
-        assert_eq!(resolve(Some("neon"), arm), Backend::Neon);
-        assert_eq!(resolve(Some("neon"), x86_512), Backend::Scalar);
         assert_eq!(resolve(Some("AVX512"), x86_512), Backend::Avx512);
         assert_eq!(Backend::Scalar.label(), "scalar");
         assert_eq!(Backend::Avx2Fma.label(), "avx2+fma");
         assert_eq!(Backend::Avx512.label(), "avx512");
-        assert_eq!(Backend::Neon.label(), "neon");
     }
 
     #[test]

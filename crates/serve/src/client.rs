@@ -100,10 +100,23 @@ pub fn build_frames(cfg: &ReplayConfig) -> Vec<Frame> {
     frames
 }
 
+/// Patient profiles a replay can simulate: the campaign's paper range
+/// (see [`CampaignConfig::patients`]).
+const PATIENTS: std::ops::RangeInclusive<usize> = 1..=20;
+
 /// Runs one replay session against a live daemon and reports what came
 /// back. The reader runs on its own thread so server backpressure
 /// frames are consumed while the writer is still streaming.
+///
+/// A patient count outside `1..=20` is rejected with
+/// [`io::ErrorKind::InvalidInput`] before any connection is made.
 pub fn replay(cfg: &ReplayConfig) -> io::Result<ReplayReport> {
+    if !PATIENTS.contains(&cfg.patients) {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidInput,
+            format!("patients must be in 1..=20, got {}", cfg.patients),
+        ));
+    }
     let frames = build_frames(cfg);
     let sent_steps = frames
         .iter()
@@ -181,4 +194,24 @@ pub fn replay(cfg: &ReplayConfig) -> io::Result<ReplayReport> {
     let mut report = reader.join().unwrap_or_default();
     report.sent_steps = sent_steps;
     Ok(report)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn out_of_range_patient_counts_are_rejected_before_connecting() {
+        for patients in [0, 21] {
+            let cfg = ReplayConfig {
+                // Nothing listens here; validation must answer first.
+                addr: "127.0.0.1:1".to_string(),
+                patients,
+                ..ReplayConfig::default()
+            };
+            let err = replay(&cfg).expect_err("out-of-range count must fail");
+            assert_eq!(err.kind(), io::ErrorKind::InvalidInput, "{patients}: {err}");
+            assert!(err.to_string().contains("1..=20"), "{err}");
+        }
+    }
 }

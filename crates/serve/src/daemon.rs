@@ -121,6 +121,10 @@ struct Inner {
     /// Verdict frames dropped because a client's outbound channel was
     /// full (slow-client policy).
     dropped_frames: AtomicU64,
+    /// Ticks whose events are not dispatched yet. Raised under the shard
+    /// lock, so a drain waiter that sees an empty queue also sees the
+    /// tick that emptied it still delivering.
+    dispatching: AtomicU64,
 }
 
 impl Inner {
@@ -226,6 +230,7 @@ impl Daemon {
             shutdown: AtomicBool::new(false),
             next_conn: AtomicU64::new(1),
             dropped_frames: AtomicU64::new(0),
+            dispatching: AtomicU64::new(0),
         });
 
         let mut threads = Vec::new();
@@ -239,13 +244,18 @@ impl Daemon {
                 for shard in &inner.shards {
                     let events = {
                         let mut s = shard.lock().expect("shard lock");
-                        if s.queue_len() == 0 {
+                        // An idle shard that is not Healthy still ticks:
+                        // idle ticks are how its controller recovers. They
+                        // are not work, so the loop keeps sleeping.
+                        if !s.needs_tick() {
                             continue;
                         }
-                        worked = true;
+                        worked |= s.queue_len() > 0;
+                        inner.dispatching.fetch_add(1, Ordering::SeqCst);
                         s.tick()
                     };
                     inner.dispatch(events);
+                    inner.dispatching.fetch_sub(1, Ordering::SeqCst);
                 }
                 if inner.shutdown.load(Ordering::SeqCst) {
                     // Drain whatever is still queued, then stop.
@@ -412,6 +422,16 @@ fn serve_conn(inner: Arc<Inner>, stream: TcpStream) {
     let _ = writer.join();
 }
 
+/// Whether a timed socket read failed only transiently — its timeout
+/// expired, or a signal (e.g. SIGSTOP/SIGCONT) interrupted it — so the
+/// read is retried instead of being taken for a disconnect.
+fn retry_read(kind: io::ErrorKind) -> bool {
+    matches!(
+        kind,
+        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut | io::ErrorKind::Interrupted
+    )
+}
+
 /// The read loop body, split out so teardown runs on every exit path.
 fn read_frames(inner: &Arc<Inner>, conn: u64, mut stream: TcpStream, tx: &SyncSender<Vec<u8>>) {
     let send = |frame: Frame| {
@@ -434,11 +454,7 @@ fn read_frames(inner: &Arc<Inner>, conn: u64, mut stream: TcpStream, tx: &SyncSe
         let n = match stream.read(&mut buf) {
             Ok(0) => return,
             Ok(n) => n,
-            Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
-            {
-                continue;
-            }
+            Err(e) if retry_read(e.kind()) => continue,
             Err(_) => return,
         };
         decoder.feed(&buf[..n]);
@@ -544,7 +560,9 @@ fn read_frames(inner: &Arc<Inner>, conn: u64, mut stream: TcpStream, tx: &SyncSe
     }
 }
 
-/// Blocks until every shard queue is empty (or the timeout passes).
+/// Blocks until every shard queue is empty and the ticks that emptied
+/// them have handed their verdicts to the writers (or the timeout
+/// passes), so a Bye sent afterwards trails every verdict.
 fn wait_for_drain(inner: &Arc<Inner>, timeout: Duration) {
     let t0 = std::time::Instant::now();
     while t0.elapsed() < timeout {
@@ -553,7 +571,7 @@ fn wait_for_drain(inner: &Arc<Inner>, timeout: Duration) {
             .iter()
             .map(|s| s.lock().expect("shard lock").queue_len())
             .sum();
-        if pending == 0 {
+        if pending == 0 && inner.dispatching.load(Ordering::SeqCst) == 0 {
             return;
         }
         std::thread::sleep(Duration::from_millis(2));
@@ -730,4 +748,28 @@ fn respond(mut stream: TcpStream, status: u16, body: &str) -> io::Result<()> {
     );
     stream.write_all(resp.as_bytes())?;
     stream.flush()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn timed_out_and_interrupted_reads_are_retried() {
+        for kind in [
+            io::ErrorKind::WouldBlock,
+            io::ErrorKind::TimedOut,
+            io::ErrorKind::Interrupted,
+        ] {
+            assert!(retry_read(kind), "{kind:?} must be retried");
+        }
+        for kind in [
+            io::ErrorKind::ConnectionReset,
+            io::ErrorKind::ConnectionAborted,
+            io::ErrorKind::BrokenPipe,
+            io::ErrorKind::UnexpectedEof,
+        ] {
+            assert!(!retry_read(kind), "{kind:?} is a disconnect");
+        }
+    }
 }

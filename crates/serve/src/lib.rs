@@ -16,8 +16,8 @@
 //!
 //! The engine core ([`shard`]) is **sans-IO**: a [`Shard`] consumes
 //! offered ingest items and emits verdict events with no sockets,
-//! threads, or clock, so overload and fault-storm behaviour is
-//! deterministic and testable byte-for-byte. The daemon ([`daemon`]) is
+//! threads, or clock-dependent output, so overload and fault-storm
+//! behaviour is deterministic and testable byte-for-byte. The daemon ([`daemon`]) is
 //! a thin thread-per-connection shell around it; the chaos harness
 //! ([`chaos`]) mangles byte streams with a seeded RNG to drive
 //! drop/duplicate/reorder/truncate storms through both layers.

@@ -2,9 +2,10 @@
 //! queue, a table of live patient sessions, and the closed-loop
 //! [`OverloadController`].
 //!
-//! The shard has **no sockets, threads, or (optionally) clock**: callers
-//! [`offer`](Shard::offer) ingest items and [`tick`](Shard::tick) the
-//! engine, and it answers with [`OutEvent`]s. The daemon wraps it in a
+//! The shard has **no sockets or threads**, and (optionally) no clock
+//! reading reaches its output: callers [`offer`](Shard::offer) ingest
+//! items and [`tick`](Shard::tick) the engine, and it answers with
+//! [`OutEvent`]s. The daemon wraps it in a
 //! mutex and threads; the chaos tests and the `serve_chaos` experiment
 //! drive it synchronously, which is what makes overload and fault-storm
 //! behaviour reproducible byte-for-byte.
@@ -24,8 +25,20 @@
 //!   advance, so when pressure drains the ML path resumes on exactly
 //!   the state it would have had — post-recovery verdicts are
 //!   bit-identical to an offline replay (asserted by the chaos suite).
+//!
+//! ## Sessions
+//!
+//! The session table is the core crate's pooled [`Executor`]: it owns
+//! every slot's featurizer, input guard and pending record, and runs
+//! the guard-fallback → mitigation → attribution tail every pooled
+//! deployment shares. The shard adds the ingest queue, the
+//! patient → slot map and routing, its counters and the controller.
+//! A slot holds one pending record, so a tick drains the executor
+//! before it re-pushes a pending slot and before it closes one: every
+//! accepted record past warm-up gets its own verdict, in per-patient
+//! order, and a session closed in the same tick as its last record
+//! still gets that record's verdict.
 
-use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
 use std::error::Error;
 use std::fmt;
@@ -33,8 +46,7 @@ use std::time::{Duration, Instant};
 
 use cpsmon_core::artifact::MonitorBundle;
 use cpsmon_core::monitor::MonitorModel;
-use cpsmon_core::{FeatureConfig, GuardPolicy, HealthState, InputGuard, WindowStream};
-use cpsmon_nn::Matrix;
+use cpsmon_core::{Engine, Executor, FeatureConfig, GuardPolicy, HealthState, WindowStream};
 use cpsmon_sim::trace::StepRecord;
 use cpsmon_stl::RuleMonitor;
 
@@ -106,9 +118,10 @@ pub struct ShardConfig {
     /// Items drained per tick — the work budget that turns queue
     /// occupancy into a meaningful pressure signal.
     pub drain_max: usize,
-    /// Wall-clock budget per tick; `None` disables the deadline check
-    /// entirely (and with it every clock read), which is what the
-    /// deterministic chaos harness runs under.
+    /// Wall-clock budget per tick; `None` disables the deadline check,
+    /// which is what the deterministic chaos harness runs under: clock
+    /// readings then only feed per-verdict latency attribution, never an
+    /// [`OutEvent`], a [`ShardStats`] counter or the controller.
     pub tick_budget: Option<Duration>,
     /// Overload controller thresholds.
     pub overload: OverloadPolicy,
@@ -209,32 +222,12 @@ pub enum OutEvent {
     },
 }
 
-/// One live patient session: featurizer window + input guard + routing.
-#[derive(Debug, Clone)]
-struct Slot {
-    patient: u64,
-    conn: u64,
-    guard: InputGuard,
-    stream: WindowStream,
-    last_seq: Option<u32>,
-}
-
-/// A window that became ready during the current tick, snapshotted at
-/// push time. One accepted record past warm-up produces exactly one row
-/// — a tick that drains several records of the same session classifies
-/// each intermediate window, and a session closed *later in the same
-/// tick* still gets its pending verdicts (the row no longer needs the
-/// slot). The feature row itself lives in `Shard::ready_x` at
-/// `index · feature_dim`.
+/// Where a live slot's verdicts go, and its sequence high-water mark.
 #[derive(Debug, Clone, Copy)]
-struct ReadyRow {
-    conn: u64,
+struct Route {
     patient: u64,
-    step: u32,
-    health: HealthState,
-    /// Rule context at readiness, for the guard-fallback and shedding
-    /// paths (matches the offline pipeline's per-step context).
-    ctx: cpsmon_stl::ApsContext,
+    conn: u64,
+    last_seq: Option<u32>,
 }
 
 /// Monotonic shard counters, cheap enough to bump unconditionally.
@@ -307,34 +300,31 @@ pub struct Shard {
     /// `/stats` prove which bundle produced a verdict stream.
     epoch: u64,
     queue: VecDeque<IngestItem>,
-    slots: Vec<Option<Slot>>,
+    sessions: Executor<WindowStream>,
+    /// Routing per executor slot; `None` marks a free slot.
+    routes: Vec<Option<Route>>,
     free: Vec<usize>,
     by_patient: HashMap<u64, usize>,
     controller: OverloadController,
     stats: ShardStats,
-    batch: Matrix,
-    ready: Vec<ReadyRow>,
-    /// Flat `ready.len() × feature_dim` snapshot of ready windows.
-    ready_x: Vec<f64>,
     events: Vec<OutEvent>,
 }
 
 impl Shard {
     /// Creates a shard serving `bundle` under `config`.
     pub fn new(config: ShardConfig, bundle: ServingBundle) -> Shard {
+        let template = WindowStream::new(bundle.feature_config, bundle.bundle.normalizer.clone());
         Shard {
             controller: OverloadController::new(config.overload),
+            sessions: Executor::new(template, 0).with_guards(config.guard, bundle.fallback),
             config,
             serving: bundle,
             epoch: 0,
             queue: VecDeque::new(),
-            slots: Vec::new(),
+            routes: Vec::new(),
             free: Vec::new(),
             by_patient: HashMap::new(),
             stats: ShardStats::default(),
-            batch: Matrix::zeros(0, 0),
-            ready: Vec::new(),
-            ready_x: Vec::new(),
             events: Vec::new(),
         }
     }
@@ -342,6 +332,13 @@ impl Shard {
     /// The health the next tick will serve under.
     pub fn health(&self) -> ServiceHealth {
         self.controller.health()
+    }
+
+    /// Whether a [`tick`](Self::tick) has work: queued items, or a
+    /// controller that must still walk back to `Healthy` — an idle tick
+    /// is the calm observation it recovers on, and emits nothing.
+    pub fn needs_tick(&self) -> bool {
+        !self.queue.is_empty() || self.controller.health() != ServiceHealth::Healthy
     }
 
     /// Lifetime counters.
@@ -395,11 +392,12 @@ impl Shard {
     /// that became ready (ML batch, or rule path when shedding), feeds
     /// the controller, and returns the tick's events.
     pub fn tick(&mut self) -> Vec<OutEvent> {
-        let started = self.config.tick_budget.map(|_| Instant::now());
-        let serving_health = self.controller.health();
+        // The one clock reading a tick takes: the deadline reference and
+        // the arrival instant of every record the tick pushes (it feeds
+        // only latency attribution, never an event or a decision).
+        let started = Instant::now();
+        let shed = self.controller.health() == ServiceHealth::Shedding;
         self.events.clear();
-        self.ready.clear();
-        self.ready_x.clear();
 
         // Pressure is demand at tick entry, not the post-drain residue:
         // a full queue reads 1.0 even though the drain budget will eat
@@ -410,14 +408,14 @@ impl Shard {
         let budget = self.config.drain_max.min(self.queue.len());
         for _ in 0..budget {
             let item = self.queue.pop_front().expect("sized by budget");
-            self.apply(item);
+            self.apply(item, started, shed);
         }
-        self.flush_ready(serving_health);
+        self.drain(shed);
 
-        let overrun = match (started, self.config.tick_budget) {
-            (Some(t0), Some(budget)) => t0.elapsed() > budget,
-            _ => false,
-        };
+        let overrun = self
+            .config
+            .tick_budget
+            .is_some_and(|budget| started.elapsed() > budget);
         if overrun {
             self.stats.deadline_overruns += 1;
         }
@@ -432,175 +430,123 @@ impl Shard {
     }
 
     /// Routes one drained item into its slot.
-    fn apply(&mut self, item: IngestItem) {
+    fn apply(&mut self, item: IngestItem, at: Instant, shed: bool) {
         match item.kind {
             IngestKind::End => {
                 if let Some(&idx) = self.by_patient.get(&item.patient) {
                     // End frames are not seq-deduped: closing twice is
                     // harmless, and a storm-duplicated End must still
                     // close.
+                    if self.sessions.is_pending(idx) {
+                        self.drain(shed);
+                    }
                     self.close_slot(idx, item.patient);
                 }
             }
             IngestKind::Step(rec) => {
-                let idx = match self.by_patient.entry(item.patient) {
-                    Entry::Occupied(e) => *e.get(),
-                    Entry::Vacant(e) => {
-                        if self.slots.len() - self.free.len() >= self.config.max_sessions {
-                            self.stats.sessions_refused += 1;
-                            self.events.push(OutEvent::SessionRefused {
-                                conn: item.conn,
-                                patient: item.patient,
-                                sessions: self.slots.len() - self.free.len(),
-                            });
-                            return;
-                        }
-                        let slot = Slot {
-                            patient: item.patient,
-                            conn: item.conn,
-                            guard: InputGuard::new(self.config.guard),
-                            stream: WindowStream::new(
-                                self.serving.feature_config,
-                                self.serving.bundle.normalizer.clone(),
-                            ),
-                            last_seq: None,
-                        };
-                        let idx = match self.free.pop() {
-                            Some(i) => {
-                                self.slots[i] = Some(slot);
-                                i
-                            }
-                            None => {
-                                self.slots.push(Some(slot));
-                                self.slots.len() - 1
-                            }
-                        };
-                        self.stats.sessions_opened += 1;
-                        e.insert(idx);
-                        idx
-                    }
+                let Some(idx) = self.admit(&item) else {
+                    return;
                 };
-                let slot = self.slots[idx].as_mut().expect("mapped slots are live");
+                let route = self.routes[idx].expect("mapped slots are live");
+                let stale = route.last_seq.is_some_and(|hw| item.seq <= hw);
+                // A pending record is classified before the slot takes
+                // another one, and before a reconnect re-routes it.
+                if self.sessions.is_pending(idx) && (!stale || route.conn != item.conn) {
+                    self.drain(shed);
+                }
+                let route = self.routes[idx].as_mut().expect("mapped slots are live");
                 // A reconnect adopts the session: verdicts follow the
                 // most recent connection that fed it.
-                slot.conn = item.conn;
-                if slot.last_seq.is_some_and(|hw| item.seq <= hw) {
+                route.conn = item.conn;
+                if stale {
                     self.stats.dropped_stale += 1;
                     return;
                 }
-                slot.last_seq = Some(item.seq);
-                let (clean, status) = slot.guard.sanitize(&rec);
-                match slot.stream.try_push(&clean) {
-                    Ok(Some(_)) => {
-                        self.ready.push(ReadyRow {
-                            conn: slot.conn,
-                            patient: slot.patient,
-                            step: (slot.stream.steps_seen() - 1) as u32,
-                            health: status.health,
-                            ctx: slot.stream.context(),
-                        });
-                        self.ready_x.extend_from_slice(slot.stream.window_x());
-                    }
-                    Ok(None) => {}
-                    Err(_) => {
-                        // The guard imputes every channel the window
-                        // checks, so this arm is unreachable with the
-                        // stock policy — counted, not panicked, in case
-                        // a custom policy lets something through.
-                        self.stats.invalid_samples += 1;
-                    }
+                route.last_seq = Some(item.seq);
+                if self.sessions.push(idx, &rec, at).is_err() {
+                    // The guard imputes every channel the window checks,
+                    // so this is unreachable with the stock policy —
+                    // counted, not panicked, in case a custom policy
+                    // lets something through.
+                    self.stats.invalid_samples += 1;
                 }
             }
         }
     }
 
-    /// Classifies every slot whose window became ready this tick.
-    ///
-    /// The ML path mirrors `SessionPool::drain_ready_guarded`: all ready
-    /// rows share one batched forward pass, and because the forward
-    /// kernels are row-independent the verdicts are bit-identical to the
-    /// same sessions stepped individually offline.
-    fn flush_ready(&mut self, serving_health: ServiceHealth) {
-        if self.ready.is_empty() {
-            return;
+    /// The patient's slot, admitting it into a free (or new) slot if the
+    /// table has room; refusals are counted and reported.
+    fn admit(&mut self, item: &IngestItem) -> Option<usize> {
+        if let Some(&idx) = self.by_patient.get(&item.patient) {
+            return Some(idx);
         }
-        let shed = serving_health == ServiceHealth::Shedding;
-        let model = if shed {
-            None
-        } else {
-            self.serving.bundle.monitor.as_grad_model()
-        };
-        match model {
-            Some(model) => {
-                let dim = model.input_width();
-                self.batch.reset_shape(self.ready.len(), dim);
-                for r in 0..self.ready.len() {
-                    self.batch
-                        .row_mut(r)
-                        .copy_from_slice(&self.ready_x[r * dim..(r + 1) * dim]);
-                }
-                let probs = model.predict_proba(&self.batch);
-                let labels = probs.argmax_rows();
-                for (r, row) in self.ready.iter().enumerate() {
-                    let (label, proba) = if row.health == HealthState::Fallback {
-                        let l = self.serving.fallback.predict(&row.ctx);
-                        (l, l as f64)
-                    } else {
-                        (labels[r], probs.get(r, 1))
-                    };
-                    Self::emit(&mut self.events, &mut self.stats, row, label, proba, false);
-                }
+        let live = self.by_patient.len();
+        if live >= self.config.max_sessions {
+            self.stats.sessions_refused += 1;
+            self.events.push(OutEvent::SessionRefused {
+                conn: item.conn,
+                patient: item.patient,
+                sessions: live,
+            });
+            return None;
+        }
+        let route = Some(Route {
+            patient: item.patient,
+            conn: item.conn,
+            last_seq: None,
+        });
+        // Freed slots were reset when they were closed.
+        let idx = match self.free.pop() {
+            Some(idx) => {
+                self.routes[idx] = route;
+                idx
             }
             None => {
-                // Rule path: the serving monitor is rule-based, or the
-                // controller is shedding ML inference.
-                for row in &self.ready {
-                    let label = self.serving.fallback.predict(&row.ctx);
-                    Self::emit(
-                        &mut self.events,
-                        &mut self.stats,
-                        row,
-                        label,
-                        label as f64,
-                        shed,
-                    );
-                }
+                self.routes.push(route);
+                self.sessions.add_slot()
             }
-        }
-        self.ready.clear();
-        self.ready_x.clear();
+        };
+        self.stats.sessions_opened += 1;
+        self.by_patient.insert(item.patient, idx);
+        Some(idx)
     }
 
-    fn emit(
-        events: &mut Vec<OutEvent>,
-        stats: &mut ShardStats,
-        row: &ReadyRow,
-        label: usize,
-        proba: f64,
-        shed: bool,
-    ) {
-        stats.verdicts += 1;
-        if shed {
-            stats.shed_verdicts += 1;
-        }
-        events.push(OutEvent::Verdict {
-            conn: row.conn,
-            patient: row.patient,
-            step: row.step,
-            label: label as u8,
-            proba,
-            health: match row.health {
-                HealthState::Healthy => 0,
-                HealthState::Degraded => 1,
-                HealthState::Fallback => 2,
-            },
-            shed,
+    /// Classifies every pending slot in one batch — the ML model, or the
+    /// rule fallback when the bundle is rule-based or the tick sheds —
+    /// and emits one verdict event per slot. Because the forward kernels
+    /// are row-independent, the verdicts are bit-identical to the same
+    /// sessions stepped individually offline.
+    fn drain(&mut self, shed: bool) {
+        let engine = if shed {
+            Engine::Rule(&self.serving.fallback)
+        } else {
+            Engine::of(&self.serving.bundle.monitor)
+        };
+        let (events, stats, routes) = (&mut self.events, &mut self.stats, &self.routes);
+        self.sessions.drain(engine, |idx, gv| {
+            let route = routes[idx].expect("pending slots are live");
+            stats.verdicts += 1;
+            stats.shed_verdicts += u64::from(shed);
+            events.push(OutEvent::Verdict {
+                conn: route.conn,
+                patient: route.patient,
+                step: gv.verdict.step as u32,
+                label: gv.verdict.label as u8,
+                proba: gv.verdict.proba,
+                health: match gv.health {
+                    HealthState::Healthy => 0,
+                    HealthState::Degraded => 1,
+                    HealthState::Fallback => 2,
+                },
+                shed,
+            });
         });
     }
 
     fn close_slot(&mut self, idx: usize, patient: u64) {
         self.by_patient.remove(&patient);
-        self.slots[idx] = None;
+        self.routes[idx] = None;
+        self.sessions.reset_slot(idx);
         self.free.push(idx);
         self.stats.sessions_closed += 1;
     }
@@ -611,7 +557,7 @@ impl Shard {
         let patients: Vec<u64> = self
             .by_patient
             .iter()
-            .filter(|&(_, &idx)| self.slots[idx].as_ref().is_some_and(|s| s.conn == conn))
+            .filter(|&(_, &idx)| self.routes[idx].is_some_and(|r| r.conn == conn))
             .map(|(&p, _)| p)
             .collect();
         for p in &patients {
@@ -625,10 +571,11 @@ impl Shard {
     }
 
     /// Atomically swaps the serving bundle. Live sessions keep their
-    /// accumulated windows — only the normalization statistics are
-    /// re-pointed — and an incompatible bundle is rejected *before* any
-    /// session is touched, so a failed install leaves the shard serving
-    /// the previous bundle untouched.
+    /// accumulated windows — every slot's normalization statistics and
+    /// fallback rules are re-pointed, free slots included — and an
+    /// incompatible bundle is rejected *before* any session is touched,
+    /// so a failed install leaves the shard serving the previous bundle
+    /// untouched.
     pub fn install_bundle(&mut self, next: ServingBundle) -> Result<u64, InstallError> {
         let want = self.serving.feature_dim();
         let got = next.feature_dim();
@@ -636,9 +583,7 @@ impl Shard {
             self.stats.reloads_rejected += 1;
             return Err(InstallError::WidthMismatch { got, want });
         }
-        for slot in self.slots.iter_mut().flatten() {
-            slot.stream.set_normalizer(next.bundle.normalizer.clone());
-        }
+        self.sessions.reload(&next.bundle.normalizer, next.fallback);
         self.serving = next;
         self.epoch += 1;
         self.stats.reloads += 1;

@@ -308,6 +308,7 @@ impl SoaState {
 /// Useful for in-process bit-identity tests across every available kernel
 /// (the `CPSMON_SIMD` override is latched once per process, so tests use
 /// [`CohortEngine::with_backend`] instead).
+#[cfg_attr(not(target_arch = "x86_64"), allow(unused_mut))]
 pub fn available_backends() -> Vec<Backend> {
     let mut backends = vec![Backend::Scalar];
     #[cfg(target_arch = "x86_64")]
@@ -319,8 +320,6 @@ pub fn available_backends() -> Vec<Backend> {
             backends.push(Backend::Avx512);
         }
     }
-    #[cfg(target_arch = "aarch64")]
-    backends.push(Backend::Neon);
     backends
 }
 

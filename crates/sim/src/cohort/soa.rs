@@ -221,7 +221,7 @@ impl GlucosymSoa {
                     j += lanes;
                 }
             }
-            Backend::Scalar | Backend::Neon => {}
+            Backend::Scalar => {}
         }
         let _ = backend;
         self.integrate_scalar(j, hi);
@@ -455,7 +455,7 @@ impl T1dsSoa {
                     j += lanes;
                 }
             }
-            Backend::Scalar | Backend::Neon => {}
+            Backend::Scalar => {}
         }
         let _ = backend;
         self.integrate_scalar(j, hi);

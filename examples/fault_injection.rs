@@ -2,7 +2,7 @@
 //! monitor, corrupt a held-out trace with a seeded
 //! [`FaultPlan`](cpsmon::sim::faults::FaultPlan) (a CGM dropout burst
 //! followed by a stuck-at window), and replay the corrupted stream through
-//! a [`GuardedSession`](cpsmon::core::GuardedSession). The guard imputes
+//! a guarded [`PipelineSession`](cpsmon::core::PipelineSession). The guard imputes
 //! the bad samples, degrades to the Table I rule monitor when its
 //! staleness budget is exhausted, and recovers automatically once the
 //! sensor comes back — every health transition is printed as it happens.
@@ -14,9 +14,13 @@
 //! cargo run --release --example fault_injection
 //! ```
 
-use cpsmon::core::{DatasetBuilder, GuardPolicy, HealthState, MonitorKind, TrainConfig};
+use cpsmon::core::{
+    DatasetBuilder, GuardPolicy, HealthState, MonitorKind, MonitorSession, PipelineSession,
+    TrainConfig,
+};
 use cpsmon::sim::faults::{ChannelFault, FaultModel, FaultPlan, SensorChannel};
 use cpsmon::sim::{CampaignConfig, SimulatorKind};
+use cpsmon::stl::RuleMonitor;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Train an MLP monitor on a small mixed campaign.
@@ -70,8 +74,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Replay the corrupted stream through a guarded session and narrate
     // every health transition.
-    let mut session =
-        cpsmon::core::GuardedSession::for_dataset(&monitor, &dataset, GuardPolicy::aps());
+    let mut session = PipelineSession::new(MonitorSession::for_dataset(&monitor, &dataset))
+        .with_guard(GuardPolicy::aps(), RuleMonitor::new(dataset.rules));
     let mut health = HealthState::Healthy;
     let mut imputed_steps = 0;
     let mut fallback_alarms = 0;

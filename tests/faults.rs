@@ -2,8 +2,8 @@
 //!
 //! Three contracts from the fault subsystem:
 //!
-//! 1. **Zero-fault transparency** — with no faults injected, a
-//!    [`GuardedSession`] emits verdicts bit-identical to an unguarded
+//! 1. **Zero-fault transparency** — with no faults injected, a guarded
+//!    [`PipelineSession`] emits verdicts bit-identical to an unguarded
 //!    [`MonitorSession`], for every monitor kind and both simulators; the
 //!    guard never flags a clean campaign record (including paper-scale
 //!    campaigns with pump faults, boluses, and suspensions).
@@ -16,7 +16,7 @@
 
 use cpsmon::core::guard::{GuardPolicy, HealthState, InputGuard};
 use cpsmon::core::{
-    DatasetBuilder, GuardedSession, LabeledDataset, MonitorKind, MonitorSession, TrainConfig,
+    DatasetBuilder, LabeledDataset, MonitorKind, MonitorSession, PipelineSession, TrainConfig,
 };
 use cpsmon::nn::par::ThreadsGuard;
 use cpsmon::sim::faults::{ChannelFault, FaultModel, FaultPlan, SensorChannel};
@@ -71,7 +71,8 @@ fn zero_faults_guarded_sessions_bit_identical_everywhere() {
                 .train(&ds, &TrainConfig::quick_test())
                 .expect("training succeeds");
             let mut plain = MonitorSession::for_dataset(&monitor, &ds);
-            let mut guarded = GuardedSession::for_dataset(&monitor, &ds, GuardPolicy::aps());
+            let mut guarded = PipelineSession::new(MonitorSession::for_dataset(&monitor, &ds))
+                .with_guard(GuardPolicy::aps(), RuleMonitor::new(ds.rules));
             for trace in &traces {
                 plain.reset();
                 guarded.reset();
@@ -154,13 +155,14 @@ fn degradation_run(fault: FaultModel, start: usize, duration: usize) -> (Vec<Hea
     ));
     let faulted = plan.inject(&traces[0]);
     let rules = RuleMonitor::new(ds.rules);
-    let mut guarded = GuardedSession::for_dataset(&monitor, &ds, GuardPolicy::aps());
+    let mut guarded = PipelineSession::new(MonitorSession::for_dataset(&monitor, &ds))
+        .with_guard(GuardPolicy::aps(), RuleMonitor::new(ds.rules));
     let mut states = Vec::new();
     let mut fallback_checked = false;
     for rec in faulted.records() {
         if let Some(v) = guarded.step(rec) {
             if v.health == HealthState::Fallback {
-                let expect = rules.predict(&guarded.session().window().context());
+                let expect = rules.predict(&guarded.core().window().context());
                 assert_eq!(v.verdict.label, expect, "fallback verdict is the rule's");
                 assert_eq!(v.verdict.proba, expect as f64);
                 fallback_checked = true;
