@@ -8,6 +8,7 @@
 
 use cpsmon_core::{FeatureConfig, LstmEngine, LstmSessionPool, LstmStreamSession, Normalizer};
 use cpsmon_nn::init::random_normal;
+use cpsmon_nn::par::STEP_CHUNK;
 use cpsmon_nn::rng::SmallRng;
 use cpsmon_nn::{LstmConfig, LstmNet};
 use cpsmon_sim::StepRecord;
@@ -51,8 +52,19 @@ fn record_strategy() -> impl Strategy<Value = StepRecord> {
 }
 
 /// Pool size plus a per-tick / per-session push mask (the ragged schedule).
+/// Besides small pools (one row chunk of the stateful step), the sizes
+/// straddle the step's chunk boundaries: one chunk less one row, exactly
+/// one chunk, one row over, and three chunks with a ragged last one.
 fn schedule_strategy() -> impl Strategy<Value = (usize, Vec<Vec<bool>>)> {
-    (1usize..6).prop_flat_map(|n| {
+    let chunk = STEP_CHUNK;
+    prop_oneof![
+        1usize..6,
+        Just(chunk - 1),
+        Just(chunk),
+        Just(chunk + 1),
+        Just(2 * chunk + 3),
+    ]
+    .prop_flat_map(|n| {
         (
             Just(n),
             proptest::collection::vec(proptest::collection::vec(any::<bool>(), n), 1..10),

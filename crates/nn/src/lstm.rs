@@ -7,7 +7,7 @@
 
 use crate::activation::{sigmoid, tanh};
 use crate::init::xavier_uniform;
-use crate::matrix::Matrix;
+use crate::matrix::{seed_rows, Matrix};
 use crate::rng::SmallRng;
 use crate::simd;
 
@@ -41,12 +41,15 @@ impl Default for LstmScratch {
 /// transcendentals as the gate-matrix formulation, so every forward path
 /// funnelled through here produces identical bits (row-wise kernel:
 /// [`cpsmon_nn::simd::lstm_step_row`](crate::simd::lstm_step_row)).
-fn step_state(z: &Matrix, c: &mut Matrix, h: &mut Matrix, h_dim: usize) {
-    for r in 0..c.rows() {
-        // `c` and `h` are distinct matrices, so the two mutable row borrows
-        // cannot alias; split the statements to satisfy the borrow checker.
-        let hr = h.row_mut(r);
-        simd::lstm_step_row(z.row(r), c.row_mut(r), hr, h_dim);
+pub(crate) fn step_state(z: &[f64], c: &mut [f64], h: &mut [f64], h_dim: usize) {
+    assert_eq!(c.len(), h.len(), "cell/hidden state shape mismatch");
+    assert_eq!(z.len(), 4 * c.len(), "gate pre-activation shape mismatch");
+    for ((zr, cr), hr) in z
+        .chunks_exact(4 * h_dim)
+        .zip(c.chunks_exact_mut(h_dim))
+        .zip(h.chunks_exact_mut(h_dim))
+    {
+        simd::lstm_step_row(zr, cr, hr, h_dim);
     }
 }
 
@@ -225,7 +228,12 @@ impl Lstm {
             h_prev.matmul_acc(&self.wh, &mut scratch.z);
             let h_t = &mut todo[0];
             h_t.reset_shape(n, h_dim);
-            step_state(&scratch.z, &mut scratch.c, h_t, h_dim);
+            step_state(
+                scratch.z.as_slice(),
+                scratch.c.as_mut_slice(),
+                h_t.as_mut_slice(),
+                h_dim,
+            );
         }
     }
 
@@ -250,8 +258,28 @@ impl Lstm {
         assert_eq!(h.shape(), (n, self.hidden_dim), "hidden state shape");
         assert_eq!(c.shape(), (n, self.hidden_dim), "cell state shape");
         z.reset_shape(n, 4 * self.hidden_dim);
-        x.matmul_add_bias_into(&self.wx, &self.b, z);
-        h.matmul_acc(&self.wh, z);
+        self.step_slices(
+            x.as_slice(),
+            h.as_mut_slice(),
+            c.as_mut_slice(),
+            z.as_mut_slice(),
+        );
+    }
+
+    /// [`step_rows`](Self::step_rows) on row-major slices, the form each
+    /// row chunk of the pooled stateful step takes: `x` is
+    /// `rows × input_dim`, `h` and `c` are `rows × hidden`, and `z` is a
+    /// `rows × 4·hidden` scratch fully overwritten here.
+    ///
+    /// # Panics
+    ///
+    /// Panics on any shape mismatch.
+    pub(crate) fn step_slices(&self, x: &[f64], h: &mut [f64], c: &mut [f64], z: &mut [f64]) {
+        let rows = h.len() / self.hidden_dim;
+        let gates = 4 * self.hidden_dim;
+        seed_rows(z, self.b.as_slice());
+        simd::gemm_acc(x, rows, self.input_dim, self.wx.as_slice(), gates, z);
+        simd::gemm_acc(h, rows, self.hidden_dim, self.wh.as_slice(), gates, z);
         step_state(z, c, h, self.hidden_dim);
     }
 

@@ -15,11 +15,12 @@ use crate::activation::softmax_rows_inplace;
 use crate::adam::AdamTrainer;
 use crate::dense::Dense;
 use crate::loss::{cross_entropy, softmax_ce_grad, SemanticLoss};
-use crate::lstm::{Lstm, LstmScratch};
-use crate::matrix::Matrix;
+use crate::lstm::{step_state, Lstm, LstmScratch};
+use crate::matrix::{seed_rows, Matrix};
 use crate::model::GradModel;
 use crate::par;
 use crate::rng::SmallRng;
+use crate::simd;
 
 /// Reusable forward buffers for [`LstmNet::predict_proba_scratch`]: the
 /// split input timesteps, each layer's hidden-state sequence, per-layer
@@ -452,19 +453,23 @@ impl LstmNet {
 /// gather/scatter rows without caring which engine advances them.
 ///
 /// The `z`/`probs`/f32 buffers are per-tick scratch, fully overwritten by
-/// each step; after the first tick at a given row count the steady state
-/// allocates nothing.
+/// each step. A step cuts `h`, `c`, `z`, `probs` and the f32 scratch into
+/// [`par::STEP_CHUNK`]-row views and runs each chunk's whole layer stack as
+/// one [`par::for_each_part`] work item, so the buffers stay here and are
+/// split, not reallocated. After the first tick at a given row count a step
+/// allocates only what the fan-out itself needs: the list of per-chunk
+/// views (plus one small vector of layer views per chunk) and, when there
+/// are several chunks and several threads, the scoped worker spawn (a
+/// fresh worker also fills its own thread-local AVX-512 GEMM panel buffer).
 #[derive(Debug, Clone)]
 pub struct LstmStreamState {
     h: Vec<Matrix>,
     c: Vec<Matrix>,
-    z: Matrix,
+    z: Vec<f64>,
     probs: Matrix,
     rows: usize,
     // f32 engine scratch (empty unless LstmNetF32 drives this state).
-    f32_in: Vec<f32>,
-    f32_h: Vec<f32>,
-    f32_z: Vec<f32>,
+    f32: Vec<f32>,
 }
 
 impl Default for LstmStreamState {
@@ -472,14 +477,27 @@ impl Default for LstmStreamState {
         Self {
             h: Vec::new(),
             c: Vec::new(),
-            z: Matrix::zeros(0, 0),
+            z: Vec::new(),
             probs: Matrix::zeros(0, 0),
             rows: 0,
-            f32_in: Vec::new(),
-            f32_h: Vec::new(),
-            f32_z: Vec::new(),
+            f32: Vec::new(),
         }
     }
+}
+
+/// One row chunk's disjoint views of a step's per-row buffers: the unit of
+/// work an engine's chunk body runs.
+struct StepChunk<'a> {
+    /// The chunk's records, `rows × feature_dim`.
+    x: &'a [f64],
+    /// Each layer's carried `(h, c)` rows.
+    layers: Vec<(&'a mut [f64], &'a mut [f64])>,
+    /// Gate scratch, at least `rows × 4·hidden` for every layer.
+    z: &'a mut [f64],
+    /// Class probabilities, `rows × classes`.
+    probs: &'a mut [f64],
+    /// The f32 engine's scratch; empty for the f64 engine.
+    f32: &'a mut [f32],
 }
 
 impl LstmStreamState {
@@ -553,6 +571,58 @@ impl LstmStreamState {
             }
         }
     }
+
+    /// The row-chunk fan-out behind both engines' `step_stream`. Sizes the
+    /// per-tick buffers for `x` (`gate_width` and `f32_width` values per
+    /// row), cuts every per-row buffer into [`par::STEP_CHUNK`]-row views
+    /// and runs `body` on each chunk through [`par::for_each_part`]. The
+    /// chunk boundaries depend only on the row count, and every kernel of a
+    /// step is row-independent, so each row's bits are the same for any
+    /// batch and any thread count. A batch of one chunk runs inline.
+    fn step_chunks(
+        &mut self,
+        x: &Matrix,
+        gate_width: usize,
+        classes: usize,
+        f32_width: usize,
+        body: impl Fn(StepChunk<'_>) + Sync,
+    ) -> &Matrix {
+        let n = x.rows();
+        assert_eq!(n, self.rows, "state row-count mismatch");
+        let rows = par::STEP_CHUNK;
+        self.z.resize(n * gate_width, 0.0);
+        self.probs.reset_shape(n, classes);
+        self.f32.resize(n * f32_width, 0.0);
+        let layer_count = self.h.len();
+        let mut chunks: Vec<StepChunk<'_>> = x
+            .as_slice()
+            .chunks(rows * x.cols())
+            .zip(self.z.chunks_mut(rows * gate_width))
+            .zip(self.probs.as_mut_slice().chunks_mut(rows * classes))
+            .map(|((x, z), probs)| StepChunk {
+                x,
+                layers: Vec::with_capacity(layer_count),
+                z,
+                probs,
+                f32: &mut [],
+            })
+            .collect();
+        for (h, c) in self.h.iter_mut().zip(&mut self.c) {
+            let len = rows * h.cols();
+            let views = h.as_mut_slice().chunks_mut(len);
+            let views = views.zip(c.as_mut_slice().chunks_mut(len));
+            for (chunk, hc) in chunks.iter_mut().zip(views) {
+                chunk.layers.push(hc);
+            }
+        }
+        // An empty buffer yields no views and leaves every chunk's f32 empty.
+        let f32_views = self.f32.chunks_mut((rows * f32_width).max(1));
+        for (chunk, f32) in chunks.iter_mut().zip(f32_views) {
+            chunk.f32 = f32;
+        }
+        par::for_each_part(chunks, body);
+        &self.probs
+    }
 }
 
 impl LstmNet {
@@ -584,10 +654,12 @@ impl LstmNet {
     /// since [`LstmStreamState::reset_row`]), not a sliding window, and are
     /// emitted from the very first record (zero initial state).
     ///
-    /// Every kernel invoked here is row-wise with a fixed per-element
-    /// operation sequence, so row `r`'s outputs are bit-identical whether
-    /// stepped alone or batched with any other sessions — the pooled
-    /// engine's core invariant.
+    /// The batch runs in [`par::STEP_CHUNK`]-row chunks, each chunk's whole
+    /// layer stack one `par` work item. Every kernel invoked here is
+    /// row-wise with a fixed per-element operation sequence, so row `r`'s
+    /// outputs are bit-identical whether stepped alone or batched with any
+    /// other sessions, on any number of threads — the pooled engine's core
+    /// invariant.
     ///
     /// # Panics
     ///
@@ -595,21 +667,46 @@ impl LstmNet {
     ///
     /// [`predict_proba_scratch`]: Self::predict_proba_scratch
     pub fn step_stream<'s>(&self, x: &Matrix, state: &'s mut LstmStreamState) -> &'s Matrix {
-        let n = x.rows();
         assert_eq!(x.cols(), self.feature_dim, "step width mismatch");
-        assert_eq!(n, state.rows, "state row-count mismatch");
         assert_eq!(state.h.len(), self.lstms.len(), "state layer mismatch");
-        let LstmStreamState { h, c, z, probs, .. } = state;
+        let widest = self.lstms.iter().map(Lstm::hidden_dim).max();
+        let gate_width = 4 * widest.expect("at least one layer");
+        state.step_chunks(x, gate_width, self.classes, 0, |chunk| {
+            self.step_chunk(chunk);
+        })
+    }
+
+    /// One row chunk of [`step_stream`](Self::step_stream): per layer the
+    /// fused gate GEMM pair (`x·Wx + b`, then `h·Wh` into the same `z`) and
+    /// `lstm_step_row`, then the head GEMM and softmax.
+    fn step_chunk(&self, chunk: StepChunk<'_>) {
+        let StepChunk {
+            x,
+            mut layers,
+            z,
+            probs,
+            ..
+        } = chunk;
+        let rows = x.len() / self.feature_dim;
         for (i, lstm) in self.lstms.iter().enumerate() {
-            let (done, todo) = h.split_at_mut(i);
-            let input: &Matrix = if i == 0 { x } else { &done[i - 1] };
-            lstm.step_rows(input, &mut todo[0], &mut c[i], z);
+            let (done, todo) = layers.split_at_mut(i);
+            let input: &[f64] = done.last().map_or(x, |(h, _)| &**h);
+            let (h, c) = &mut todo[0];
+            lstm.step_slices(input, h, c, &mut z[..rows * 4 * lstm.hidden_dim()]);
         }
-        let last_h = h.last().expect("at least one layer");
-        probs.reset_shape(n, self.classes);
-        self.head.forward_into(last_h, probs);
-        softmax_rows_inplace(probs);
-        &state.probs
+        let (last_h, _) = layers.last().expect("at least one layer");
+        seed_rows(probs, self.head.bias().as_slice());
+        simd::gemm_acc(
+            last_h,
+            rows,
+            self.head.input_dim(),
+            self.head.weights().as_slice(),
+            self.classes,
+            probs,
+        );
+        probs
+            .chunks_exact_mut(self.classes)
+            .for_each(simd::softmax_row);
     }
 }
 
@@ -627,7 +724,7 @@ struct LstmLayerF32 {
 /// behind quantized (`f16`/`int8`) monitor bundles.
 ///
 /// Weights and the two gate GEMMs per layer are f32
-/// ([`simd::gemm_acc_f32`](crate::simd::gemm_acc_f32)); the recurrent
+/// ([`simd::gemm_acc_f32`]); the recurrent
 /// state, gate transcendentals and softmax stay f64 (converted per
 /// element), so the nonlinear tail adds no further precision loss and the
 /// engine reuses the same dispatched `lstm_step_row` kernels as the f64
@@ -699,74 +796,88 @@ impl LstmNetF32 {
     }
 
     /// Advances every session row by one timestep — the f32 analogue of
-    /// [`LstmNet::step_stream`], with the same row-independence guarantee
-    /// (each row's bits are unchanged by batching).
+    /// [`LstmNet::step_stream`], with the same row chunking and the same
+    /// row-independence guarantee (each row's bits are unchanged by
+    /// batching or the thread count).
     ///
     /// # Panics
     ///
     /// Panics if `x` is not `state.rows() × feature_dim`.
     pub fn step_stream<'s>(&self, x: &Matrix, state: &'s mut LstmStreamState) -> &'s Matrix {
-        use crate::simd::{gemm_acc_f32, lstm_step_row};
-        let n = x.rows();
         assert_eq!(x.cols(), self.feature_dim, "step width mismatch");
-        assert_eq!(n, state.rows, "state row-count mismatch");
         assert_eq!(state.h.len(), self.layers.len(), "state layer mismatch");
-        let LstmStreamState {
-            h,
-            c,
+        let widest = self.layers.iter().map(|l| l.hidden_dim).max();
+        let widest = widest.expect("at least one layer");
+        // Per row: the layer input, the pre-update hidden state and the
+        // gate (or logit) accumulator, all f32.
+        let f32_width = self.feature_dim.max(widest) + widest + (4 * widest).max(self.classes);
+        state.step_chunks(x, 4 * widest, self.classes, f32_width, |chunk| {
+            self.step_chunk(chunk, widest);
+        })
+    }
+
+    /// One row chunk of [`step_stream`](Self::step_stream); `widest` is the
+    /// widest hidden layer, which sizes the f32 scratch regions.
+    fn step_chunk(&self, chunk: StepChunk<'_>, widest: usize) {
+        use crate::simd::gemm_acc_f32;
+        let StepChunk {
+            x,
+            mut layers,
             z,
             probs,
-            f32_in,
-            f32_h,
-            f32_z,
-            ..
-        } = state;
+            f32,
+        } = chunk;
+        let rows = x.len() / self.feature_dim;
+        let (in32, rest) = f32.split_at_mut(rows * self.feature_dim.max(widest));
+        let (h32, z32) = rest.split_at_mut(rows * widest);
         // Layer input in f32; starts as the record batch itself.
-        f32_in.clear();
-        f32_in.extend(x.as_slice().iter().map(|&v| v as f32));
+        for (d, &s) in in32.iter_mut().zip(x) {
+            *d = s as f32;
+        }
         let mut in_dim = self.feature_dim;
-        for (i, layer) in self.layers.iter().enumerate() {
+        for (layer, (h, c)) in self.layers.iter().zip(&mut layers) {
             let hd = layer.hidden_dim;
+            let gates = 4 * hd;
             debug_assert_eq!(in_dim, layer.input_dim);
-            let (done, todo) = h.split_at_mut(i);
-            let _ = done;
-            let h_i = &mut todo[0];
             // Pre-update hidden state → f32 for the recurrent GEMM.
-            f32_h.clear();
-            f32_h.extend(h_i.as_slice().iter().map(|&v| v as f32));
-            // z = b (seed) + x·Wx + h·Wh, all single precision.
-            f32_z.clear();
-            for _ in 0..n {
-                f32_z.extend_from_slice(&layer.b);
+            let h32 = &mut h32[..rows * hd];
+            for (d, &s) in h32.iter_mut().zip(h.iter()) {
+                *d = s as f32;
             }
-            gemm_acc_f32(f32_in, n, layer.input_dim, &layer.wx, 4 * hd, f32_z);
-            gemm_acc_f32(f32_h, n, hd, &layer.wh, 4 * hd, f32_z);
+            // z = b (seed) + x·Wx + h·Wh, all single precision.
+            let z32 = &mut z32[..rows * gates];
+            seed_rows(z32, &layer.b);
+            gemm_acc_f32(&in32[..rows * in_dim], rows, in_dim, &layer.wx, gates, z32);
+            gemm_acc_f32(h32, rows, hd, &layer.wh, gates, z32);
             // Gate nonlinearities in f64 through the dispatched kernel.
-            z.reset_shape(n, 4 * hd);
-            for (d, &s) in z.as_mut_slice().iter_mut().zip(f32_z.iter()) {
+            let z = &mut z[..rows * gates];
+            for (d, &s) in z.iter_mut().zip(z32.iter()) {
                 *d = f64::from(s);
             }
-            for r in 0..n {
-                let hr = h_i.row_mut(r);
-                lstm_step_row(z.row(r), c[i].row_mut(r), hr, hd);
-            }
+            step_state(z, c, h, hd);
             // Post-update hidden state feeds the next layer.
-            f32_in.clear();
-            f32_in.extend(h_i.as_slice().iter().map(|&v| v as f32));
+            for (d, &s) in in32.iter_mut().zip(h.iter()) {
+                *d = s as f32;
+            }
             in_dim = hd;
         }
         // Head + softmax: f32 GEMM, f64 normalization.
-        f32_z.clear();
-        for _ in 0..n {
-            f32_z.extend_from_slice(&self.head_b);
-        }
-        gemm_acc_f32(f32_in, n, in_dim, &self.head_w, self.classes, f32_z);
-        probs.reset_shape(n, self.classes);
-        for (d, &s) in probs.as_mut_slice().iter_mut().zip(f32_z.iter()) {
+        let z32 = &mut z32[..rows * self.classes];
+        seed_rows(z32, &self.head_b);
+        gemm_acc_f32(
+            &in32[..rows * in_dim],
+            rows,
+            in_dim,
+            &self.head_w,
+            self.classes,
+            z32,
+        );
+        for (d, &s) in probs.iter_mut().zip(z32.iter()) {
             *d = f64::from(s);
         }
-        softmax_rows_inplace(probs);
-        &state.probs
+        probs
+            .chunks_exact_mut(self.classes)
+            .for_each(simd::softmax_row);
     }
 }
 
@@ -927,22 +1038,32 @@ mod tests {
         assert_eq!(p.as_slice(), batch.slice_rows(1, 4).as_slice());
     }
 
+    /// `(pool size, threads)` cases for the pooled-step tests: a pool of
+    /// `small` rows (one chunk), then three chunks, the last one ragged, at
+    /// 1, 2 and 3 threads.
+    fn pooled_cases(small: usize) -> [(usize, usize); 4] {
+        let big = 2 * par::STEP_CHUNK + 3;
+        [(small, 1), (big, 1), (big, 2), (big, 3)]
+    }
+
     #[test]
     fn step_stream_pooled_rows_bit_identical_to_individual() {
         let net = tiny_net(21);
-        let n = 5;
-        let ticks: Vec<Matrix> = (0..7)
-            .map(|t| random_normal(n, 3, 1.0, &mut SmallRng::new(100 + t)))
-            .collect();
-        let mut pooled = net.stream_state(n);
-        let mut singles: Vec<_> = (0..n).map(|_| net.stream_state(1)).collect();
-        for x in &ticks {
-            let batch = net.step_stream(x, &mut pooled).clone();
-            for (r, st) in singles.iter_mut().enumerate() {
-                let row = x.slice_rows(r, r + 1);
-                let p = net.step_stream(&row, st);
-                for (a, b) in p.as_slice().iter().zip(batch.row(r)) {
-                    assert_eq!(a.to_bits(), b.to_bits(), "row {r} diverged");
+        for (n, threads) in pooled_cases(5) {
+            let _guard = par::ThreadsGuard::set(threads);
+            let ticks: Vec<Matrix> = (0..7)
+                .map(|t| random_normal(n, 3, 1.0, &mut SmallRng::new(100 + t)))
+                .collect();
+            let mut pooled = net.stream_state(n);
+            let mut singles: Vec<_> = (0..n).map(|_| net.stream_state(1)).collect();
+            for x in &ticks {
+                let batch = net.step_stream(x, &mut pooled).clone();
+                for (r, st) in singles.iter_mut().enumerate() {
+                    let row = x.slice_rows(r, r + 1);
+                    let p = net.step_stream(&row, st);
+                    for (a, b) in p.as_slice().iter().zip(batch.row(r)) {
+                        assert_eq!(a.to_bits(), b.to_bits(), "row {r} diverged");
+                    }
                 }
             }
         }
@@ -952,21 +1073,44 @@ mod tests {
     fn step_stream_f32_pooled_rows_bit_identical_to_individual() {
         let net = tiny_net(22);
         let eng = LstmNetF32::from_net(&net);
-        let n = 4;
-        let ticks: Vec<Matrix> = (0..6)
-            .map(|t| random_normal(n, 3, 1.0, &mut SmallRng::new(200 + t)))
-            .collect();
-        let mut pooled = eng.stream_state(n);
-        let mut singles: Vec<_> = (0..n).map(|_| eng.stream_state(1)).collect();
-        for x in &ticks {
-            let batch = eng.step_stream(x, &mut pooled).clone();
-            for (r, st) in singles.iter_mut().enumerate() {
-                let row = x.slice_rows(r, r + 1);
-                let p = eng.step_stream(&row, st);
-                for (a, b) in p.as_slice().iter().zip(batch.row(r)) {
-                    assert_eq!(a.to_bits(), b.to_bits(), "row {r} diverged");
+        for (n, threads) in pooled_cases(4) {
+            let _guard = par::ThreadsGuard::set(threads);
+            let ticks: Vec<Matrix> = (0..6)
+                .map(|t| random_normal(n, 3, 1.0, &mut SmallRng::new(200 + t)))
+                .collect();
+            let mut pooled = eng.stream_state(n);
+            let mut singles: Vec<_> = (0..n).map(|_| eng.stream_state(1)).collect();
+            for x in &ticks {
+                let batch = eng.step_stream(x, &mut pooled).clone();
+                for (r, st) in singles.iter_mut().enumerate() {
+                    let row = x.slice_rows(r, r + 1);
+                    let p = eng.step_stream(&row, st);
+                    for (a, b) in p.as_slice().iter().zip(batch.row(r)) {
+                        assert_eq!(a.to_bits(), b.to_bits(), "row {r} diverged");
+                    }
                 }
             }
+        }
+    }
+
+    #[test]
+    fn step_stream_from_zero_state_matches_windowed_forward() {
+        // A fresh state stepped through a window's records ends where the
+        // windowed forward pass over that window ends: both start from zero
+        // state and apply the same kernels per timestep. This pins the
+        // chunked step's values, not only its pooled == solo invariance.
+        let net = tiny_net(25);
+        let n = 2 * par::STEP_CHUNK + 3;
+        let windows = random_normal(n, 12, 1.0, &mut SmallRng::new(500));
+        let want = net.predict_proba(&windows);
+        let _guard = par::ThreadsGuard::set(2);
+        let mut state = net.stream_state(n);
+        for t in 0..4 {
+            let x = windows.slice_cols(t * 3, (t + 1) * 3);
+            net.step_stream(&x, &mut state);
+        }
+        for (a, b) in state.probs.as_slice().iter().zip(want.as_slice()) {
+            assert_eq!(a.to_bits(), b.to_bits(), "stateful {a} vs windowed {b}");
         }
     }
 

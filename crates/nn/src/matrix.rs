@@ -19,6 +19,14 @@ thread_local! {
     static PACK_SCRATCH: std::cell::RefCell<Vec<f64>> = const { std::cell::RefCell::new(Vec::new()) };
 }
 
+/// Seeds every `bias.len()`-wide row of the row-major `out` with `bias`:
+/// the accumulator start of a fused `x·W + b`.
+pub(crate) fn seed_rows<T: Copy>(out: &mut [T], bias: &[T]) {
+    for row in out.chunks_exact_mut(bias.len()) {
+        row.copy_from_slice(bias);
+    }
+}
+
 /// A dense, row-major matrix of `f64` values.
 ///
 /// # Examples
@@ -469,10 +477,7 @@ impl Matrix {
         assert_eq!(bias.rows, 1, "bias must be a row vector");
         assert_eq!(bias.cols, rhs.cols, "bias width mismatch");
         assert_eq!(out.shape(), (self.rows, rhs.cols), "output shape mismatch");
-        let n = rhs.cols;
-        for r in 0..self.rows {
-            out.data[r * n..(r + 1) * n].copy_from_slice(&bias.data);
-        }
+        seed_rows(&mut out.data, &bias.data);
         gemm_acc(
             &self.data,
             self.rows,

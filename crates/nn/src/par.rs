@@ -31,18 +31,23 @@
 //!
 //! # Thread-count resolution
 //!
-//! [`max_threads`] reads the `CPSMON_THREADS` environment variable
-//! (a positive integer; invalid values are ignored) and falls back to
-//! [`std::thread::available_parallelism`]. Nested fan-outs run serially: a
-//! worker thread that reaches another `run_chunks` call executes it inline,
-//! so grid-level parallelism (robustness sweeps) composes with batch-level
-//! parallelism (chunked prediction) without oversubscription.
+//! [`max_threads`] reads the `CPSMON_THREADS` environment variable on every
+//! call (a positive integer; invalid values are ignored) and falls back to
+//! [`std::thread::available_parallelism`], which is resolved once per
+//! process. Nested fan-outs run serially: a worker thread that reaches
+//! another `run_chunks` call executes it inline, so grid-level parallelism
+//! (robustness sweeps) composes with batch-level parallelism (chunked
+//! prediction) without oversubscription.
+//!
+//! A fan-out over `t` threads spawns `t − 1` scoped workers and runs the
+//! remaining worker share on the calling thread, which counts as a worker
+//! (nested fan-outs inline) until its share returns or unwinds.
 
 use crate::matrix::Matrix;
 use std::cell::Cell;
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, MutexGuard};
+use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
 
 /// Rows per chunk for parallel prediction (forward passes are
 /// row-independent, so this affects scheduling granularity only).
@@ -52,8 +57,18 @@ pub const PREDICT_CHUNK: usize = 64;
 /// up to this size take the legacy single-chunk path bit-exactly.
 pub const GRAD_CHUNK: usize = 64;
 
+/// Rows per chunk for the pooled stateful LSTM step
+/// ([`LstmNet::step_stream`](crate::LstmNet::step_stream) and
+/// [`LstmNetF32::step_stream`](crate::LstmNetF32::step_stream)): each chunk
+/// runs its whole layer stack as one work item. The step is row-independent,
+/// so this affects scheduling granularity only. Larger chunks repack the
+/// AVX-512 GEMM's B panels fewer times per tick; 256 rows still gives a
+/// 1000-session tick four work items.
+pub const STEP_CHUNK: usize = 256;
+
 thread_local! {
-    /// Set inside `run_chunks` workers so nested fan-outs run serially.
+    /// Set while a thread runs a fan-out's worker share, so nested fan-outs
+    /// run serially.
     static IN_WORKER: Cell<bool> = const { Cell::new(false) };
 }
 
@@ -61,6 +76,10 @@ thread_local! {
 /// set to a positive integer, else the machine's available parallelism.
 /// Returns 1 inside a parallel worker (nested fan-outs are serial).
 pub fn max_threads() -> usize {
+    // `available_parallelism` reads cgroup files on Linux (tens of µs per
+    // call), so it is resolved once; the variable is read on every call so
+    // that `ThreadsGuard` keeps working.
+    static AVAILABLE: OnceLock<usize> = OnceLock::new();
     if IN_WORKER.with(Cell::get) {
         return 1;
     }
@@ -71,7 +90,45 @@ pub fn max_threads() -> usize {
             }
         }
     }
-    std::thread::available_parallelism().map_or(1, |n| n.get())
+    *AVAILABLE.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
+}
+
+/// Marks the current thread as running a worker share until dropped. The
+/// drop restores the previous mark, also when the share unwinds, so a
+/// panicking share cannot leave the calling thread pinned to one thread.
+struct WorkerMark(bool);
+
+impl WorkerMark {
+    fn enter() -> Self {
+        Self(IN_WORKER.with(|w| w.replace(true)))
+    }
+}
+
+impl Drop for WorkerMark {
+    fn drop(&mut self) {
+        IN_WORKER.with(|w| w.set(self.0));
+    }
+}
+
+/// Runs `share` on `threads` threads at once — `threads − 1` scoped
+/// workers plus the calling thread — and returns every share's result,
+/// re-raising a worker's panic.
+fn fan_out<R: Send>(threads: usize, share: impl Fn() -> R + Sync) -> Vec<R> {
+    let share = &share;
+    let run = move || {
+        let _mark = WorkerMark::enter();
+        share()
+    };
+    std::thread::scope(|s| {
+        let handles: Vec<_> = (1..threads).map(|_| s.spawn(run)).collect();
+        let mut results = vec![run()];
+        results.extend(
+            handles
+                .into_iter()
+                .map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e))),
+        );
+        results
+    })
 }
 
 /// Splits `0..n` into ranges of `chunk` items (the last may be shorter).
@@ -111,39 +168,64 @@ where
         return ranges.into_iter().map(worker).collect();
     }
     let next = AtomicUsize::new(0);
-    let ranges_ref = &ranges;
-    let worker_ref = &worker;
-    let next_ref = &next;
-    let mut per_thread: Vec<Vec<(usize, T)>> = std::thread::scope(|s| {
-        let handles: Vec<_> = (0..threads)
-            .map(|_| {
-                s.spawn(move || {
-                    IN_WORKER.with(|w| w.set(true));
-                    let mut local = Vec::new();
-                    loop {
-                        let i = next_ref.fetch_add(1, Ordering::Relaxed);
-                        let Some(range) = ranges_ref.get(i) else {
-                            break;
-                        };
-                        local.push((i, worker_ref(range.clone())));
-                    }
-                    local
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
-            .collect()
+    let per_thread = fan_out(threads, || {
+        let mut local = Vec::new();
+        loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            let Some(range) = ranges.get(i) else {
+                break;
+            };
+            local.push((i, worker(range.clone())));
+        }
+        local
     });
     let mut slots: Vec<Option<T>> = std::iter::repeat_with(|| None).take(ranges.len()).collect();
-    for (i, value) in per_thread.drain(..).flatten() {
+    for (i, value) in per_thread.into_iter().flatten() {
         slots[i] = Some(value);
     }
     slots
         .into_iter()
         .map(|s| s.expect("every chunk index was claimed exactly once"))
         .collect()
+}
+
+/// Runs `worker` once on each of `parts`, spread over up to
+/// [`max_threads`] threads like [`run_chunks`]: the form for work that
+/// writes in place. The caller cuts its buffers into disjoint per-chunk
+/// views first (`chunks_mut`), so each part owns its rows outright. With
+/// one part or one thread the parts run inline, in order.
+///
+/// Which thread runs which part is unspecified, so each part's result must
+/// depend on that part alone; with parts cut on a grid that depends only on
+/// the input size, the module's determinism contract holds.
+///
+/// # Panics
+///
+/// Re-raises any panic from `worker`.
+pub fn for_each_part<T, F>(parts: Vec<T>, worker: F)
+where
+    T: Send,
+    F: Fn(T) + Sync,
+{
+    let threads = max_threads().min(parts.len());
+    if threads <= 1 {
+        parts.into_iter().for_each(worker);
+        return;
+    }
+    let queue = Mutex::new(parts.into_iter());
+    // A closure so the guard drops before the part runs; `IntoIter::next`
+    // cannot panic, so the lock is never poisoned.
+    let claim = || {
+        queue
+            .lock()
+            .expect("part queue lock held only across IntoIter::next")
+            .next()
+    };
+    fan_out(threads, || {
+        while let Some(part) = claim() {
+            worker(part);
+        }
+    });
 }
 
 /// Applies a row-chunk transform to `x` in parallel and stacks the results.
@@ -204,15 +286,20 @@ static ENV_LOCK: Mutex<()> = Mutex::new(());
 /// serializes tests that each want a specific setting.
 pub struct ThreadsGuard {
     prev: Option<String>,
-    _lock: MutexGuard<'static, ()>,
+    /// `None` only for a guard nested inside one that holds the lock.
+    _lock: Option<MutexGuard<'static, ()>>,
 }
 
 impl ThreadsGuard {
     /// Pins the fan-out width to `n` threads until the guard is dropped.
     pub fn set(n: usize) -> Self {
-        let lock = ENV_LOCK
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner());
+        let lock = ENV_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
+        Self::swap(n, Some(lock))
+    }
+
+    /// Sets the variable and remembers its previous value; `lock` is
+    /// `ENV_LOCK`'s guard, or `None` when the caller already holds it.
+    fn swap(n: usize, lock: Option<MutexGuard<'static, ()>>) -> Self {
         let prev = std::env::var("CPSMON_THREADS").ok();
         std::env::set_var("CPSMON_THREADS", n.to_string());
         Self { prev, _lock: lock }
@@ -315,12 +402,58 @@ mod tests {
 
     #[test]
     fn threads_guard_restores_previous_value() {
+        // The outer guard holds ENV_LOCK for the whole test, so no other
+        // guard can restore an exported value between the checks, and its
+        // drop puts back whatever the process started with.
+        let _held = ThreadsGuard::set(1);
         std::env::remove_var("CPSMON_THREADS");
         {
-            let _guard = ThreadsGuard::set(7);
+            let _guard = ThreadsGuard::swap(7, None);
             assert_eq!(max_threads(), 7);
         }
         assert!(std::env::var("CPSMON_THREADS").is_err());
+        std::env::set_var("CPSMON_THREADS", "5");
+        {
+            let _guard = ThreadsGuard::swap(7, None);
+            assert_eq!(max_threads(), 7);
+        }
+        assert_eq!(std::env::var("CPSMON_THREADS").as_deref(), Ok("5"));
+    }
+
+    #[test]
+    fn caller_is_not_left_pinned_after_fanout() {
+        use std::sync::Barrier;
+        let _guard = ThreadsGuard::set(2);
+        // The barrier makes each of the two threads run exactly one chunk,
+        // so the calling thread's own worker share always runs.
+        let barrier = Barrier::new(2);
+        let out = run_chunks(2, 1, |r| {
+            barrier.wait();
+            r.start
+        });
+        assert_eq!(out, vec![0, 1]);
+        assert_eq!(max_threads(), 2);
+        let barrier = Barrier::new(2);
+        let caught = std::panic::catch_unwind(|| {
+            run_chunks(2, 1, |_| -> usize {
+                barrier.wait();
+                panic!("share exploded")
+            })
+        });
+        assert!(caught.is_err());
+        assert_eq!(max_threads(), 2);
+    }
+
+    #[test]
+    fn for_each_part_runs_every_part_once() {
+        let want: Vec<usize> = (0..50).map(|j| j / 8 + 1).collect();
+        for threads in [1usize, 2, 3] {
+            let _guard = ThreadsGuard::set(threads);
+            let mut data = vec![0usize; 50];
+            let parts: Vec<_> = data.chunks_mut(8).enumerate().collect();
+            for_each_part(parts, |(i, part)| part.iter_mut().for_each(|v| *v += i + 1));
+            assert_eq!(data, want);
+        }
     }
 
     #[test]
