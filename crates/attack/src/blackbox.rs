@@ -11,7 +11,7 @@
 
 use crate::fgsm::Fgsm;
 use cpsmon_nn::rng::SmallRng;
-use cpsmon_nn::{AdamTrainer, GradModel, Matrix, MlpConfig, MlpNet};
+use cpsmon_nn::{AdamTrainer, GradModel, Matrix, MlpConfig, MlpNet, Network};
 
 /// Configuration and state of a substitute-model black-box attack.
 #[derive(Debug, Clone)]
@@ -61,15 +61,15 @@ impl SubstituteAttack {
         });
         let mut trainer = AdamTrainer::new(net.param_count(), self.lr);
         let mut rng = SmallRng::new(self.seed ^ 0x6262_7472_6169_6e00);
-        let n = query_x.rows();
         for _ in 0..self.epochs {
-            let mut idx: Vec<usize> = (0..n).collect();
-            rng.shuffle(&mut idx);
-            for batch in idx.chunks(self.batch_size.max(1)) {
-                let x = query_x.select_rows(batch);
-                let y: Vec<usize> = batch.iter().map(|&i| labels[i]).collect();
-                net.train_batch(&x, &y, None, &mut trainer);
-            }
+            net.train_epoch(
+                query_x,
+                &labels,
+                None,
+                self.batch_size,
+                &mut trainer,
+                &mut rng,
+            );
         }
         let sub_preds = net.predict_labels(query_x);
         let agree = sub_preds
@@ -77,7 +77,7 @@ impl SubstituteAttack {
             .zip(&labels)
             .filter(|(a, b)| a == b)
             .count();
-        (net, agree as f64 / n.max(1) as f64)
+        (net, agree as f64 / query_x.rows().max(1) as f64)
     }
 
     /// Full black-box pipeline: train a substitute on `query_x`, then craft

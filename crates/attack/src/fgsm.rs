@@ -114,7 +114,7 @@ pub fn apply_sign(x: &Matrix, sign: &Matrix, epsilon: f64) -> Matrix {
 mod tests {
     use super::*;
     use cpsmon_nn::rng::SmallRng;
-    use cpsmon_nn::{init::random_normal, AdamTrainer, MlpConfig, MlpNet};
+    use cpsmon_nn::{init::random_normal, AdamTrainer, MlpConfig, MlpNet, Network};
 
     fn trained_net(seed: u64) -> (MlpNet, Matrix, Vec<usize>) {
         // Separable blobs: first feature decides the class.

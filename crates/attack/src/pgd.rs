@@ -96,7 +96,7 @@ mod tests {
     use super::*;
     use crate::fgsm::Fgsm;
     use cpsmon_nn::rng::SmallRng;
-    use cpsmon_nn::{AdamTrainer, MlpConfig, MlpNet};
+    use cpsmon_nn::{AdamTrainer, MlpConfig, MlpNet, Network};
 
     fn trained_net(seed: u64) -> (MlpNet, Matrix, Vec<usize>) {
         let mut rng = SmallRng::new(seed);

@@ -13,7 +13,7 @@ use cpsmon_nn::par::{self, ThreadsGuard};
 use cpsmon_nn::rng::SmallRng;
 use cpsmon_nn::{
     init::random_normal, AdamTrainer, GradModel, LstmConfig, LstmNet, Matrix, MlpConfig, MlpNet,
-    WeightPrecision,
+    Network, WeightPrecision,
 };
 use cpsmon_serve::{IngestItem, IngestKind, OverloadPolicy, ServingBundle, Shard, ShardConfig};
 use cpsmon_sim::basal_bolus::BasalBolusController;

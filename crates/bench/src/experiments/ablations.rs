@@ -13,7 +13,7 @@ use cpsmon_attack::Fgsm;
 use cpsmon_core::monitor::evaluate_predictions;
 use cpsmon_core::{robustness_error, DatasetBuilder, FeatureConfig, MonitorKind, TrainConfig};
 use cpsmon_nn::rng::SmallRng;
-use cpsmon_nn::{AdamTrainer, GradModel, MlpConfig, MlpNet, SemanticLoss};
+use cpsmon_nn::{AdamTrainer, GradModel, MlpConfig, MlpNet, Network, SemanticLoss};
 use cpsmon_sim::SimulatorKind;
 
 /// FGSM strength used by the robustness columns of the ablations.

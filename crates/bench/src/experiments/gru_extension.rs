@@ -10,10 +10,11 @@ use crate::context::Context;
 use crate::report::{fmt3, Table};
 use cpsmon_attack::{Perturbation, SweepContext};
 use cpsmon_core::monitor::evaluate_predictions;
+use cpsmon_core::monitor::MonitorModel;
 use cpsmon_core::robustness_error;
+use cpsmon_core::train::fit;
 use cpsmon_core::MonitorKind;
-use cpsmon_nn::rng::SmallRng;
-use cpsmon_nn::{AdamTrainer, GradModel, GruConfig, GruNet};
+use cpsmon_nn::{GradModel, GruConfig, GruNet, Network};
 
 /// Trains a GRU with the context's train config (baseline loss).
 fn train_gru(ctx: &Context, sim: &crate::context::SimContext) -> GruNet {
@@ -26,18 +27,7 @@ fn train_gru(ctx: &Context, sim: &crate::context::SimContext) -> GruNet {
         classes: 2,
         seed: cfg.seed,
     });
-    let mut trainer = AdamTrainer::new(net.param_count(), cfg.lr);
-    let mut rng = SmallRng::new(cfg.seed ^ 0x6772_7574_7261_696e);
-    let train = &sim.ds.train;
-    for _ in 0..cfg.epochs {
-        let mut idx: Vec<usize> = (0..train.len()).collect();
-        rng.shuffle(&mut idx);
-        for batch in idx.chunks(cfg.batch_size.max(1)) {
-            let x = train.x.select_rows(batch);
-            let labels: Vec<usize> = batch.iter().map(|&i| train.labels[i]).collect();
-            net.train_batch(&x, &labels, None, &mut trainer);
-        }
-    }
+    fit(&mut net, &sim.ds, &cfg, false, 0x6772_7574_7261_696e);
     net
 }
 
@@ -59,11 +49,12 @@ pub fn run(ctx: &Context) -> Table {
     );
     for sim in &ctx.sims {
         // LSTM rows come from the shared context; GRU is trained here.
-        let lstm = sim.expect_monitor(MonitorKind::Lstm);
-        let lstm_model = lstm.as_grad_model().expect("differentiable");
+        let MonitorModel::Lstm(lstm) = &sim.expect_monitor(MonitorKind::Lstm).model else {
+            unreachable!("the LSTM monitor holds an LSTM network");
+        };
         let gru = train_gru(ctx, sim);
         let rows: Vec<(&str, &dyn GradModel, usize)> = vec![
-            ("LSTM", lstm_model, lstm_param_count(ctx)),
+            ("LSTM", lstm, lstm.param_count()),
             ("GRU", &gru, gru.param_count()),
         ];
         for (name, model, params) in rows {
@@ -85,18 +76,4 @@ pub fn run(ctx: &Context) -> Table {
         }
     }
     table
-}
-
-fn lstm_param_count(ctx: &Context) -> usize {
-    // Recomputed from the config (the monitor enum does not expose it).
-    let cfg = ctx.scale.train_config();
-    let sim = &ctx.sims[0];
-    let window = sim.ds.feature_config.window;
-    let mut prev = sim.ds.feature_dim() / window;
-    let mut total = 0;
-    for &h in &cfg.lstm_hidden {
-        total += 4 * (prev * h + h * h + h);
-        prev = h;
-    }
-    total + prev * 2 + 2
 }

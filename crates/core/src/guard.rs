@@ -347,65 +347,6 @@ impl InputGuard {
     }
 }
 
-/// A bank of per-session [`InputGuard`]s sharing one policy. Each slot
-/// sanitizes its own patient stream independently, so one patient's
-/// sensor outage never degrades another's health state (the pooled
-/// executor arms one guard per slot the same way).
-#[derive(Debug, Clone)]
-pub struct GuardBank {
-    guards: Vec<InputGuard>,
-}
-
-impl GuardBank {
-    /// Creates `n` independent guards with the same policy.
-    pub fn new(policy: GuardPolicy, n: usize) -> Self {
-        Self {
-            guards: vec![InputGuard::new(policy); n],
-        }
-    }
-
-    /// Number of guard slots.
-    pub fn len(&self) -> usize {
-        self.guards.len()
-    }
-
-    /// Whether the bank has no slots.
-    pub fn is_empty(&self) -> bool {
-        self.guards.is_empty()
-    }
-
-    /// Sanitizes one record through slot `i`'s guard.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of range.
-    pub fn sanitize(&mut self, i: usize, rec: &StepRecord) -> (StepRecord, GuardStatus) {
-        self.guards[i].sanitize(rec)
-    }
-
-    /// Slot `i`'s current health.
-    pub fn health(&self, i: usize) -> HealthState {
-        self.guards[i].health()
-    }
-
-    /// Slot `i`'s guard (e.g. for policy inspection).
-    pub fn guard(&self, i: usize) -> &InputGuard {
-        &self.guards[i]
-    }
-
-    /// Resets one slot (patient hand-over in that bed only).
-    pub fn reset(&mut self, i: usize) {
-        self.guards[i].reset();
-    }
-
-    /// Resets every slot.
-    pub fn reset_all(&mut self) {
-        for g in &mut self.guards {
-            g.reset();
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -54,7 +54,7 @@ pub use dataset::{Dataset, DatasetBuilder, LabeledDataset};
 pub use error::CoreError;
 pub use executor::{Engine, Executor, SlotStream};
 pub use features::{FeatureConfig, Normalizer, FEATURES_PER_STEP};
-pub use guard::{GuardBank, GuardPolicy, GuardStatus, HealthState, Imputation, InputGuard};
+pub use guard::{GuardPolicy, GuardStatus, HealthState, Imputation, InputGuard};
 pub use metrics::{ConfusionCounts, EvalReport};
 pub use monitor::{MonitorKind, TrainedMonitor};
 pub use pipeline::{

@@ -566,13 +566,6 @@ impl<'m> SessionPool<'m> {
         self.exec.reset_slot(i);
     }
 
-    /// Resets every session (a whole-fleet trace boundary).
-    pub fn reset_all(&mut self) {
-        for i in 0..self.exec.len() {
-            self.exec.reset_slot(i);
-        }
-    }
-
     /// Advances every session by one record (`records[i]` feeds session
     /// `i`) and drains: returns one entry per session, `None` while its
     /// window is filling, otherwise its verdict for this step. All ready
@@ -961,13 +954,6 @@ impl<'m> LstmSessionPool<'m> {
     pub fn reset_session(&mut self, i: usize) {
         self.state.reset_row(i);
         self.exec.reset_slot(i);
-    }
-
-    /// Resets every session (a whole-fleet trace boundary).
-    pub fn reset_all(&mut self) {
-        for i in 0..self.exec.len() {
-            self.reset_session(i);
-        }
     }
 }
 

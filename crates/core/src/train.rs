@@ -2,7 +2,7 @@
 
 use crate::dataset::LabeledDataset;
 use cpsmon_nn::rng::SmallRng;
-use cpsmon_nn::{AdamTrainer, LstmConfig, LstmNet, MlpConfig, MlpNet, SemanticLoss};
+use cpsmon_nn::{AdamTrainer, LstmConfig, LstmNet, MlpConfig, MlpNet, Network, SemanticLoss};
 
 /// Hyper-parameters for monitor training.
 ///
@@ -61,11 +61,31 @@ impl TrainConfig {
     }
 }
 
-/// Shuffled minibatch index stream shared by both training loops.
-fn minibatches(n: usize, batch: usize, rng: &mut SmallRng) -> Vec<Vec<usize>> {
-    let mut idx: Vec<usize> = (0..n).collect();
-    rng.shuffle(&mut idx);
-    idx.chunks(batch.max(1)).map(<[usize]>::to_vec).collect()
+/// Trains `net` for `cfg.epochs` epochs of shuffled `cfg.batch_size`
+/// minibatches of `ds.train` with Adam at `cfg.lr`; `custom` feeds the rule
+/// indicators to the Eq. 2 semantic loss. The shuffle draws from one RNG
+/// seeded with `cfg.seed ^ salt`, a constant per monitor architecture.
+pub fn fit(
+    net: &mut impl Network,
+    ds: &LabeledDataset,
+    cfg: &TrainConfig,
+    custom: bool,
+    salt: u64,
+) {
+    let mut trainer = AdamTrainer::new(net.param_count(), cfg.lr);
+    let mut rng = SmallRng::new(cfg.seed ^ salt);
+    let train = &ds.train;
+    let indicators = custom.then_some(train.indicators.as_slice());
+    for _ in 0..cfg.epochs {
+        net.train_epoch(
+            &train.x,
+            &train.labels,
+            indicators,
+            cfg.batch_size,
+            &mut trainer,
+            &mut rng,
+        );
+    }
 }
 
 /// Trains an MLP monitor; `custom` enables the Eq. 2 semantic loss.
@@ -77,21 +97,7 @@ pub fn train_mlp(ds: &LabeledDataset, cfg: &TrainConfig, custom: bool) -> MlpNet
         seed: cfg.seed,
     });
     net.semantic = SemanticLoss::new(cfg.semantic_weight);
-    let mut trainer = AdamTrainer::new(net.param_count(), cfg.lr);
-    let mut rng = SmallRng::new(cfg.seed ^ 0x6d6c_7074_7261_696e);
-    let train = &ds.train;
-    for _ in 0..cfg.epochs {
-        for batch in minibatches(train.len(), cfg.batch_size, &mut rng) {
-            let x = train.x.select_rows(&batch);
-            let labels: Vec<usize> = batch.iter().map(|&i| train.labels[i]).collect();
-            if custom {
-                let ind: Vec<f64> = batch.iter().map(|&i| train.indicators[i]).collect();
-                net.train_batch(&x, &labels, Some(&ind), &mut trainer);
-            } else {
-                net.train_batch(&x, &labels, None, &mut trainer);
-            }
-        }
-    }
+    fit(&mut net, ds, cfg, custom, 0x6d6c_7074_7261_696e);
     net
 }
 
@@ -107,21 +113,7 @@ pub fn train_lstm(ds: &LabeledDataset, cfg: &TrainConfig, custom: bool) -> LstmN
         seed: cfg.seed,
     });
     net.semantic = SemanticLoss::new(cfg.semantic_weight);
-    let mut trainer = AdamTrainer::new(net.param_count(), cfg.lr);
-    let mut rng = SmallRng::new(cfg.seed ^ 0x6c73_7472_6169_6e00);
-    let train = &ds.train;
-    for _ in 0..cfg.epochs {
-        for batch in minibatches(train.len(), cfg.batch_size, &mut rng) {
-            let x = train.x.select_rows(&batch);
-            let labels: Vec<usize> = batch.iter().map(|&i| train.labels[i]).collect();
-            if custom {
-                let ind: Vec<f64> = batch.iter().map(|&i| train.indicators[i]).collect();
-                net.train_batch(&x, &labels, Some(&ind), &mut trainer);
-            } else {
-                net.train_batch(&x, &labels, None, &mut trainer);
-            }
-        }
-    }
+    fit(&mut net, ds, cfg, custom, 0x6c73_7472_6169_6e00);
     net
 }
 
@@ -194,14 +186,5 @@ mod tests {
         let a = train_mlp(&ds, &cfg, false);
         let b = train_mlp(&ds, &cfg, false);
         assert_eq!(a.predict_proba(&ds.test.x), b.predict_proba(&ds.test.x));
-    }
-
-    #[test]
-    fn minibatches_cover_all_indices() {
-        let mut rng = SmallRng::new(1);
-        let batches = minibatches(10, 3, &mut rng);
-        let mut all: Vec<usize> = batches.into_iter().flatten().collect();
-        all.sort_unstable();
-        assert_eq!(all, (0..10).collect::<Vec<_>>());
     }
 }

@@ -10,7 +10,7 @@
 //! partially filled) when the reset landed must come back with a full
 //! staleness budget and no recovery debt.
 
-use cpsmon_core::guard::{GuardBank, GuardPolicy, HealthState, InputGuard};
+use cpsmon_core::guard::{GuardPolicy, HealthState, InputGuard};
 use cpsmon_sim::trace::StepRecord;
 
 fn rec(bg: f64) -> StepRecord {
@@ -88,52 +88,5 @@ fn reset_mid_recovery_owes_no_probation_on_next_trace() {
         s.health,
         HealthState::Healthy,
         "no recovery debt after reset"
-    );
-}
-
-#[test]
-fn bank_reset_all_rearms_every_slot() {
-    let policy = GuardPolicy::aps();
-    let mut bank = GuardBank::new(policy, 3);
-    // Slot 0 healthy, slot 1 degraded, slot 2 in Fallback mid-recovery.
-    for t in 0..4 {
-        bank.sanitize(0, &clean(t));
-    }
-    bank.sanitize(1, &clean(0));
-    bank.sanitize(1, &nan_bg(1));
-    for t in 0..policy.staleness_budget + 2 {
-        bank.sanitize(2, &nan_bg(t));
-    }
-    bank.sanitize(2, &clean(50));
-    assert_eq!(bank.health(1), HealthState::Degraded);
-    assert_eq!(bank.health(2), HealthState::Fallback);
-    bank.reset_all();
-    for i in 0..3 {
-        assert_eq!(bank.health(i), HealthState::Healthy, "slot {i}");
-        // Every slot gets the full budget back, independently.
-        bank.sanitize(i, &clean(0));
-        for t in 0..policy.staleness_budget {
-            let (_, s) = bank.sanitize(i, &nan_bg(1 + t));
-            assert_eq!(s.health, HealthState::Degraded, "slot {i} step {t}");
-        }
-    }
-}
-
-#[test]
-fn bank_single_slot_reset_leaves_neighbors_alone() {
-    let policy = GuardPolicy::aps();
-    let mut bank = GuardBank::new(policy, 2);
-    for t in 0..policy.staleness_budget + 2 {
-        bank.sanitize(0, &nan_bg(t));
-        bank.sanitize(1, &nan_bg(t));
-    }
-    assert_eq!(bank.health(0), HealthState::Fallback);
-    assert_eq!(bank.health(1), HealthState::Fallback);
-    bank.reset(0);
-    assert_eq!(bank.health(0), HealthState::Healthy);
-    assert_eq!(
-        bank.health(1),
-        HealthState::Fallback,
-        "neighbor keeps its state"
     );
 }

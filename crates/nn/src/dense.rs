@@ -12,15 +12,6 @@ pub struct Dense {
     b: Matrix,
 }
 
-/// Weight gradients produced by [`Dense::backward`].
-#[derive(Debug, Clone)]
-pub struct DenseGrads {
-    /// Gradient of the loss w.r.t. the weight matrix.
-    pub dw: Matrix,
-    /// Gradient of the loss w.r.t. the bias row vector.
-    pub db: Matrix,
-}
-
 impl Dense {
     /// Creates a layer with He-uniform weights and zero bias.
     pub fn new(input_dim: usize, output_dim: usize, rng: &mut SmallRng) -> Self {
@@ -30,16 +21,21 @@ impl Dense {
         }
     }
 
-    /// Builds a layer from explicit parameters (used in tests and by the
-    /// black-box substitute builder).
+    /// Builds a layer from explicit parameters (used by deserialization).
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if `b` is not `1 × w.cols()`.
-    pub fn from_params(w: Matrix, b: Matrix) -> Self {
-        assert_eq!(b.rows(), 1, "bias must be a row vector");
-        assert_eq!(b.cols(), w.cols(), "bias width must match weight columns");
-        Self { w, b }
+    /// Returns a description of the mismatch if `b` is not `1 × w.cols()`.
+    pub fn from_params(w: Matrix, b: Matrix) -> Result<Self, String> {
+        if b.rows() != 1 || b.cols() != w.cols() {
+            return Err(format!(
+                "bias is {}x{}, expected 1x{}",
+                b.rows(),
+                b.cols(),
+                w.cols()
+            ));
+        }
+        Ok(Self { w, b })
     }
 
     /// Input width.
@@ -88,31 +84,25 @@ impl Dense {
     }
 
     /// Backward pass given the upstream gradient `dz` and the cached input
-    /// `x` of the forward pass. Returns the weight gradients and the
-    /// gradient w.r.t. the input (for deeper layers / FGSM).
+    /// `x` of the forward pass. Returns the weight gradients `[dW, db]` and
+    /// the gradient w.r.t. the input (for deeper layers / FGSM).
     ///
     /// # Panics
     ///
     /// Panics on shape mismatches.
-    pub fn backward(&self, x: &Matrix, dz: &Matrix) -> (DenseGrads, Matrix) {
+    pub fn backward(&self, x: &Matrix, dz: &Matrix) -> ([Matrix; 2], Matrix) {
         assert_eq!(dz.cols(), self.output_dim(), "dz width mismatch");
         assert_eq!(x.rows(), dz.rows(), "batch size mismatch");
         let dw = x.transpose_matmul(dz);
         let db = dz.sum_rows();
-        let dx = dz.matmul_transpose(&self.w);
-        (DenseGrads { dw, db }, dx)
+        let dx = dz.matmul_tb(&self.w);
+        ([dw, db], dx)
     }
 
-    /// Applies one Adam update using slots starting at `offset`; returns the
-    /// next free offset.
-    pub fn apply_update(
-        &mut self,
-        trainer: &mut crate::adam::AdamTrainer,
-        offset: usize,
-        grads: &DenseGrads,
-    ) -> usize {
-        let off = trainer.update(offset, &mut self.w, &grads.dw);
-        trainer.update(off, &mut self.b, &grads.db)
+    /// The trainable tensors `[W, b]`, in the order of the gradients
+    /// [`backward`](Self::backward) returns.
+    pub(crate) fn params_mut(&mut self) -> [&mut Matrix; 2] {
+        [&mut self.w, &mut self.b]
     }
 }
 
@@ -125,7 +115,7 @@ mod tests {
     fn forward_matches_manual_computation() {
         let w = Matrix::from_rows(&[&[1.0, 0.0], &[0.0, 2.0]]);
         let b = Matrix::row_vector(&[0.5, -0.5]);
-        let layer = Dense::from_params(w, b);
+        let layer = Dense::from_params(w, b).unwrap();
         let x = Matrix::from_rows(&[&[3.0, 4.0]]);
         let z = layer.forward(&x);
         assert_eq!(z, Matrix::from_rows(&[&[3.5, 7.5]]));
@@ -151,7 +141,7 @@ mod tests {
         let layer = Dense::new(3, 2, &mut rng);
         let x = crate::init::random_normal(4, 3, 1.0, &mut rng);
         let dz = Matrix::filled(4, 2, 1.0);
-        let (grads, _) = layer.backward(&x, &dz);
+        let ([dw, _], _) = layer.backward(&x, &dz);
         let h = 1e-5;
         for r in 0..3 {
             for c in 0..2 {
@@ -159,10 +149,10 @@ mod tests {
                 wp.set(r, c, wp.get(r, c) + h);
                 let mut wm = layer.w.clone();
                 wm.set(r, c, wm.get(r, c) - h);
-                let lp = Dense::from_params(wp, layer.b.clone()).forward(&x).sum();
-                let lm = Dense::from_params(wm, layer.b.clone()).forward(&x).sum();
-                let num = (lp - lm) / (2.0 * h);
-                assert!((grads.dw.get(r, c) - num).abs() < 1e-5);
+                let lp = Dense::from_params(wp, layer.b.clone()).unwrap();
+                let lm = Dense::from_params(wm, layer.b.clone()).unwrap();
+                let num = (lp.forward(&x).sum() - lm.forward(&x).sum()) / (2.0 * h);
+                assert!((dw.get(r, c) - num).abs() < 1e-5);
             }
         }
     }
@@ -173,8 +163,8 @@ mod tests {
         let layer = Dense::new(2, 2, &mut rng);
         let x = Matrix::from_rows(&[&[1.0, 0.0], &[0.0, 1.0], &[1.0, 1.0]]);
         let dz = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0], &[5.0, 6.0]]);
-        let (grads, _) = layer.backward(&x, &dz);
-        assert_eq!(grads.db, Matrix::row_vector(&[9.0, 12.0]));
+        let ([_, db], _) = layer.backward(&x, &dz);
+        assert_eq!(db, Matrix::row_vector(&[9.0, 12.0]));
     }
 
     #[test]

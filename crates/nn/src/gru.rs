@@ -18,7 +18,16 @@
 use crate::activation::{sigmoid, tanh};
 use crate::init::xavier_uniform;
 use crate::matrix::Matrix;
+use crate::recurrent_net::{RecurrentCell, RecurrentConfig, RecurrentNet};
 use crate::rng::SmallRng;
+
+/// The stacked-GRU classifier: the architecture-ablation sibling of
+/// [`LstmNet`](crate::LstmNet), with the same interface, training and file
+/// format.
+pub type GruNet = RecurrentNet<Gru>;
+
+/// Configuration for [`GruNet::new`].
+pub type GruConfig = RecurrentConfig;
 
 /// One GRU layer (`input_dim → hidden_dim`).
 #[derive(Debug, Clone, PartialEq)]
@@ -47,25 +56,21 @@ struct StepCache {
     rh: Matrix,
 }
 
-/// Forward-pass cache consumed by [`Gru::backward`].
+/// Forward-pass cache consumed by the backward passes of [`Gru`].
 #[derive(Debug, Clone)]
 pub struct GruCache {
     steps: Vec<StepCache>,
 }
 
-/// Weight gradients produced by [`Gru::backward`], in the same parameter
-/// order as [`Gru::apply_update`] consumes them.
-#[derive(Debug, Clone)]
-pub struct GruGrads {
-    /// Gradients for `[wxz, wxr, wxn, whz, whr, whn]`.
-    pub dw: [Matrix; 6],
-    /// Gradients for `[bz, br, bn]`.
-    pub db: [Matrix; 3],
-}
+impl RecurrentCell for Gru {
+    const KIND: &'static str = "gru";
+    const TENSORS: &'static [&'static str] =
+        &["wxz", "wxr", "wxn", "whz", "whr", "whn", "bz", "br", "bn"];
+    const SEED_SALT: u64 = 0x6772_755f_6e65_7400;
+    type Cache = GruCache;
 
-impl Gru {
-    /// Creates a layer with Xavier-uniform weights and zero biases.
-    pub fn new(input_dim: usize, hidden_dim: usize, rng: &mut SmallRng) -> Self {
+    /// Xavier-uniform weights and zero biases.
+    fn new(input_dim: usize, hidden_dim: usize, rng: &mut SmallRng) -> Self {
         Self {
             wxz: xavier_uniform(input_dim, hidden_dim, rng),
             wxr: xavier_uniform(input_dim, hidden_dim, rng),
@@ -81,41 +86,12 @@ impl Gru {
         }
     }
 
-    /// Input width.
-    pub fn input_dim(&self) -> usize {
-        self.input_dim
-    }
-
-    /// Hidden-state width.
-    pub fn hidden_dim(&self) -> usize {
-        self.hidden_dim
-    }
-
-    /// Number of trainable scalars.
-    pub fn param_count(&self) -> usize {
-        3 * (self.input_dim * self.hidden_dim)
-            + 3 * (self.hidden_dim * self.hidden_dim)
-            + 3 * self.hidden_dim
-    }
-
-    /// The nine parameter matrices in
-    /// `[wxz, wxr, wxn, whz, whr, whn, bz, br, bn]` order (the layout
-    /// [`from_params`](Self::from_params) consumes).
-    pub fn params(&self) -> [&Matrix; 9] {
-        [
-            &self.wxz, &self.wxr, &self.wxn, &self.whz, &self.whr, &self.whn, &self.bz, &self.br,
-            &self.bn,
-        ]
-    }
-
-    /// Rebuilds a layer from the matrices of [`params`](Self::params) (used
-    /// by deserialization).
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the first shape inconsistency, if any.
-    pub fn from_params(ms: [Matrix; 9]) -> Result<Gru, String> {
-        let [wxz, wxr, wxn, whz, whr, whn, bz, br, bn] = ms;
+    /// Expects `[wxz, wxr, wxn: I×H, whz, whr, whn: H×H, bz, br, bn: 1×H]`
+    /// with `I, H > 0`.
+    fn from_params(tensors: Vec<Matrix>) -> Result<Gru, String> {
+        let [wxz, wxr, wxn, whz, whr, whn, bz, br, bn]: [Matrix; 9] = tensors
+            .try_into()
+            .map_err(|t: Vec<Matrix>| format!("expected 9 tensors, got {}", t.len()))?;
         let input_dim = wxz.rows();
         let hidden_dim = wxz.cols();
         if input_dim == 0 || hidden_dim == 0 {
@@ -151,13 +127,15 @@ impl Gru {
         })
     }
 
-    /// Runs the layer over a sequence; returns per-step hidden states and
-    /// the backward cache.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `xs` is empty or any step has the wrong width.
-    pub fn forward(&self, xs: &[Matrix]) -> (Vec<Matrix>, GruCache) {
+    fn input_dim(&self) -> usize {
+        self.input_dim
+    }
+
+    fn hidden_dim(&self) -> usize {
+        self.hidden_dim
+    }
+
+    fn forward(&self, xs: &[Matrix]) -> (Vec<Matrix>, GruCache) {
         assert!(!xs.is_empty(), "GRU forward needs at least one timestep");
         let n_rows = xs[0].rows();
         let mut h = Matrix::zeros(n_rows, self.hidden_dim);
@@ -193,13 +171,8 @@ impl Gru {
         (hs, GruCache { steps })
     }
 
-    /// Forward pass that keeps only the per-step hidden states (the
-    /// prediction path) — no backward caches, no per-step clones.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `xs` is empty or any step has the wrong width.
-    pub fn forward_only(&self, xs: &[Matrix]) -> Vec<Matrix> {
+    /// No backward caches, no per-step clones.
+    fn forward_only(&self, xs: &[Matrix]) -> Vec<Matrix> {
         assert!(!xs.is_empty(), "GRU forward needs at least one timestep");
         let n_rows = xs[0].rows();
         let mut h = Matrix::zeros(n_rows, self.hidden_dim);
@@ -223,51 +196,57 @@ impl Gru {
         hs
     }
 
-    /// BPTT backward pass; `dhs[t]` is the loss gradient w.r.t. the hidden
-    /// state at step `t`. Returns weight gradients and per-step input
-    /// gradients.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `dhs.len()` differs from the cached timestep count.
-    pub fn backward(&self, cache: &GruCache, dhs: &[Matrix]) -> (GruGrads, Vec<Matrix>) {
+    fn backward(&self, cache: &GruCache, dhs: &[Matrix]) -> (Vec<Matrix>, Vec<Matrix>) {
         let (grads, dxs) = self.backward_impl(cache, dhs, true);
         (grads.expect("weight grads requested"), dxs)
     }
 
-    /// BPTT backward pass that computes only the input gradients, skipping
-    /// the six weight-gradient matmuls per timestep (the attack path).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `dhs.len()` differs from the cached timestep count.
-    pub fn backward_input_only(&self, cache: &GruCache, dhs: &[Matrix]) -> Vec<Matrix> {
+    /// Skips the six weight-gradient matmuls per timestep.
+    fn backward_input_only(&self, cache: &GruCache, dhs: &[Matrix]) -> Vec<Matrix> {
         self.backward_impl(cache, dhs, false).1
     }
 
+    fn params(&self) -> Vec<&Matrix> {
+        vec![
+            &self.wxz, &self.wxr, &self.wxn, &self.whz, &self.whr, &self.whn, &self.bz, &self.br,
+            &self.bn,
+        ]
+    }
+
+    fn params_mut(&mut self) -> Vec<&mut Matrix> {
+        vec![
+            &mut self.wxz,
+            &mut self.wxr,
+            &mut self.wxn,
+            &mut self.whz,
+            &mut self.whr,
+            &mut self.whn,
+            &mut self.bz,
+            &mut self.br,
+            &mut self.bn,
+        ]
+    }
+}
+
+impl Gru {
+    /// BPTT over `cache`; the weight gradients (in
+    /// [`params`](RecurrentCell::params) order) only when
+    /// `want_weight_grads`.
     fn backward_impl(
         &self,
         cache: &GruCache,
         dhs: &[Matrix],
         want_weight_grads: bool,
-    ) -> (Option<GruGrads>, Vec<Matrix>) {
+    ) -> (Option<Vec<Matrix>>, Vec<Matrix>) {
         assert_eq!(dhs.len(), cache.steps.len(), "dhs/timestep count mismatch");
         let t_len = cache.steps.len();
         let n_rows = cache.steps[0].x.rows();
-        let mut grads = want_weight_grads.then(|| GruGrads {
-            dw: [
-                Matrix::zeros(self.input_dim, self.hidden_dim),
-                Matrix::zeros(self.input_dim, self.hidden_dim),
-                Matrix::zeros(self.input_dim, self.hidden_dim),
-                Matrix::zeros(self.hidden_dim, self.hidden_dim),
-                Matrix::zeros(self.hidden_dim, self.hidden_dim),
-                Matrix::zeros(self.hidden_dim, self.hidden_dim),
-            ],
-            db: [
-                Matrix::zeros(1, self.hidden_dim),
-                Matrix::zeros(1, self.hidden_dim),
-                Matrix::zeros(1, self.hidden_dim),
-            ],
+        let mut grads = want_weight_grads.then(|| {
+            let params = RecurrentCell::params(self);
+            params
+                .iter()
+                .map(|m| Matrix::zeros(m.rows(), m.cols()))
+                .collect::<Vec<_>>()
         });
         let mut dxs = vec![Matrix::zeros(0, 0); t_len];
         let mut dh_next = Matrix::zeros(n_rows, self.hidden_dim);
@@ -287,15 +266,15 @@ impl Gru {
             let dzz = dz.hadamard(&s.z).hadamard(&s.z.map(|v| 1.0 - v));
             let dzr = dr.hadamard(&s.r).hadamard(&s.r.map(|v| 1.0 - v));
             if let Some(g) = grads.as_mut() {
-                g.dw[0] += &s.x.transpose_matmul(&dzz);
-                g.dw[1] += &s.x.transpose_matmul(&dzr);
-                g.dw[2] += &s.x.transpose_matmul(&dzn);
-                g.dw[3] += &s.h_prev.transpose_matmul(&dzz);
-                g.dw[4] += &s.h_prev.transpose_matmul(&dzr);
-                g.dw[5] += &s.rh.transpose_matmul(&dzn);
-                g.db[0] += &dzz.sum_rows();
-                g.db[1] += &dzr.sum_rows();
-                g.db[2] += &dzn.sum_rows();
+                g[0] += &s.x.transpose_matmul(&dzz);
+                g[1] += &s.x.transpose_matmul(&dzr);
+                g[2] += &s.x.transpose_matmul(&dzn);
+                g[3] += &s.h_prev.transpose_matmul(&dzz);
+                g[4] += &s.h_prev.transpose_matmul(&dzr);
+                g[5] += &s.rh.transpose_matmul(&dzn);
+                g[6] += &dzz.sum_rows();
+                g[7] += &dzr.sum_rows();
+                g[8] += &dzn.sum_rows();
             }
             let mut dx = dzn.matmul_tb(&self.wxn);
             dx += &dzz.matmul_tb(&self.wxz);
@@ -306,33 +285,6 @@ impl Gru {
             dh_next = dh_prev;
         }
         (grads, dxs)
-    }
-
-    /// Applies one Adam update using slots starting at `offset`; returns
-    /// the next free offset.
-    pub fn apply_update(
-        &mut self,
-        trainer: &mut crate::adam::AdamTrainer,
-        offset: usize,
-        grads: &GruGrads,
-    ) -> usize {
-        let params: [&mut Matrix; 6] = [
-            &mut self.wxz,
-            &mut self.wxr,
-            &mut self.wxn,
-            &mut self.whz,
-            &mut self.whr,
-            &mut self.whn,
-        ];
-        let mut off = offset;
-        for (p, g) in params.into_iter().zip(grads.dw.iter()) {
-            off = trainer.update(off, p, g);
-        }
-        let biases: [&mut Matrix; 3] = [&mut self.bz, &mut self.br, &mut self.bn];
-        for (p, g) in biases.into_iter().zip(grads.db.iter()) {
-            off = trainer.update(off, p, g);
-        }
-        off
     }
 
     /// Test-only weight perturbation (finite-difference checks).
@@ -424,7 +376,7 @@ mod tests {
             let mut minus = gru.clone();
             minus.perturb(which, r, c, -h);
             let num = (objective(&plus, &xs) - objective(&minus, &xs)) / (2.0 * h);
-            let ana = grads.dw[which].get(r, c);
+            let ana = grads[which].get(r, c);
             assert!(
                 (ana - num).abs() < 1e-6,
                 "dw[{which}]({r},{c}): {ana} vs {num}"
@@ -446,12 +398,6 @@ mod tests {
         dhs[last] = Matrix::filled(1, 3, 1.0);
         let (_, dxs) = gru.backward(&cache, &dhs);
         assert!(dxs[0].max_abs() > 0.0);
-    }
-
-    #[test]
-    fn param_count_matches_tensors() {
-        let gru = Gru::new(4, 6, &mut SmallRng::new(5));
-        assert_eq!(gru.param_count(), 3 * 4 * 6 + 3 * 6 * 6 + 3 * 6);
     }
 
     #[test]

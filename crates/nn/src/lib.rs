@@ -9,13 +9,19 @@
 //!   softmax, sigmoid/tanh, and fused-LSTM-step hot loops, with the
 //!   portable scalar kernels as fallback (`CPSMON_SIMD=0` forces them).
 //! - [`Dense`]: fully connected layers with ReLU / linear activations.
-//! - [`Lstm`]: a standard LSTM layer with full backpropagation through time.
+//! - [`Lstm`] / [`Gru`]: recurrent layers with full backpropagation through
+//!   time.
 //! - [`MlpNet`] / [`LstmNet`]: the two monitor architectures used in the
 //!   paper (MLP 256-128 and stacked LSTM 128-64 over 6 timesteps), both with
 //!   softmax heads trained by sparse categorical cross-entropy and Adam.
+//!   [`LstmNet`] and the ablation's [`GruNet`] are one [`RecurrentNet`],
+//!   generic over its [`RecurrentCell`].
+//! - [`Network`]: what each architecture supplies (forward and backward
+//!   passes, parameter list) and the training, evaluation and
+//!   [`GradModel`] code written once over it.
 //! - [`SemanticLoss`]: the knowledge-integration term of Eq. 2 of the paper,
 //!   `loss = loss_ex + w·|p_unsafe − I(φ)|`.
-//! - **Input gradients**: both networks expose `input_gradient`, the exact
+//! - **Input gradients**: every network exposes `input_gradient`, the exact
 //!   gradient of the loss with respect to the *input*, which is what the
 //!   FGSM attack (Eq. 3–4) needs.
 //!
@@ -26,7 +32,7 @@
 //! ## Example
 //!
 //! ```
-//! use cpsmon_nn::{GradModel, Matrix, MlpNet, MlpConfig};
+//! use cpsmon_nn::{GradModel, Matrix, MlpNet, MlpConfig, Network};
 //!
 //! // Learn XOR with a tiny MLP.
 //! let x = Matrix::from_rows(&[&[0., 0.], &[0., 1.], &[1., 0.], &[1., 1.]]);
@@ -53,7 +59,6 @@ pub mod dense;
 pub mod error;
 pub mod gradcheck;
 pub mod gru;
-pub mod gru_net;
 pub mod init;
 pub mod loss;
 pub mod lstm;
@@ -62,6 +67,7 @@ pub mod matrix;
 pub mod mlp_net;
 pub mod model;
 pub mod par;
+pub mod recurrent_net;
 pub mod rng;
 pub mod serialize;
 pub mod simd;
@@ -69,12 +75,12 @@ pub mod simd;
 pub use adam::AdamTrainer;
 pub use dense::Dense;
 pub use error::NnError;
-pub use gru::Gru;
-pub use gru_net::{GruConfig, GruNet};
+pub use gru::{Gru, GruConfig, GruNet};
 pub use loss::SemanticLoss;
 pub use lstm::{Lstm, LstmScratch};
 pub use lstm_net::{LstmConfig, LstmNet, LstmNetF32, LstmNetScratch, LstmStreamState};
 pub use matrix::Matrix;
 pub use mlp_net::{MlpConfig, MlpNet, MlpScratch};
-pub use model::GradModel;
+pub use model::{GradModel, Network};
+pub use recurrent_net::{RecurrentCell, RecurrentConfig, RecurrentNet};
 pub use serialize::{LoadError, WeightPrecision};

@@ -8,6 +8,7 @@
 use crate::activation::{sigmoid, tanh};
 use crate::init::xavier_uniform;
 use crate::matrix::{seed_rows, Matrix};
+use crate::recurrent_net::RecurrentCell;
 use crate::rng::SmallRng;
 use crate::simd;
 
@@ -76,7 +77,7 @@ struct StepCache {
     tc: Matrix,
 }
 
-/// Forward-pass cache consumed by [`Lstm::backward`].
+/// Forward-pass cache consumed by the backward passes of [`Lstm`].
 #[derive(Debug, Clone)]
 pub struct LstmCache {
     steps: Vec<StepCache>,
@@ -89,34 +90,7 @@ impl LstmCache {
     }
 }
 
-/// Weight gradients produced by [`Lstm::backward`].
-#[derive(Debug, Clone)]
-pub struct LstmGrads {
-    /// Gradient w.r.t. the input-to-hidden weights.
-    pub dwx: Matrix,
-    /// Gradient w.r.t. the hidden-to-hidden weights.
-    pub dwh: Matrix,
-    /// Gradient w.r.t. the fused gate bias.
-    pub db: Matrix,
-}
-
 impl Lstm {
-    /// Creates a layer with Xavier-uniform weights, zero biases, and
-    /// forget-gate bias 1.0.
-    pub fn new(input_dim: usize, hidden_dim: usize, rng: &mut SmallRng) -> Self {
-        let mut b = Matrix::zeros(1, 4 * hidden_dim);
-        for c in hidden_dim..2 * hidden_dim {
-            b.set(0, c, 1.0);
-        }
-        Self {
-            wx: xavier_uniform(input_dim, 4 * hidden_dim, rng),
-            wh: xavier_uniform(hidden_dim, 4 * hidden_dim, rng),
-            b,
-            input_dim,
-            hidden_dim,
-        }
-    }
-
     /// Input width.
     pub fn input_dim(&self) -> usize {
         self.input_dim
@@ -127,75 +101,7 @@ impl Lstm {
         self.hidden_dim
     }
 
-    /// Number of trainable scalars.
-    pub fn param_count(&self) -> usize {
-        self.wx.len() + self.wh.len() + self.b.len()
-    }
-
-    /// Runs the layer over a sequence (`xs[t]` is the `N × input_dim` batch
-    /// at timestep `t`). Returns the hidden state at every timestep along
-    /// with the cache for [`backward`](Self::backward).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `xs` is empty or any step has the wrong width.
-    pub fn forward(&self, xs: &[Matrix]) -> (Vec<Matrix>, LstmCache) {
-        assert!(!xs.is_empty(), "LSTM forward needs at least one timestep");
-        let n = xs[0].rows();
-        let h_dim = self.hidden_dim;
-        let mut h = Matrix::zeros(n, h_dim);
-        let mut c = Matrix::zeros(n, h_dim);
-        let mut hs = Vec::with_capacity(xs.len());
-        let mut steps = Vec::with_capacity(xs.len());
-        // One fused-gate scratch buffer reused across all timesteps.
-        let mut z = Matrix::zeros(n, 4 * h_dim);
-        for x in xs {
-            assert_eq!(x.cols(), self.input_dim, "timestep width mismatch");
-            assert_eq!(x.rows(), n, "timestep batch-size mismatch");
-            x.matmul_add_bias_into(&self.wx, &self.b, &mut z);
-            h.matmul_acc(&self.wh, &mut z);
-            let i = sigmoid(&z.slice_cols(0, h_dim));
-            let f = sigmoid(&z.slice_cols(h_dim, 2 * h_dim));
-            let g = tanh(&z.slice_cols(2 * h_dim, 3 * h_dim));
-            let o = sigmoid(&z.slice_cols(3 * h_dim, 4 * h_dim));
-            let c_new = &f.hadamard(&c) + &i.hadamard(&g);
-            let tc = tanh(&c_new);
-            let h_new = o.hadamard(&tc);
-            steps.push(StepCache {
-                x: x.clone(),
-                h_prev: h,
-                c_prev: c,
-                i,
-                f,
-                g,
-                o,
-                tc,
-            });
-            hs.push(h_new.clone());
-            h = h_new;
-            c = c_new;
-        }
-        (hs, LstmCache { steps })
-    }
-
-    /// Forward pass that keeps only the per-step hidden states — the
-    /// prediction path. Skips every backward-cache clone (`x`, `h_prev`,
-    /// `c_prev`, the gate activations) that [`forward`](Self::forward)
-    /// must retain. Thin wrapper over
-    /// [`forward_only_into`](Self::forward_only_into), so batch and
-    /// streaming predictions share one code path.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `xs` is empty or any step has the wrong width.
-    pub fn forward_only(&self, xs: &[Matrix]) -> Vec<Matrix> {
-        let mut hs = Vec::new();
-        let mut scratch = LstmScratch::default();
-        self.forward_only_into(xs, &mut hs, &mut scratch);
-        hs
-    }
-
-    /// [`forward_only`](Self::forward_only) writing the per-step hidden
+    /// [`RecurrentCell::forward_only`] writing the per-step hidden
     /// states into caller-owned buffers. `hs` is resized to `xs.len()`
     /// matrices of shape `N × hidden`; with a warm `scratch` and correctly
     /// sized `hs` no allocation occurs — the per-step latency path for
@@ -283,46 +189,24 @@ impl Lstm {
         step_state(z, c, h, self.hidden_dim);
     }
 
-    /// BPTT backward pass.
-    ///
-    /// `dhs[t]` is the gradient of the loss w.r.t. the hidden state emitted
-    /// at timestep `t` (zero matrices for unused steps). Returns the weight
-    /// gradients and `dxs[t]`, the gradient w.r.t. each input step — the
-    /// piece FGSM needs.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `dhs.len()` differs from the cached timestep count.
-    pub fn backward(&self, cache: &LstmCache, dhs: &[Matrix]) -> (LstmGrads, Vec<Matrix>) {
-        let (grads, dxs) = self.backward_impl(cache, dhs, true);
-        (grads.expect("weight grads requested"), dxs)
-    }
-
-    /// BPTT backward pass that computes only the input gradients `dxs`,
-    /// skipping the three weight-gradient matmuls per timestep. This is the
-    /// path attack crafting (FGSM/PGD) takes, where the weights are frozen.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `dhs.len()` differs from the cached timestep count.
-    pub fn backward_input_only(&self, cache: &LstmCache, dhs: &[Matrix]) -> Vec<Matrix> {
-        self.backward_impl(cache, dhs, false).1
-    }
-
+    /// BPTT over `cache`; the weight gradients `[dWx, dWh, db]` only when
+    /// `want_weight_grads`.
     fn backward_impl(
         &self,
         cache: &LstmCache,
         dhs: &[Matrix],
         want_weight_grads: bool,
-    ) -> (Option<LstmGrads>, Vec<Matrix>) {
+    ) -> (Option<[Matrix; 3]>, Vec<Matrix>) {
         assert_eq!(dhs.len(), cache.steps.len(), "dhs/timestep count mismatch");
         let h_dim = self.hidden_dim;
         let t_len = cache.steps.len();
         let n = cache.steps[0].x.rows();
-        let mut grads = want_weight_grads.then(|| LstmGrads {
-            dwx: Matrix::zeros(self.input_dim, 4 * h_dim),
-            dwh: Matrix::zeros(h_dim, 4 * h_dim),
-            db: Matrix::zeros(1, 4 * h_dim),
+        let mut grads = want_weight_grads.then(|| {
+            [
+                Matrix::zeros(self.input_dim, 4 * h_dim),
+                Matrix::zeros(h_dim, 4 * h_dim),
+                Matrix::zeros(1, 4 * h_dim),
+            ]
         });
         let mut dxs = vec![Matrix::zeros(0, 0); t_len];
         let mut dh_next = Matrix::zeros(n, h_dim);
@@ -351,28 +235,15 @@ impl Lstm {
             dz.set_cols(h_dim, &dz_f);
             dz.set_cols(2 * h_dim, &dz_g);
             dz.set_cols(3 * h_dim, &dz_o);
-            if let Some(g) = grads.as_mut() {
-                g.dwx += &s.x.transpose_matmul(&dz);
-                g.dwh += &s.h_prev.transpose_matmul(&dz);
-                g.db += &dz.sum_rows();
+            if let Some([dwx, dwh, db]) = grads.as_mut() {
+                *dwx += &s.x.transpose_matmul(&dz);
+                *dwh += &s.h_prev.transpose_matmul(&dz);
+                *db += &dz.sum_rows();
             }
             dxs[t] = dz.matmul_tb(&self.wx);
             dh_next = dz.matmul_tb(&self.wh);
         }
         (grads, dxs)
-    }
-
-    /// Applies one Adam update using slots starting at `offset`; returns the
-    /// next free offset.
-    pub fn apply_update(
-        &mut self,
-        trainer: &mut crate::adam::AdamTrainer,
-        offset: usize,
-        grads: &LstmGrads,
-    ) -> usize {
-        let off = trainer.update(offset, &mut self.wx, &grads.dwx);
-        let off = trainer.update(off, &mut self.wh, &grads.dwh);
-        trainer.update(off, &mut self.b, &grads.db)
     }
 
     /// Input-to-hidden weights (`input_dim × 4·hidden`).
@@ -390,28 +261,6 @@ impl Lstm {
         &self.b
     }
 
-    /// Builds a layer from explicit parameters (used by deserialization).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the shapes are inconsistent (`wx: I×4H`, `wh: H×4H`,
-    /// `b: 1×4H`).
-    pub fn from_params(wx: Matrix, wh: Matrix, b: Matrix) -> Self {
-        let hidden_dim = wh.rows();
-        assert_eq!(wh.cols(), 4 * hidden_dim, "wh must be H×4H");
-        assert_eq!(wx.cols(), 4 * hidden_dim, "wx must be I×4H");
-        assert_eq!(b.rows(), 1, "bias must be a row vector");
-        assert_eq!(b.cols(), 4 * hidden_dim, "bias must be 1×4H");
-        let input_dim = wx.rows();
-        Self {
-            wx,
-            wh,
-            b,
-            input_dim,
-            hidden_dim,
-        }
-    }
-
     /// Test-only access to mutate a weight (used by finite-difference checks).
     #[doc(hidden)]
     pub fn perturb_wx(&mut self, r: usize, c: usize, delta: f64) {
@@ -422,6 +271,135 @@ impl Lstm {
     #[doc(hidden)]
     pub fn perturb_wh(&mut self, r: usize, c: usize, delta: f64) {
         self.wh.set(r, c, self.wh.get(r, c) + delta);
+    }
+}
+
+impl RecurrentCell for Lstm {
+    const KIND: &'static str = "lstm";
+    const TENSORS: &'static [&'static str] = &["wx", "wh", "b"];
+    const SEED_SALT: u64 = 0x6c73_746d_5f6e_6574;
+    type Cache = LstmCache;
+
+    /// Xavier-uniform weights, zero biases, and forget-gate bias 1.0.
+    fn new(input_dim: usize, hidden_dim: usize, rng: &mut SmallRng) -> Self {
+        let mut b = Matrix::zeros(1, 4 * hidden_dim);
+        for c in hidden_dim..2 * hidden_dim {
+            b.set(0, c, 1.0);
+        }
+        Self {
+            wx: xavier_uniform(input_dim, 4 * hidden_dim, rng),
+            wh: xavier_uniform(hidden_dim, 4 * hidden_dim, rng),
+            b,
+            input_dim,
+            hidden_dim,
+        }
+    }
+
+    /// Expects `[wx: I×4H, wh: H×4H, b: 1×4H]` with `I, H > 0`.
+    fn from_params(tensors: Vec<Matrix>) -> Result<Self, String> {
+        let [wx, wh, b]: [Matrix; 3] = tensors
+            .try_into()
+            .map_err(|t: Vec<Matrix>| format!("expected 3 tensors, got {}", t.len()))?;
+        let (input_dim, hidden_dim) = (wx.rows(), wh.rows());
+        if input_dim == 0 || hidden_dim == 0 {
+            return Err("LSTM dimensions must be positive".into());
+        }
+        let gates = 4 * hidden_dim;
+        if wh.cols() != gates || wx.cols() != gates || b.rows() != 1 || b.cols() != gates {
+            return Err(format!(
+                "gate shapes inconsistent: wx {}x{}, wh {}x{}, b {}x{} (want I×{gates}, \
+                 {hidden_dim}×{gates}, 1×{gates})",
+                wx.rows(),
+                wx.cols(),
+                wh.rows(),
+                wh.cols(),
+                b.rows(),
+                b.cols()
+            ));
+        }
+        Ok(Self {
+            wx,
+            wh,
+            b,
+            input_dim,
+            hidden_dim,
+        })
+    }
+
+    fn input_dim(&self) -> usize {
+        self.input_dim
+    }
+
+    fn hidden_dim(&self) -> usize {
+        self.hidden_dim
+    }
+
+    fn forward(&self, xs: &[Matrix]) -> (Vec<Matrix>, LstmCache) {
+        assert!(!xs.is_empty(), "LSTM forward needs at least one timestep");
+        let n = xs[0].rows();
+        let h_dim = self.hidden_dim;
+        let mut h = Matrix::zeros(n, h_dim);
+        let mut c = Matrix::zeros(n, h_dim);
+        let mut hs = Vec::with_capacity(xs.len());
+        let mut steps = Vec::with_capacity(xs.len());
+        // One fused-gate scratch buffer reused across all timesteps.
+        let mut z = Matrix::zeros(n, 4 * h_dim);
+        for x in xs {
+            assert_eq!(x.cols(), self.input_dim, "timestep width mismatch");
+            assert_eq!(x.rows(), n, "timestep batch-size mismatch");
+            x.matmul_add_bias_into(&self.wx, &self.b, &mut z);
+            h.matmul_acc(&self.wh, &mut z);
+            let i = sigmoid(&z.slice_cols(0, h_dim));
+            let f = sigmoid(&z.slice_cols(h_dim, 2 * h_dim));
+            let g = tanh(&z.slice_cols(2 * h_dim, 3 * h_dim));
+            let o = sigmoid(&z.slice_cols(3 * h_dim, 4 * h_dim));
+            let c_new = &f.hadamard(&c) + &i.hadamard(&g);
+            let tc = tanh(&c_new);
+            let h_new = o.hadamard(&tc);
+            steps.push(StepCache {
+                x: x.clone(),
+                h_prev: h,
+                c_prev: c,
+                i,
+                f,
+                g,
+                o,
+                tc,
+            });
+            hs.push(h_new.clone());
+            h = h_new;
+            c = c_new;
+        }
+        (hs, LstmCache { steps })
+    }
+
+    /// Skips every backward-cache clone (`x`, `h_prev`, `c_prev`, the gate
+    /// activations) that [`forward`](RecurrentCell::forward) must retain.
+    /// Thin wrapper over [`forward_only_into`](Lstm::forward_only_into), so
+    /// batch and streaming predictions share one code path.
+    fn forward_only(&self, xs: &[Matrix]) -> Vec<Matrix> {
+        let mut hs = Vec::new();
+        let mut scratch = LstmScratch::default();
+        self.forward_only_into(xs, &mut hs, &mut scratch);
+        hs
+    }
+
+    fn backward(&self, cache: &LstmCache, dhs: &[Matrix]) -> (Vec<Matrix>, Vec<Matrix>) {
+        let (grads, dxs) = self.backward_impl(cache, dhs, true);
+        (grads.expect("weight grads requested").into(), dxs)
+    }
+
+    /// Skips the three weight-gradient matmuls per timestep.
+    fn backward_input_only(&self, cache: &LstmCache, dhs: &[Matrix]) -> Vec<Matrix> {
+        self.backward_impl(cache, dhs, false).1
+    }
+
+    fn params(&self) -> Vec<&Matrix> {
+        vec![&self.wx, &self.wh, &self.b]
+    }
+
+    fn params_mut(&mut self) -> Vec<&mut Matrix> {
+        vec![&mut self.wx, &mut self.wh, &mut self.b]
     }
 }
 
@@ -505,7 +483,7 @@ mod tests {
             let mut minus = lstm.clone();
             minus.perturb_wx(r, c, -h);
             let num = (objective(&plus, &xs) - objective(&minus, &xs)) / (2.0 * h);
-            let ana = grads.dwx.get(r, c);
+            let ana = grads[0].get(r, c);
             assert!((ana - num).abs() < 1e-6, "dwx({r},{c}): {ana} vs {num}");
         }
         // And wh entries (these exercise the recurrent path).
@@ -515,7 +493,7 @@ mod tests {
             let mut minus = lstm.clone();
             minus.perturb_wh(r, c, -h);
             let num = (objective(&plus, &xs) - objective(&minus, &xs)) / (2.0 * h);
-            let ana = grads.dwh.get(r, c);
+            let ana = grads[1].get(r, c);
             assert!((ana - num).abs() < 1e-6, "dwh({r},{c}): {ana} vs {num}");
         }
     }

@@ -1,26 +1,26 @@
-//! The stacked-LSTM monitor network.
+//! The stacked-LSTM monitor network and its LSTM-only serving paths.
 //!
-//! Architecture per the paper (§IV-A): a two-layer stacked LSTM (128, 64
-//! units) over an input window of 6 timesteps (30 minutes of APS data),
-//! followed by a fully connected softmax layer, trained with Adam and
-//! sparse categorical cross-entropy (plus the optional semantic loss for
-//! the "Custom" variant).
-//!
-//! Inputs are flat `N × (timesteps · feature_dim)` matrices laid out
-//! time-major; [`LstmNet`] splits them internally. This keeps one uniform
-//! input representation across both monitor architectures so the attack
-//! toolkit can perturb either through the same [`GradModel`] interface.
+//! [`LstmNet`] is the paper's monitor (§IV-A: two stacked LSTM layers of
+//! 128 and 64 units over 6 timesteps and a softmax head): the
+//! [`RecurrentNet`] with [`Lstm`] cells, so it trains, differentiates and
+//! saves through the shared scaffold. This module adds what only the LSTM
+//! serves: the allocation-free windowed prediction path
+//! ([`LstmNet::predict_proba_scratch`]), the stateful streaming step
+//! ([`LstmNet::step_stream`]) and its single-precision engine
+//! ([`LstmNetF32`]).
 
 use crate::activation::softmax_rows_inplace;
-use crate::adam::AdamTrainer;
-use crate::dense::Dense;
-use crate::loss::{cross_entropy, softmax_ce_grad, SemanticLoss};
 use crate::lstm::{step_state, Lstm, LstmScratch};
 use crate::matrix::{seed_rows, Matrix};
-use crate::model::GradModel;
 use crate::par;
-use crate::rng::SmallRng;
+use crate::recurrent_net::{RecurrentConfig, RecurrentNet};
 use crate::simd;
+
+/// The stacked-LSTM softmax classifier over fixed-length windows.
+pub type LstmNet = RecurrentNet<Lstm>;
+
+/// Configuration for [`LstmNet::new`].
+pub type LstmConfig = RecurrentConfig;
 
 /// Reusable forward buffers for [`LstmNet::predict_proba_scratch`]: the
 /// split input timesteps, each layer's hidden-state sequence, per-layer
@@ -45,198 +45,10 @@ impl Default for LstmNetScratch {
     }
 }
 
-/// Configuration for [`LstmNet::new`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LstmConfig {
-    /// Features per timestep.
-    pub feature_dim: usize,
-    /// Number of timesteps in the input window; the paper uses 6.
-    pub timesteps: usize,
-    /// Stacked hidden sizes; the paper uses `[128, 64]`.
-    pub hidden: Vec<usize>,
-    /// Number of output classes (2 for safe/unsafe).
-    pub classes: usize,
-    /// Weight-initialization seed.
-    pub seed: u64,
-}
-
-impl LstmConfig {
-    /// The paper's monitor architecture (128-64, 6 steps).
-    pub fn paper(feature_dim: usize) -> Self {
-        Self {
-            feature_dim,
-            timesteps: 6,
-            hidden: vec![128, 64],
-            classes: 2,
-            seed: 0,
-        }
-    }
-}
-
-/// A stacked-LSTM softmax classifier over fixed-length windows.
-#[derive(Debug, Clone)]
-pub struct LstmNet {
-    lstms: Vec<Lstm>,
-    head: Dense,
-    feature_dim: usize,
-    timesteps: usize,
-    classes: usize,
-    /// Optional semantic loss used when an indicator batch is supplied.
-    pub semantic: SemanticLoss,
-}
-
 impl LstmNet {
-    /// Builds the network described by `config`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any dimension is zero or `hidden` is empty.
-    pub fn new(config: &LstmConfig) -> Self {
-        assert!(config.feature_dim > 0, "feature_dim must be positive");
-        assert!(config.timesteps > 0, "timesteps must be positive");
-        assert!(config.classes > 0, "classes must be positive");
-        assert!(!config.hidden.is_empty(), "need at least one LSTM layer");
-        assert!(
-            config.hidden.iter().all(|&h| h > 0),
-            "hidden widths must be positive"
-        );
-        let mut rng = SmallRng::new(config.seed ^ 0x6c73_746d_5f6e_6574);
-        let mut lstms = Vec::with_capacity(config.hidden.len());
-        let mut prev = config.feature_dim;
-        for &h in &config.hidden {
-            lstms.push(Lstm::new(prev, h, &mut rng));
-            prev = h;
-        }
-        let head = Dense::new(prev, config.classes, &mut rng);
-        Self {
-            lstms,
-            head,
-            feature_dim: config.feature_dim,
-            timesteps: config.timesteps,
-            classes: config.classes,
-            semantic: SemanticLoss::default(),
-        }
-    }
-
-    /// Total number of trainable scalars (for sizing an [`AdamTrainer`]).
-    pub fn param_count(&self) -> usize {
-        self.lstms.iter().map(Lstm::param_count).sum::<usize>() + self.head.param_count()
-    }
-
-    /// Number of timesteps per window.
-    pub fn timesteps(&self) -> usize {
-        self.timesteps
-    }
-
-    /// Features per timestep.
-    pub fn feature_dim(&self) -> usize {
-        self.feature_dim
-    }
-
     /// The stacked LSTM layers in forward order.
     pub fn lstm_layers(&self) -> &[Lstm] {
-        &self.lstms
-    }
-
-    /// The dense softmax head.
-    pub fn head(&self) -> &Dense {
-        &self.head
-    }
-
-    /// Replaces all parameters (used by deserialization).
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the first shape inconsistency, if any.
-    pub fn set_params(
-        &mut self,
-        lstm_params: Vec<(
-            crate::matrix::Matrix,
-            crate::matrix::Matrix,
-            crate::matrix::Matrix,
-        )>,
-        head: Dense,
-    ) -> Result<(), String> {
-        if lstm_params.is_empty() {
-            return Err("at least one LSTM layer required".into());
-        }
-        let mut lstms = Vec::with_capacity(lstm_params.len());
-        let mut prev = self.feature_dim;
-        for (i, (wx, wh, b)) in lstm_params.into_iter().enumerate() {
-            if wx.rows() != prev {
-                return Err(format!(
-                    "lstm{i} input width {} != expected {prev}",
-                    wx.rows()
-                ));
-            }
-            if wh.cols() != 4 * wh.rows() || wx.cols() != wh.cols() || b.cols() != wh.cols() {
-                return Err(format!("lstm{i} gate shapes inconsistent"));
-            }
-            prev = wh.rows();
-            lstms.push(Lstm::from_params(wx, wh, b));
-        }
-        if head.input_dim() != prev {
-            return Err(format!(
-                "head input width {} != top hidden {prev}",
-                head.input_dim()
-            ));
-        }
-        self.classes = head.output_dim();
-        self.lstms = lstms;
-        self.head = head;
-        Ok(())
-    }
-
-    /// Splits a flat time-major batch into per-timestep matrices.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x.cols() != timesteps · feature_dim`.
-    fn split_steps(&self, x: &Matrix) -> Vec<Matrix> {
-        assert_eq!(
-            x.cols(),
-            self.timesteps * self.feature_dim,
-            "input width mismatch: expected {}·{}",
-            self.timesteps,
-            self.feature_dim
-        );
-        (0..self.timesteps)
-            .map(|t| x.slice_cols(t * self.feature_dim, (t + 1) * self.feature_dim))
-            .collect()
-    }
-
-    /// Re-assembles per-timestep gradients into the flat input layout.
-    fn join_steps(&self, dxs: &[Matrix]) -> Matrix {
-        let n = dxs[0].rows();
-        let mut out = Matrix::zeros(n, self.timesteps * self.feature_dim);
-        for (t, dx) in dxs.iter().enumerate() {
-            out.set_cols(t * self.feature_dim, dx);
-        }
-        out
-    }
-
-    /// Full forward pass; returns logits plus the caches needed to backprop.
-    fn forward_cached(&self, x: &Matrix) -> (Matrix, Vec<crate::lstm::LstmCache>, Matrix) {
-        let mut seq = self.split_steps(x);
-        let mut caches = Vec::with_capacity(self.lstms.len());
-        for lstm in &self.lstms {
-            let (hs, cache) = lstm.forward(&seq);
-            caches.push(cache);
-            seq = hs;
-        }
-        let last_h = seq.pop().expect("at least one timestep");
-        let logits = self.head.forward(&last_h);
-        (logits, caches, last_h)
-    }
-
-    /// Forward pass without any backward caches (the prediction path).
-    fn forward_only(&self, x: &Matrix) -> Matrix {
-        let mut seq = self.split_steps(x);
-        for lstm in &self.lstms {
-            seq = lstm.forward_only(&seq);
-        }
-        let last_h = seq.pop().expect("at least one timestep");
-        self.head.forward(&last_h)
+        &self.cells
     }
 
     /// Class probabilities through caller-owned scratch buffers — the
@@ -244,12 +56,14 @@ impl LstmNet {
     /// monitor sessions. Runs the same kernels as the batch path
     /// ([`Lstm::forward_only_into`], [`Dense::forward_into`],
     /// [`softmax_rows_inplace`]) so the result is bit-identical to
-    /// [`predict_proba`](GradModel::predict_proba) on the same rows, but
-    /// performs no allocation once the scratch is warm.
+    /// [`predict_proba`](crate::GradModel::predict_proba) on the same rows,
+    /// but performs no allocation once the scratch is warm.
     ///
     /// # Panics
     ///
     /// Panics if `x.cols() != timesteps · feature_dim`.
+    ///
+    /// [`Dense::forward_into`]: crate::Dense::forward_into
     pub fn predict_proba_scratch<'s>(
         &self,
         x: &Matrix,
@@ -270,11 +84,11 @@ impl LstmNet {
             step.reset_shape(n, self.feature_dim);
             x.slice_cols_into(t * self.feature_dim, (t + 1) * self.feature_dim, step);
         }
-        scratch.seqs.resize_with(self.lstms.len(), Vec::new);
+        scratch.seqs.resize_with(self.cells.len(), Vec::new);
         scratch
             .layers
-            .resize_with(self.lstms.len(), LstmScratch::default);
-        for (i, lstm) in self.lstms.iter().enumerate() {
+            .resize_with(self.cells.len(), LstmScratch::default);
+        for (i, lstm) in self.cells.iter().enumerate() {
             let (done, todo) = scratch.seqs.split_at_mut(i);
             let input: &[Matrix] = if i == 0 { &scratch.steps } else { &done[i - 1] };
             lstm.forward_only_into(input, &mut todo[0], &mut scratch.layers[i]);
@@ -284,163 +98,10 @@ impl LstmNet {
             .last()
             .and_then(|seq| seq.last())
             .expect("at least one layer and timestep");
-        scratch.logits.reset_shape(n, self.classes);
+        scratch.logits.reset_shape(n, self.head.output_dim());
         self.head.forward_into(last_h, &mut scratch.logits);
         softmax_rows_inplace(&mut scratch.logits);
         &scratch.logits
-    }
-
-    /// Seed gradient for the stacked backward passes: only the last timestep
-    /// of the top LSTM receives signal from the head.
-    fn seed_dhs(&self, dh_last: Matrix) -> Vec<Matrix> {
-        let n = dh_last.rows();
-        let top = self.lstms.len() - 1;
-        let mut dhs: Vec<Matrix> = (0..self.timesteps)
-            .map(|_| Matrix::zeros(n, self.lstms[top].hidden_dim()))
-            .collect();
-        dhs[self.timesteps - 1] = dh_last;
-        dhs
-    }
-
-    /// Backward pass from a logits gradient down to the flat input gradient,
-    /// collecting weight gradients along the way.
-    fn backward_from_dz(
-        &self,
-        caches: &[crate::lstm::LstmCache],
-        last_h: &Matrix,
-        dz: &Matrix,
-    ) -> (
-        Vec<crate::lstm::LstmGrads>,
-        crate::dense::DenseGrads,
-        Matrix,
-    ) {
-        let (head_grads, dh_last) = self.head.backward(last_h, dz);
-        let mut lstm_grads = vec![None; self.lstms.len()];
-        let mut dseq = self.seed_dhs(dh_last);
-        for (i, lstm) in self.lstms.iter().enumerate().rev() {
-            let (g, dxs) = lstm.backward(&caches[i], &dseq);
-            lstm_grads[i] = Some(g);
-            dseq = dxs;
-        }
-        let dx = self.join_steps(&dseq);
-        (
-            lstm_grads
-                .into_iter()
-                .map(|g| g.expect("grad computed"))
-                .collect(),
-            head_grads,
-            dx,
-        )
-    }
-
-    /// Backward pass that skips all weight gradients — the attack path.
-    fn backward_input_only(&self, caches: &[crate::lstm::LstmCache], dz: &Matrix) -> Matrix {
-        let dh_last = dz.matmul_tb(self.head.weights());
-        let mut dseq = self.seed_dhs(dh_last);
-        for (i, lstm) in self.lstms.iter().enumerate().rev() {
-            dseq = lstm.backward_input_only(&caches[i], &dseq);
-        }
-        self.join_steps(&dseq)
-    }
-
-    /// Loss and weight gradients for one contiguous batch.
-    fn batch_grads(
-        &self,
-        x: &Matrix,
-        labels: &[usize],
-        indicator: Option<&[f64]>,
-    ) -> (f64, Vec<crate::lstm::LstmGrads>, crate::dense::DenseGrads) {
-        let (logits, caches, last_h) = self.forward_cached(x);
-        let (probs, mut dz) = softmax_ce_grad(&logits, labels);
-        let mut loss = cross_entropy(&probs, labels);
-        if let Some(ind) = indicator {
-            loss += self.semantic.penalty(&probs, ind);
-            self.semantic.add_grad(&probs, ind, &mut dz);
-        }
-        let (lstm_grads, head_grads, _) = self.backward_from_dz(&caches, &last_h, &dz);
-        (loss, lstm_grads, head_grads)
-    }
-
-    /// One minibatch of training; see [`MlpNet::train_batch`] for the
-    /// indicator semantics. Returns the total batch loss.
-    ///
-    /// # Panics
-    ///
-    /// Panics on shape/label mismatches.
-    ///
-    /// [`MlpNet::train_batch`]: crate::mlp_net::MlpNet::train_batch
-    pub fn train_batch(
-        &mut self,
-        x: &Matrix,
-        labels: &[usize],
-        indicator: Option<&[f64]>,
-        trainer: &mut AdamTrainer,
-    ) -> f64 {
-        assert_eq!(labels.len(), x.rows(), "label count mismatch");
-        let n = x.rows();
-        let ranges = par::chunk_ranges(n, par::GRAD_CHUNK);
-        let (loss, lstm_grads, head_grads) = if ranges.len() <= 1 {
-            self.batch_grads(x, labels, indicator)
-        } else {
-            // Chunked gradient accumulation on the fixed GRAD_CHUNK grid:
-            // results are identical for any thread count (see `par` docs).
-            let parts = par::run_chunks(n, par::GRAD_CHUNK, |r| {
-                let chunk = x.slice_rows(r.start, r.end);
-                self.batch_grads(
-                    &chunk,
-                    &labels[r.clone()],
-                    indicator.map(|ind| &ind[r.clone()]),
-                )
-            });
-            let mut merged: Option<(f64, Vec<crate::lstm::LstmGrads>, crate::dense::DenseGrads)> =
-                None;
-            for (range, (chunk_loss, lg, hg)) in ranges.iter().zip(parts) {
-                let weight = range.len() as f64 / n as f64;
-                match merged.as_mut() {
-                    None => {
-                        let mut lg = lg;
-                        let mut hg = hg;
-                        for g in &mut lg {
-                            g.dwx.map_inplace(|v| v * weight);
-                            g.dwh.map_inplace(|v| v * weight);
-                            g.db.map_inplace(|v| v * weight);
-                        }
-                        hg.dw.map_inplace(|v| v * weight);
-                        hg.db.map_inplace(|v| v * weight);
-                        merged = Some((weight * chunk_loss, lg, hg));
-                    }
-                    Some((loss_acc, lg_acc, hg_acc)) => {
-                        *loss_acc += weight * chunk_loss;
-                        for (acc, g) in lg_acc.iter_mut().zip(&lg) {
-                            acc.dwx.add_scaled(&g.dwx, weight);
-                            acc.dwh.add_scaled(&g.dwh, weight);
-                            acc.db.add_scaled(&g.db, weight);
-                        }
-                        hg_acc.dw.add_scaled(&hg.dw, weight);
-                        hg_acc.db.add_scaled(&hg.db, weight);
-                    }
-                }
-            }
-            merged.expect("at least one chunk")
-        };
-        trainer.begin_step();
-        let mut off = 0;
-        for (lstm, g) in self.lstms.iter_mut().zip(lstm_grads.iter()) {
-            off = lstm.apply_update(trainer, off, g);
-        }
-        off = self.head.apply_update(trainer, off, &head_grads);
-        debug_assert_eq!(off, trainer.param_count());
-        loss
-    }
-
-    /// Mean training loss of a batch without updating weights.
-    pub fn eval_loss(&self, x: &Matrix, labels: &[usize], indicator: Option<&[f64]>) -> f64 {
-        let probs = self.predict_proba(x);
-        let mut loss = cross_entropy(&probs, labels);
-        if let Some(ind) = indicator {
-            loss += self.semantic.penalty(&probs, ind);
-        }
-        loss
     }
 }
 
@@ -630,12 +291,12 @@ impl LstmNet {
     pub fn stream_state(&self, rows: usize) -> LstmStreamState {
         LstmStreamState {
             h: self
-                .lstms
+                .cells
                 .iter()
                 .map(|l| Matrix::zeros(rows, l.hidden_dim()))
                 .collect(),
             c: self
-                .lstms
+                .cells
                 .iter()
                 .map(|l| Matrix::zeros(rows, l.hidden_dim()))
                 .collect(),
@@ -668,10 +329,10 @@ impl LstmNet {
     /// [`predict_proba_scratch`]: Self::predict_proba_scratch
     pub fn step_stream<'s>(&self, x: &Matrix, state: &'s mut LstmStreamState) -> &'s Matrix {
         assert_eq!(x.cols(), self.feature_dim, "step width mismatch");
-        assert_eq!(state.h.len(), self.lstms.len(), "state layer mismatch");
-        let widest = self.lstms.iter().map(Lstm::hidden_dim).max();
+        assert_eq!(state.h.len(), self.cells.len(), "state layer mismatch");
+        let widest = self.cells.iter().map(Lstm::hidden_dim).max();
         let gate_width = 4 * widest.expect("at least one layer");
-        state.step_chunks(x, gate_width, self.classes, 0, |chunk| {
+        state.step_chunks(x, gate_width, self.head.output_dim(), 0, |chunk| {
             self.step_chunk(chunk);
         })
     }
@@ -688,25 +349,24 @@ impl LstmNet {
             ..
         } = chunk;
         let rows = x.len() / self.feature_dim;
-        for (i, lstm) in self.lstms.iter().enumerate() {
+        for (i, lstm) in self.cells.iter().enumerate() {
             let (done, todo) = layers.split_at_mut(i);
             let input: &[f64] = done.last().map_or(x, |(h, _)| &**h);
             let (h, c) = &mut todo[0];
             lstm.step_slices(input, h, c, &mut z[..rows * 4 * lstm.hidden_dim()]);
         }
         let (last_h, _) = layers.last().expect("at least one layer");
+        let classes = self.head.output_dim();
         seed_rows(probs, self.head.bias().as_slice());
         simd::gemm_acc(
             last_h,
             rows,
             self.head.input_dim(),
             self.head.weights().as_slice(),
-            self.classes,
+            classes,
             probs,
         );
-        probs
-            .chunks_exact_mut(self.classes)
-            .for_each(simd::softmax_row);
+        probs.chunks_exact_mut(classes).for_each(simd::softmax_row);
     }
 }
 
@@ -748,7 +408,7 @@ impl LstmNetF32 {
     pub fn from_net(net: &LstmNet) -> Self {
         Self {
             layers: net
-                .lstms
+                .cells
                 .iter()
                 .map(|l| LstmLayerF32 {
                     wx: to_f32(l.wx()),
@@ -761,7 +421,7 @@ impl LstmNetF32 {
             head_w: to_f32(net.head.weights()),
             head_b: to_f32(net.head.bias()),
             feature_dim: net.feature_dim,
-            classes: net.classes,
+            classes: net.head.output_dim(),
         }
     }
 
@@ -881,44 +541,12 @@ impl LstmNetF32 {
     }
 }
 
-impl GradModel for LstmNet {
-    fn classes(&self) -> usize {
-        self.classes
-    }
-
-    fn input_width(&self) -> usize {
-        self.timesteps * self.feature_dim
-    }
-
-    fn predict_proba(&self, x: &Matrix) -> Matrix {
-        par::map_rows(x, par::PREDICT_CHUNK, |_, chunk| {
-            crate::activation::softmax_rows(&self.forward_only(chunk))
-        })
-    }
-
-    fn input_gradient(&self, x: &Matrix, labels: &[usize]) -> Matrix {
-        assert_eq!(labels.len(), x.rows(), "label count mismatch");
-        let n = x.rows();
-        par::map_rows(x, par::GRAD_CHUNK, |r, chunk| {
-            let (logits, caches, _) = self.forward_cached(chunk);
-            let (_, dz) = softmax_ce_grad(&logits, &labels[r.clone()]);
-            let mut dx = self.backward_input_only(&caches, &dz);
-            if r.len() != n {
-                // softmax_ce_grad scales by 1/chunk_rows; rescale to 1/n so
-                // the stacked result matches the unchunked gradient.
-                let weight = r.len() as f64 / n as f64;
-                dx.map_inplace(|v| v * weight);
-            }
-            dx
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::gradcheck::{max_relative_error, numeric_input_grad};
     use crate::init::random_normal;
+    use crate::model::GradModel;
+    use crate::rng::SmallRng;
 
     fn tiny_net(seed: u64) -> LstmNet {
         LstmNet::new(&LstmConfig {
@@ -928,98 +556,6 @@ mod tests {
             classes: 2,
             seed,
         })
-    }
-
-    #[test]
-    fn proba_rows_sum_to_one() {
-        let net = tiny_net(1);
-        let x = random_normal(4, 12, 1.0, &mut SmallRng::new(2));
-        let p = net.predict_proba(&x);
-        assert_eq!(p.shape(), (4, 2));
-        for r in 0..4 {
-            let s: f64 = p.row(r).iter().sum();
-            assert!((s - 1.0).abs() < 1e-12);
-        }
-    }
-
-    #[test]
-    fn input_gradient_matches_finite_difference() {
-        let net = tiny_net(3);
-        let x = random_normal(2, 12, 0.6, &mut SmallRng::new(4));
-        let labels = vec![1usize, 0];
-        let ana = net.input_gradient(&x, &labels);
-        let num = numeric_input_grad(&x, 1e-6, |xp| {
-            cross_entropy(&net.predict_proba(xp), &labels)
-        });
-        let err = max_relative_error(&ana, &num);
-        assert!(err < 1e-5, "input-grad error {err}");
-    }
-
-    #[test]
-    fn gradient_reaches_every_timestep() {
-        let net = tiny_net(5);
-        let x = random_normal(1, 12, 0.6, &mut SmallRng::new(6));
-        let g = net.input_gradient(&x, &[1]);
-        for t in 0..4 {
-            let step = g.slice_cols(t * 3, (t + 1) * 3);
-            assert!(step.max_abs() > 0.0, "no gradient at timestep {t}");
-        }
-    }
-
-    #[test]
-    fn training_learns_sequence_rule() {
-        // Label = 1 iff the *first* timestep's first feature is positive —
-        // forces memory across the sequence.
-        let mut rng = SmallRng::new(7);
-        let mut rows = Vec::new();
-        let mut labels = Vec::new();
-        for _ in 0..60 {
-            let y = rng.bernoulli(0.5) as usize;
-            let mut row = vec![0.0; 12];
-            for (i, v) in row.iter_mut().enumerate() {
-                *v = rng.normal_with(0.0, 0.3);
-                if i == 0 {
-                    *v = if y == 1 { 1.5 } else { -1.5 } + rng.normal_with(0.0, 0.2);
-                }
-            }
-            rows.push(row);
-            labels.push(y);
-        }
-        let refs: Vec<&[f64]> = rows.iter().map(Vec::as_slice).collect();
-        let x = Matrix::from_rows(&refs);
-        let mut net = tiny_net(8);
-        let mut trainer = AdamTrainer::new(net.param_count(), 0.02);
-        for _ in 0..150 {
-            net.train_batch(&x, &labels, None, &mut trainer);
-        }
-        let preds = net.predict_labels(&x);
-        let correct = preds.iter().zip(&labels).filter(|(p, y)| p == y).count();
-        assert!(correct >= 55, "only {correct}/60 correct");
-    }
-
-    #[test]
-    fn paper_architecture_has_expected_param_count() {
-        let net = LstmNet::new(&LstmConfig::paper(6));
-        let lstm1 = 4 * (6 * 128 + 128 * 128 + 128);
-        let lstm2 = 4 * (128 * 64 + 64 * 64 + 64);
-        let head = 64 * 2 + 2;
-        assert_eq!(net.param_count(), lstm1 + lstm2 + head);
-    }
-
-    #[test]
-    fn deterministic_given_seed() {
-        let a = tiny_net(11);
-        let b = tiny_net(11);
-        let x = random_normal(2, 12, 1.0, &mut SmallRng::new(1));
-        assert_eq!(a.predict_proba(&x), b.predict_proba(&x));
-    }
-
-    #[test]
-    #[should_panic(expected = "input width mismatch")]
-    fn rejects_wrong_input_width() {
-        let net = tiny_net(12);
-        let x = Matrix::zeros(1, 11);
-        let _ = net.predict_proba(&x);
     }
 
     #[test]

@@ -506,7 +506,7 @@ impl Matrix {
     pub fn matmul_tb(&self, rhs: &Matrix) -> Matrix {
         assert_eq!(
             self.cols, rhs.cols,
-            "matmul_transpose shape mismatch: {}x{} · ({}x{})ᵀ",
+            "matmul_tb shape mismatch: {}x{} · ({}x{})ᵀ",
             self.rows, self.cols, rhs.rows, rhs.cols
         );
         let k = self.cols;
@@ -535,16 +535,6 @@ impl Matrix {
             gemm_acc(&self.data, self.rows, k, &packed[..k * n], n, &mut out.data);
             out
         })
-    }
-
-    /// Alias for [`matmul_tb`](Self::matmul_tb), kept for callers written
-    /// against the original kernel name.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `self.cols() != rhs.cols()`.
-    pub fn matmul_transpose(&self, rhs: &Matrix) -> Matrix {
-        self.matmul_tb(rhs)
     }
 
     /// `selfᵀ · rhs` without materializing the transpose (the weight-grad
@@ -806,7 +796,7 @@ mod tests {
     fn matmul_transpose_agrees_with_explicit_transpose() {
         let a = Matrix::from_rows(&[&[1.0, 2.0, 3.0], &[4.0, 5.0, 6.0]]);
         let b = Matrix::from_rows(&[&[1.0, 0.5, -1.0], &[2.0, -2.0, 0.0]]);
-        assert_eq!(a.matmul_transpose(&b), a.matmul(&b.transpose()));
+        assert_eq!(a.matmul_tb(&b), a.matmul(&b.transpose()));
     }
 
     #[test]

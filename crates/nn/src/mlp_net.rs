@@ -4,15 +4,13 @@
 //! 128 units with ReLU activations, followed by a softmax output layer,
 //! trained with Adam and sparse categorical cross-entropy. The "Custom"
 //! variant adds the semantic-loss term (Eq. 2) through the optional
-//! indicator argument of [`MlpNet::train_batch`].
+//! indicator argument of [`Network::train_batch`].
 
-use crate::activation::{relu, relu_grad_mask, relu_inplace, softmax_rows, softmax_rows_inplace};
-use crate::adam::AdamTrainer;
-use crate::dense::{Dense, DenseGrads};
-use crate::loss::{cross_entropy, softmax_ce_grad, SemanticLoss};
+use crate::activation::{relu, relu_grad_mask, relu_inplace, softmax_rows_inplace};
+use crate::dense::Dense;
+use crate::loss::SemanticLoss;
 use crate::matrix::Matrix;
-use crate::model::GradModel;
-use crate::par;
+use crate::model::Network;
 use crate::rng::SmallRng;
 
 /// Configuration for [`MlpNet::new`].
@@ -52,7 +50,6 @@ pub struct MlpScratch {
 #[derive(Debug, Clone)]
 pub struct MlpNet {
     layers: Vec<Dense>,
-    classes: usize,
     /// Optional semantic loss used when an indicator batch is supplied.
     pub semantic: SemanticLoss,
 }
@@ -80,14 +77,38 @@ impl MlpNet {
         layers.push(Dense::new(prev, config.classes, &mut rng));
         Self {
             layers,
-            classes: config.classes,
             semantic: SemanticLoss::default(),
         }
     }
 
-    /// Total number of trainable scalars (for sizing an [`AdamTrainer`]).
-    pub fn param_count(&self) -> usize {
-        self.layers.iter().map(Dense::param_count).sum()
+    /// Builds a network from its dense layers in forward order (used by
+    /// deserialization), with the default semantic loss.
+    ///
+    /// # Errors
+    ///
+    /// Returns a description of the first inconsistency: no layers, a
+    /// zero width, or consecutive layers whose widths do not chain.
+    pub(crate) fn from_layers(layers: Vec<Dense>) -> Result<Self, String> {
+        if layers.is_empty() {
+            return Err("network must have at least one layer".into());
+        }
+        for (i, layer) in layers.iter().enumerate() {
+            if layer.input_dim() == 0 || layer.output_dim() == 0 {
+                return Err(format!("dense{i} has a zero width"));
+            }
+            if i > 0 && layers[i - 1].output_dim() != layer.input_dim() {
+                return Err(format!(
+                    "dense{i} input width {} != dense{} output width {}",
+                    layer.input_dim(),
+                    i - 1,
+                    layers[i - 1].output_dim()
+                ));
+            }
+        }
+        Ok(Self {
+            layers,
+            semantic: SemanticLoss::default(),
+        })
     }
 
     /// The dense layers in forward order (hidden layers then the head).
@@ -95,55 +116,12 @@ impl MlpNet {
         &self.layers
     }
 
-    /// Replaces all layers (used by deserialization).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `layers` is empty or consecutive layers' widths mismatch.
-    pub fn set_layers(&mut self, layers: Vec<Dense>) {
-        assert!(!layers.is_empty(), "network must have at least one layer");
-        for pair in layers.windows(2) {
-            assert_eq!(
-                pair[0].output_dim(),
-                pair[1].input_dim(),
-                "consecutive layer widths must match"
-            );
-        }
-        self.classes = layers.last().expect("non-empty").output_dim();
-        self.layers = layers;
-    }
-
-    /// Raw (pre-softmax) logits for a batch, computed over parallel row
-    /// chunks (the forward pass is row-independent, so chunking is
-    /// bit-transparent at any thread count).
-    pub fn predict_logits(&self, x: &Matrix) -> Matrix {
-        par::map_rows(x, par::PREDICT_CHUNK, |_, chunk| self.forward_only(chunk))
-    }
-
-    /// Forward pass without caching (prediction path): no intermediate
-    /// clones, ReLU applied in place.
-    fn forward_only(&self, x: &Matrix) -> Matrix {
-        assert_eq!(x.cols(), self.layers[0].input_dim(), "input width mismatch");
-        let last = self.layers.len() - 1;
-        let mut cur = self.layers[0].forward(x);
-        if last > 0 {
-            relu_inplace(&mut cur);
-        }
-        for (i, layer) in self.layers.iter().enumerate().skip(1) {
-            cur = layer.forward(&cur);
-            if i != last {
-                relu_inplace(&mut cur);
-            }
-        }
-        cur
-    }
-
     /// Class probabilities through caller-owned scratch buffers — the
     /// single-row/small-batch prediction fast path used by streaming
     /// monitor sessions. Runs the same kernels as the batch path
     /// ([`Dense::forward_into`], [`relu_inplace`], [`softmax_rows_inplace`])
     /// so the result is bit-identical to
-    /// [`predict_proba`](GradModel::predict_proba) on the same rows, but
+    /// [`predict_proba`](crate::GradModel::predict_proba) on the same rows, but
     /// performs no allocation once the scratch is warm.
     ///
     /// # Panics
@@ -170,13 +148,44 @@ impl MlpNet {
         softmax_rows_inplace(probs);
         probs
     }
+}
 
-    /// Forward pass caching layer inputs and hidden pre-activations.
-    /// Returns `(logits, inputs, zs)` where `inputs[i]` is the input to
-    /// layer `i` and `zs[i]` is hidden layer `i`'s pre-activation (needed
-    /// for the ReLU mask — cached here so the backward pass does not redo
-    /// the forward matmuls).
-    fn forward_cached(&self, x: &Matrix) -> (Matrix, Vec<Matrix>, Vec<Matrix>) {
+impl Network for MlpNet {
+    /// The input to every layer, then every hidden layer's pre-activation
+    /// (kept for the ReLU mask, so the backward pass does not redo the
+    /// forward matmuls).
+    type Cache = (Vec<Matrix>, Vec<Matrix>);
+
+    fn input_dim(&self) -> usize {
+        self.layers[0].input_dim()
+    }
+
+    fn output_dim(&self) -> usize {
+        self.layers.last().expect("at least one layer").output_dim()
+    }
+
+    fn semantic(&self) -> &SemanticLoss {
+        &self.semantic
+    }
+
+    /// No intermediate clones, ReLU applied in place.
+    fn logits(&self, x: &Matrix) -> Matrix {
+        assert_eq!(x.cols(), self.layers[0].input_dim(), "input width mismatch");
+        let last = self.layers.len() - 1;
+        let mut cur = self.layers[0].forward(x);
+        if last > 0 {
+            relu_inplace(&mut cur);
+        }
+        for (i, layer) in self.layers.iter().enumerate().skip(1) {
+            cur = layer.forward(&cur);
+            if i != last {
+                relu_inplace(&mut cur);
+            }
+        }
+        cur
+    }
+
+    fn forward_cached(&self, x: &Matrix) -> (Matrix, Self::Cache) {
         assert_eq!(x.cols(), self.layers[0].input_dim(), "input width mismatch");
         let mut inputs = Vec::with_capacity(self.layers.len());
         let mut zs = Vec::with_capacity(self.layers.len() - 1);
@@ -185,7 +194,7 @@ impl MlpNet {
             let z = layer.forward(&cur);
             inputs.push(cur);
             if i + 1 == self.layers.len() {
-                return (z, inputs, zs);
+                return (z, (inputs, zs));
             }
             cur = relu(&z);
             zs.push(z);
@@ -193,13 +202,7 @@ impl MlpNet {
         unreachable!("network has at least one layer");
     }
 
-    /// Shared backward pass from a logits-gradient to (weight grads, dx).
-    fn backward_from_dz(
-        &self,
-        inputs: &[Matrix],
-        zs: &[Matrix],
-        mut dz: Matrix,
-    ) -> (Vec<DenseGrads>, Matrix) {
+    fn backward(&self, (inputs, zs): &Self::Cache, mut dz: Matrix) -> Vec<Matrix> {
         let mut grads = Vec::with_capacity(self.layers.len());
         for (i, layer) in self.layers.iter().enumerate().rev() {
             let (g, dx) = layer.backward(&inputs[i], &dz);
@@ -210,13 +213,11 @@ impl MlpNet {
                 dx
             };
         }
-        grads.reverse();
-        (grads, dz)
+        grads.into_iter().rev().flatten().collect()
     }
 
-    /// Input-gradient-only backward pass: skips the weight-gradient
-    /// matmuls, which attacks (FGSM/PGD) never consume.
-    fn backward_input_only(&self, zs: &[Matrix], mut dz: Matrix) -> Matrix {
+    /// Skips the weight-gradient matmuls.
+    fn backward_input(&self, (_, zs): &Self::Cache, mut dz: Matrix) -> Matrix {
         for (i, layer) in self.layers.iter().enumerate().rev() {
             let dx = dz.matmul_tb(layer.weights());
             dz = if i > 0 {
@@ -228,141 +229,23 @@ impl MlpNet {
         dz
     }
 
-    /// Loss and weight gradients of one (sub-)batch, without updating.
-    fn batch_grads(
-        &self,
-        x: &Matrix,
-        labels: &[usize],
-        indicator: Option<&[f64]>,
-    ) -> (f64, Vec<DenseGrads>) {
-        let (logits, inputs, zs) = self.forward_cached(x);
-        let (probs, mut dz) = softmax_ce_grad(&logits, labels);
-        let mut loss = cross_entropy(&probs, labels);
-        if let Some(ind) = indicator {
-            loss += self.semantic.penalty(&probs, ind);
-            self.semantic.add_grad(&probs, ind, &mut dz);
-        }
-        let (grads, _) = self.backward_from_dz(&inputs, &zs, dz);
-        (loss, grads)
+    fn params_mut(&mut self) -> Vec<&mut Matrix> {
+        self.layers.iter_mut().flat_map(Dense::params_mut).collect()
     }
 
-    /// One minibatch of training. `indicator` is the per-row safety-rule
-    /// truth value; when present, the semantic loss (Eq. 2) is added with
-    /// weight [`MlpNet::semantic`]. Returns the total batch loss.
-    ///
-    /// Batches larger than [`par::GRAD_CHUNK`] rows are split into fixed
-    /// row chunks whose gradients are computed in parallel and merged in
-    /// chunk order with weights `chunk_rows / batch_rows` (the per-chunk
-    /// mean-loss gradients recombine into the batch mean). The chunk grid
-    /// is independent of the thread count, so training is bit-deterministic
-    /// for any `CPSMON_THREADS`; batches of at most one chunk take the
-    /// legacy whole-batch path unchanged.
-    ///
-    /// # Panics
-    ///
-    /// Panics on shape/label mismatches.
-    pub fn train_batch(
-        &mut self,
-        x: &Matrix,
-        labels: &[usize],
-        indicator: Option<&[f64]>,
-        trainer: &mut AdamTrainer,
-    ) -> f64 {
-        assert_eq!(labels.len(), x.rows(), "label count mismatch");
-        let n = x.rows();
-        let ranges = par::chunk_ranges(n, par::GRAD_CHUNK);
-        let (loss, grads) = if ranges.len() <= 1 {
-            self.batch_grads(x, labels, indicator)
-        } else {
-            let parts = par::run_chunks(n, par::GRAD_CHUNK, |r| {
-                let chunk = x.slice_rows(r.start, r.end);
-                self.batch_grads(&chunk, &labels[r.clone()], indicator.map(|ind| &ind[r]))
-            });
-            let mut loss = 0.0;
-            let mut merged: Option<Vec<DenseGrads>> = None;
-            for (range, (chunk_loss, chunk_grads)) in ranges.iter().zip(parts) {
-                let weight = range.len() as f64 / n as f64;
-                loss += weight * chunk_loss;
-                match &mut merged {
-                    None => {
-                        let mut scaled = chunk_grads;
-                        for g in &mut scaled {
-                            g.dw.map_inplace(|v| v * weight);
-                            g.db.map_inplace(|v| v * weight);
-                        }
-                        merged = Some(scaled);
-                    }
-                    Some(acc) => {
-                        for (a, g) in acc.iter_mut().zip(&chunk_grads) {
-                            a.dw.add_scaled(&g.dw, weight);
-                            a.db.add_scaled(&g.db, weight);
-                        }
-                    }
-                }
-            }
-            (loss, merged.expect("at least one chunk"))
-        };
-        trainer.begin_step();
-        let mut off = 0;
-        for (layer, g) in self.layers.iter_mut().zip(grads.iter()) {
-            off = layer.apply_update(trainer, off, g);
-        }
-        debug_assert_eq!(off, trainer.param_count());
-        loss
-    }
-
-    /// Mean training loss of a batch without updating weights.
-    pub fn eval_loss(&self, x: &Matrix, labels: &[usize], indicator: Option<&[f64]>) -> f64 {
-        let probs = self.predict_proba(x);
-        let mut loss = cross_entropy(&probs, labels);
-        if let Some(ind) = indicator {
-            loss += self.semantic.penalty(&probs, ind);
-        }
-        loss
-    }
-}
-
-impl GradModel for MlpNet {
-    fn classes(&self) -> usize {
-        self.classes
-    }
-
-    fn input_width(&self) -> usize {
-        self.layers[0].input_dim()
-    }
-
-    fn predict_proba(&self, x: &Matrix) -> Matrix {
-        // Softmax is per-row, so fusing it into the chunk map keeps one
-        // parallel pass and stays bit-identical to the serial pipeline.
-        par::map_rows(x, par::PREDICT_CHUNK, |_, chunk| {
-            softmax_rows(&self.forward_only(chunk))
-        })
-    }
-
-    fn input_gradient(&self, x: &Matrix, labels: &[usize]) -> Matrix {
-        assert_eq!(labels.len(), x.rows(), "label count mismatch");
-        let n = x.rows();
-        par::map_rows(x, par::GRAD_CHUNK, |r, chunk| {
-            let (logits, _, zs) = self.forward_cached(chunk);
-            let (_, dz) = softmax_ce_grad(&logits, &labels[r.clone()]);
-            let mut dx = self.backward_input_only(&zs, dz);
-            if r.len() != n {
-                // Per-chunk gradients carry a 1/chunk_rows mean factor;
-                // reweight to the batch mean. (Positive scaling — the FGSM
-                // sign is unaffected either way.)
-                let weight = r.len() as f64 / n as f64;
-                dx.map_inplace(|v| v * weight);
-            }
-            dx
-        })
+    fn param_count(&self) -> usize {
+        self.layers.iter().map(Dense::param_count).sum()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::adam::AdamTrainer;
     use crate::gradcheck::{max_relative_error, numeric_input_grad};
     use crate::init::random_normal;
+    use crate::loss::cross_entropy;
+    use crate::model::GradModel;
 
     fn tiny_net(seed: u64) -> MlpNet {
         MlpNet::new(&MlpConfig {

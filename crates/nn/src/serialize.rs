@@ -43,18 +43,36 @@
 //!   fails loudly instead of silently mispredicting.
 //!
 //! Readers accept v1 and v2 interchangeably ([`MlpNet::load`] /
-//! [`LstmNet::load`] report which precision was stored via
-//! [`load_with_precision`](LstmNet::load_with_precision)); writers emit
-//! v1 for exact f64 saves ([`save`](LstmNet::save)) and v2 for quantized
-//! ones ([`save_quantized`](LstmNet::save_quantized)), so artifacts
-//! produced by older builds keep loading unchanged.
+//! [`RecurrentNet::load`] report which precision was stored via
+//! [`load_with_precision`](RecurrentNet::load_with_precision)); writers
+//! emit v1 for exact f64 saves ([`save`](RecurrentNet::save)) and v2 for
+//! quantized ones ([`save_quantized`](RecurrentNet::save_quantized)), so
+//! artifacts produced by older builds keep loading unchanged.
+//!
+//! Every recurrent network ([`LstmNet`](crate::LstmNet),
+//! [`GruNet`](crate::GruNet)) shares one layout, named by its cell's
+//! [`RecurrentCell::KIND`] and [`RecurrentCell::TENSORS`]:
+//!
+//! ```text
+//! cpsmon-net v1 gru
+//! semantic 0.5
+//! shape <feature_dim> <timesteps>
+//! grus <layers>
+//! tensor gru0.wxz 6 128
+//! …                                ← every layer's tensors, then
+//! tensor head.w 64 2               ← the dense head
+//! tensor head.b 1 2
+//! ```
+//!
+//! A file whose tensors parse but do not fit together (a bias of the wrong
+//! width, layers whose widths do not chain, a zero dimension) is rejected
+//! with [`LoadError::Parse`], never a panic.
 
 use crate::dense::Dense;
-use crate::gru_net::{GruConfig, GruNet};
 use crate::loss::SemanticLoss;
-use crate::lstm_net::{LstmConfig, LstmNet};
 use crate::matrix::Matrix;
-use crate::mlp_net::{MlpConfig, MlpNet};
+use crate::mlp_net::MlpNet;
+use crate::recurrent_net::{RecurrentCell, RecurrentNet};
 use std::fmt;
 use std::io::{self, BufRead, Write};
 
@@ -207,7 +225,8 @@ fn write_matrix(w: &mut impl Write, name: &str, m: &Matrix) -> io::Result<()> {
     Ok(())
 }
 
-/// Writes one tensor in the encoding `precision` selects (v2 formats).
+/// Writes one tensor in the encoding `precision` selects (`F64` is the v1
+/// `tensor` encoding).
 fn write_matrix_q(
     w: &mut impl Write,
     name: &str,
@@ -244,6 +263,35 @@ fn write_matrix_q(
     }
 }
 
+/// Writes a dense layer's `<prefix>.w` and `<prefix>.b` tensors.
+fn write_dense(
+    w: &mut impl Write,
+    prefix: &str,
+    layer: &Dense,
+    precision: WeightPrecision,
+) -> io::Result<()> {
+    write_matrix_q(w, &format!("{prefix}.w"), layer.weights(), precision)?;
+    write_matrix_q(w, &format!("{prefix}.b"), layer.bias(), precision)
+}
+
+/// Writes the magic (v1 for `None`, v2 plus its `precision` line for a
+/// quantized save) and the `semantic` line every net kind opens with.
+fn write_header(
+    w: &mut impl Write,
+    kind: &str,
+    precision: Option<WeightPrecision>,
+    semantic: &SemanticLoss,
+) -> io::Result<()> {
+    match precision {
+        None => writeln!(w, "cpsmon-net v1 {kind}")?,
+        Some(p) => {
+            writeln!(w, "cpsmon-net v2 {kind}")?;
+            writeln!(w, "precision {}", p.label())?;
+        }
+    }
+    writeln!(w, "semantic {}", semantic.weight)
+}
+
 /// Streaming line reader with position tracking for error messages.
 struct Lines<R> {
     reader: R,
@@ -272,16 +320,12 @@ impl<R: BufRead> Lines<R> {
         }
     }
 
-    fn read_matrix(&mut self, expected_name: &str) -> Result<Matrix, LoadError> {
-        self.read_matrix_v(expected_name, false)
-    }
-
     /// Reads one tensor in any encoding the format version allows:
     /// `tensor` always, `tensor16` / `tensor8` only in v2 files. All
     /// encodings dequantize to an f64 [`Matrix`] here — loading is the
     /// "dequant" half of the dequant-or-native choice; the native f32
     /// engine is built separately from the dequantized network.
-    fn read_matrix_v(&mut self, expected_name: &str, v2: bool) -> Result<Matrix, LoadError> {
+    fn read_matrix(&mut self, expected_name: &str, v2: bool) -> Result<Matrix, LoadError> {
         let header = self.next()?;
         let parts: Vec<&str> = header.split_whitespace().collect();
         let kind = parts.first().copied().unwrap_or("");
@@ -315,7 +359,9 @@ impl<R: BufRead> Lines<R> {
         } else {
             1.0
         };
-        let mut data = Vec::with_capacity(rows * cols);
+        // The header's size is untrusted: reserve only what the rows read
+        // so far prove exists.
+        let mut data = Vec::new();
         for _ in 0..rows {
             let line = self.next()?;
             let before = data.len();
@@ -350,6 +396,26 @@ impl<R: BufRead> Lines<R> {
         Ok(Matrix::from_vec(rows, cols, data))
     }
 
+    /// Reads a dense layer's `<prefix>.w` and `<prefix>.b` tensors.
+    fn read_dense(&mut self, prefix: &str, v2: bool) -> Result<Dense, LoadError> {
+        let w = self.read_matrix(&format!("{prefix}.w"), v2)?;
+        let b = self.read_matrix(&format!("{prefix}.b"), v2)?;
+        Dense::from_params(w, b).map_err(|m| self.err(format!("{prefix}: {m}")))
+    }
+
+    /// Reads a `<key> <n>` line holding one positive count.
+    fn read_count(&mut self, key: &str) -> Result<usize, LoadError> {
+        let count: usize = self
+            .read_kv(key)?
+            .first()
+            .and_then(|v| v.parse().ok())
+            .ok_or_else(|| self.err(format!("bad {key} count")))?;
+        if count == 0 {
+            return Err(self.err(format!("{key} count must be positive")));
+        }
+        Ok(count)
+    }
+
     fn read_kv(&mut self, key: &str) -> Result<Vec<String>, LoadError> {
         let line = self.next()?;
         let mut parts = line.split_whitespace();
@@ -360,22 +426,32 @@ impl<R: BufRead> Lines<R> {
     }
 }
 
-/// Parses a `cpsmon-net` magic line for `kind`, returning the stored
-/// precision: v1 is implicitly [`WeightPrecision::F64`]; v2 reads the
-/// `precision` line that follows the magic.
-fn read_magic(lines: &mut Lines<impl BufRead>, kind: &str) -> Result<WeightPrecision, LoadError> {
+/// Parses the header [`write_header`] writes for `kind`: returns the stored
+/// precision (v1 is implicitly [`WeightPrecision::F64`]; v2 reads the
+/// `precision` line that follows the magic) and the semantic loss.
+fn read_header(
+    lines: &mut Lines<impl BufRead>,
+    kind: &str,
+) -> Result<(WeightPrecision, SemanticLoss), LoadError> {
     let magic = lines.next()?;
-    if magic == format!("cpsmon-net v1 {kind}") {
-        return Ok(WeightPrecision::F64);
-    }
-    if magic != format!("cpsmon-net v2 {kind}") {
+    let precision = if magic == format!("cpsmon-net v1 {kind}") {
+        WeightPrecision::F64
+    } else if magic == format!("cpsmon-net v2 {kind}") {
+        let token = lines.read_kv("precision")?;
+        token
+            .first()
+            .and_then(|t| WeightPrecision::from_label(t))
+            .ok_or_else(|| lines.err("bad precision token"))?
+    } else {
         return Err(lines.err(format!("bad magic '{magic}'")));
-    }
-    let token = lines.read_kv("precision")?;
-    token
+    };
+    let weight = lines
+        .read_kv("semantic")?
         .first()
-        .and_then(|t| WeightPrecision::from_label(t))
-        .ok_or_else(|| lines.err("bad precision token"))
+        .and_then(|v| v.parse::<f64>().ok())
+        .filter(|w| w.is_finite() && *w >= 0.0)
+        .ok_or_else(|| lines.err("bad semantic weight"))?;
+    Ok((precision, SemanticLoss::new(weight)))
 }
 
 impl MlpNet {
@@ -385,14 +461,7 @@ impl MlpNet {
     ///
     /// Propagates I/O errors from the writer.
     pub fn save(&self, w: &mut impl Write) -> io::Result<()> {
-        writeln!(w, "cpsmon-net v1 mlp")?;
-        writeln!(w, "semantic {}", self.semantic.weight)?;
-        writeln!(w, "layers {}", self.layers().len())?;
-        for (i, layer) in self.layers().iter().enumerate() {
-            write_matrix(w, &format!("dense{i}.w"), layer.weights())?;
-            write_matrix(w, &format!("dense{i}.b"), layer.bias())?;
-        }
-        Ok(())
+        self.write(w, None)
     }
 
     /// Writes the network to `w` in the cpsmon-net v2 format with weights
@@ -402,13 +471,15 @@ impl MlpNet {
     ///
     /// Propagates I/O errors from the writer.
     pub fn save_quantized(&self, w: &mut impl Write, precision: WeightPrecision) -> io::Result<()> {
-        writeln!(w, "cpsmon-net v2 mlp")?;
-        writeln!(w, "precision {}", precision.label())?;
-        writeln!(w, "semantic {}", self.semantic.weight)?;
+        self.write(w, Some(precision))
+    }
+
+    fn write(&self, w: &mut impl Write, precision: Option<WeightPrecision>) -> io::Result<()> {
+        write_header(w, "mlp", precision, &self.semantic)?;
         writeln!(w, "layers {}", self.layers().len())?;
+        let precision = precision.unwrap_or(WeightPrecision::F64);
         for (i, layer) in self.layers().iter().enumerate() {
-            write_matrix_q(w, &format!("dense{i}.w"), layer.weights(), precision)?;
-            write_matrix_q(w, &format!("dense{i}.b"), layer.bias(), precision)?;
+            write_dense(w, &format!("dense{i}"), layer, precision)?;
         }
         Ok(())
     }
@@ -434,58 +505,26 @@ impl MlpNet {
         r: &mut impl BufRead,
     ) -> Result<(MlpNet, WeightPrecision), LoadError> {
         let mut lines = Lines::new(r);
-        let precision = read_magic(&mut lines, "mlp")?;
+        let (precision, semantic) = read_header(&mut lines, "mlp")?;
         let v2 = precision != WeightPrecision::F64;
-        let semantic: f64 = lines.read_kv("semantic")?[0]
-            .parse()
-            .map_err(|_| lines.err("bad semantic weight"))?;
-        let count: usize = lines.read_kv("layers")?[0]
-            .parse()
-            .map_err(|_| lines.err("bad layer count"))?;
-        if count == 0 {
-            return Err(lines.err("network must have at least one layer"));
-        }
-        let mut layers = Vec::with_capacity(count);
-        for i in 0..count {
-            let w = lines.read_matrix_v(&format!("dense{i}.w"), v2)?;
-            let b = lines.read_matrix_v(&format!("dense{i}.b"), v2)?;
-            layers.push(Dense::from_params(w, b));
-        }
-        let classes = layers.last().expect("non-empty").output_dim();
-        let input_dim = layers[0].input_dim();
-        // Rebuild via config then replace parameters, preserving invariants.
-        let hidden: Vec<usize> = layers[..count - 1].iter().map(Dense::output_dim).collect();
-        let mut net = MlpNet::new(&MlpConfig {
-            input_dim,
-            hidden,
-            classes,
-            seed: 0,
-        });
-        net.semantic = SemanticLoss::new(semantic);
-        net.set_layers(layers);
+        let count = lines.read_count("layers")?;
+        let layers = (0..count)
+            .map(|i| lines.read_dense(&format!("dense{i}"), v2))
+            .collect::<Result<Vec<_>, _>>()?;
+        let mut net = MlpNet::from_layers(layers).map_err(|m| lines.err(m))?;
+        net.semantic = semantic;
         Ok((net, precision))
     }
 }
 
-impl LstmNet {
+impl<C: RecurrentCell> RecurrentNet<C> {
     /// Writes the network to `w` in the cpsmon-net v1 format.
     ///
     /// # Errors
     ///
     /// Propagates I/O errors from the writer.
     pub fn save(&self, w: &mut impl Write) -> io::Result<()> {
-        writeln!(w, "cpsmon-net v1 lstm")?;
-        writeln!(w, "semantic {}", self.semantic.weight)?;
-        writeln!(w, "shape {} {}", self.feature_dim(), self.timesteps())?;
-        writeln!(w, "lstms {}", self.lstm_layers().len())?;
-        for (i, lstm) in self.lstm_layers().iter().enumerate() {
-            write_matrix(w, &format!("lstm{i}.wx"), lstm.wx())?;
-            write_matrix(w, &format!("lstm{i}.wh"), lstm.wh())?;
-            write_matrix(w, &format!("lstm{i}.b"), lstm.gate_bias())?;
-        }
-        write_matrix(w, "head.w", self.head().weights())?;
-        write_matrix(w, "head.b", self.head().bias())?;
-        Ok(())
+        self.write(w, None)
     }
 
     /// Writes the network to `w` in the cpsmon-net v2 format with weights
@@ -495,19 +534,20 @@ impl LstmNet {
     ///
     /// Propagates I/O errors from the writer.
     pub fn save_quantized(&self, w: &mut impl Write, precision: WeightPrecision) -> io::Result<()> {
-        writeln!(w, "cpsmon-net v2 lstm")?;
-        writeln!(w, "precision {}", precision.label())?;
-        writeln!(w, "semantic {}", self.semantic.weight)?;
-        writeln!(w, "shape {} {}", self.feature_dim(), self.timesteps())?;
-        writeln!(w, "lstms {}", self.lstm_layers().len())?;
-        for (i, lstm) in self.lstm_layers().iter().enumerate() {
-            write_matrix_q(w, &format!("lstm{i}.wx"), lstm.wx(), precision)?;
-            write_matrix_q(w, &format!("lstm{i}.wh"), lstm.wh(), precision)?;
-            write_matrix_q(w, &format!("lstm{i}.b"), lstm.gate_bias(), precision)?;
+        self.write(w, Some(precision))
+    }
+
+    fn write(&self, w: &mut impl Write, precision: Option<WeightPrecision>) -> io::Result<()> {
+        write_header(w, C::KIND, precision, &self.semantic)?;
+        writeln!(w, "shape {} {}", self.feature_dim, self.timesteps)?;
+        writeln!(w, "{}s {}", C::KIND, self.cells.len())?;
+        let precision = precision.unwrap_or(WeightPrecision::F64);
+        for (i, cell) in self.cells.iter().enumerate() {
+            for (name, m) in C::TENSORS.iter().zip(cell.params()) {
+                write_matrix_q(w, &format!("{}{i}.{name}", C::KIND), m, precision)?;
+            }
         }
-        write_matrix_q(w, "head.w", self.head().weights(), precision)?;
-        write_matrix_q(w, "head.b", self.head().bias(), precision)?;
-        Ok(())
+        write_dense(w, "head", &self.head, precision)
     }
 
     /// Reads a network previously written by [`save`](Self::save) or
@@ -517,7 +557,7 @@ impl LstmNet {
     /// # Errors
     ///
     /// Returns [`LoadError`] on I/O failure or malformed input.
-    pub fn load(r: &mut impl BufRead) -> Result<LstmNet, LoadError> {
+    pub fn load(r: &mut impl BufRead) -> Result<Self, LoadError> {
         Self::load_with_precision(r).map(|(net, _)| net)
     }
 
@@ -527,128 +567,53 @@ impl LstmNet {
     /// # Errors
     ///
     /// Returns [`LoadError`] on I/O failure or malformed input.
-    pub fn load_with_precision(
-        r: &mut impl BufRead,
-    ) -> Result<(LstmNet, WeightPrecision), LoadError> {
+    pub fn load_with_precision(r: &mut impl BufRead) -> Result<(Self, WeightPrecision), LoadError> {
         let mut lines = Lines::new(r);
-        let precision = read_magic(&mut lines, "lstm")?;
+        let (precision, semantic) = read_header(&mut lines, C::KIND)?;
         let v2 = precision != WeightPrecision::F64;
-        let semantic: f64 = lines.read_kv("semantic")?[0]
-            .parse()
-            .map_err(|_| lines.err("bad semantic weight"))?;
         let shape = lines.read_kv("shape")?;
-        if shape.len() != 2 {
+        let dims: Vec<usize> = shape.iter().filter_map(|v| v.parse().ok()).collect();
+        let &[feature_dim, timesteps] = dims.as_slice() else {
             return Err(lines.err("bad shape line"));
+        };
+        if feature_dim == 0 || timesteps == 0 {
+            return Err(lines.err("shape dimensions must be positive"));
         }
-        let feature_dim: usize = shape[0].parse().map_err(|_| lines.err("bad feature dim"))?;
-        let timesteps: usize = shape[1].parse().map_err(|_| lines.err("bad timesteps"))?;
-        let count: usize = lines.read_kv("lstms")?[0]
-            .parse()
-            .map_err(|_| lines.err("bad lstm count"))?;
-        if count == 0 {
-            return Err(lines.err("network must have at least one LSTM layer"));
-        }
-        let mut lstm_params = Vec::with_capacity(count);
-        let mut hidden = Vec::with_capacity(count);
+        let count = lines.read_count(&format!("{}s", C::KIND))?;
+        let mut cells = Vec::new();
+        let mut prev = feature_dim;
         for i in 0..count {
-            let wx = lines.read_matrix_v(&format!("lstm{i}.wx"), v2)?;
-            let wh = lines.read_matrix_v(&format!("lstm{i}.wh"), v2)?;
-            let b = lines.read_matrix_v(&format!("lstm{i}.b"), v2)?;
-            hidden.push(wh.rows());
-            lstm_params.push((wx, wh, b));
+            let name = format!("{}{i}", C::KIND);
+            let tensors = C::TENSORS
+                .iter()
+                .map(|t| lines.read_matrix(&format!("{name}.{t}"), v2))
+                .collect::<Result<Vec<_>, _>>()?;
+            let cell = C::from_params(tensors).map_err(|m| lines.err(format!("{name}: {m}")))?;
+            if cell.input_dim() != prev {
+                return Err(lines.err(format!(
+                    "{name} input width {} != expected {prev}",
+                    cell.input_dim()
+                )));
+            }
+            prev = cell.hidden_dim();
+            cells.push(cell);
         }
-        let head_w = lines.read_matrix_v("head.w", v2)?;
-        let head_b = lines.read_matrix_v("head.b", v2)?;
-        let classes = head_w.cols();
-        let mut net = LstmNet::new(&LstmConfig {
+        let head = lines.read_dense("head", v2)?;
+        if head.input_dim() != prev || head.output_dim() == 0 {
+            return Err(lines.err(format!(
+                "head is {}x{}, expected {prev} rows and at least one class",
+                head.input_dim(),
+                head.output_dim()
+            )));
+        }
+        let net = RecurrentNet {
+            cells,
+            head,
             feature_dim,
             timesteps,
-            hidden,
-            classes,
-            seed: 0,
-        });
-        net.semantic = SemanticLoss::new(semantic);
-        net.set_params(lstm_params, Dense::from_params(head_w, head_b))
-            .map_err(|msg| lines.err(msg))?;
+            semantic,
+        };
         Ok((net, precision))
-    }
-}
-
-/// Names of the nine per-layer GRU tensors, in [`crate::Gru::params`] order.
-const GRU_TENSORS: [&str; 9] = ["wxz", "wxr", "wxn", "whz", "whr", "whn", "bz", "br", "bn"];
-
-impl GruNet {
-    /// Writes the network to `w` in the cpsmon-net v1 format.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors from the writer.
-    pub fn save(&self, w: &mut impl Write) -> io::Result<()> {
-        writeln!(w, "cpsmon-net v1 gru")?;
-        writeln!(w, "semantic {}", self.semantic.weight)?;
-        writeln!(w, "shape {} {}", self.feature_dim(), self.timesteps())?;
-        writeln!(w, "grus {}", self.gru_layers().len())?;
-        for (i, gru) in self.gru_layers().iter().enumerate() {
-            for (name, m) in GRU_TENSORS.iter().zip(gru.params()) {
-                write_matrix(w, &format!("gru{i}.{name}"), m)?;
-            }
-        }
-        write_matrix(w, "head.w", self.head().weights())?;
-        write_matrix(w, "head.b", self.head().bias())?;
-        Ok(())
-    }
-
-    /// Reads a network previously written by [`save`](Self::save).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LoadError`] on I/O failure or malformed input.
-    pub fn load(r: &mut impl BufRead) -> Result<GruNet, LoadError> {
-        let mut lines = Lines::new(r);
-        let magic = lines.next()?;
-        if magic != "cpsmon-net v1 gru" {
-            return Err(lines.err(format!("bad magic '{magic}'")));
-        }
-        let semantic: f64 = lines.read_kv("semantic")?[0]
-            .parse()
-            .map_err(|_| lines.err("bad semantic weight"))?;
-        let shape = lines.read_kv("shape")?;
-        if shape.len() != 2 {
-            return Err(lines.err("bad shape line"));
-        }
-        let feature_dim: usize = shape[0].parse().map_err(|_| lines.err("bad feature dim"))?;
-        let timesteps: usize = shape[1].parse().map_err(|_| lines.err("bad timesteps"))?;
-        let count: usize = lines.read_kv("grus")?[0]
-            .parse()
-            .map_err(|_| lines.err("bad gru count"))?;
-        if count == 0 {
-            return Err(lines.err("network must have at least one GRU layer"));
-        }
-        let mut gru_params = Vec::with_capacity(count);
-        let mut hidden = Vec::with_capacity(count);
-        for i in 0..count {
-            let mut ms = Vec::with_capacity(9);
-            for name in GRU_TENSORS {
-                ms.push(lines.read_matrix(&format!("gru{i}.{name}"))?);
-            }
-            let ms: [Matrix; 9] = ms.try_into().expect("exactly nine tensors read");
-            hidden.push(ms[3].rows());
-            gru_params.push(ms);
-        }
-        let head_w = lines.read_matrix("head.w")?;
-        let head_b = lines.read_matrix("head.b")?;
-        let classes = head_w.cols();
-        let mut net = GruNet::new(&GruConfig {
-            feature_dim,
-            timesteps,
-            hidden,
-            classes,
-            seed: 0,
-        });
-        net.semantic = SemanticLoss::new(semantic);
-        net.set_params(gru_params, Dense::from_params(head_w, head_b))
-            .map_err(|msg| lines.err(msg))?;
-        Ok(net)
     }
 }
 
@@ -656,8 +621,9 @@ impl GruNet {
 mod tests {
     use super::*;
     use crate::init::random_normal;
-    use crate::model::GradModel;
+    use crate::model::{GradModel, Network};
     use crate::rng::SmallRng;
+    use crate::{GruConfig, GruNet, LstmConfig, LstmNet, MlpConfig};
     use std::io::BufReader;
 
     #[test]
@@ -909,26 +875,140 @@ mod tests {
     fn extreme_values_roundtrip() {
         // Shortest-roundtrip float formatting must survive subnormals and
         // large magnitudes.
-        let mut net = MlpNet::new(&MlpConfig {
-            input_dim: 2,
-            hidden: vec![2],
-            classes: 2,
-            seed: 1,
-        });
-        net.set_layers(vec![
+        let net = MlpNet::from_layers(vec![
             Dense::from_params(
                 Matrix::from_rows(&[&[1e-308, -1e300], &[std::f64::consts::PI, 0.0]]),
                 Matrix::row_vector(&[f64::MIN_POSITIVE, 123.456_789_012_345_68]),
-            ),
+            )
+            .unwrap(),
             Dense::from_params(
                 Matrix::from_rows(&[&[1.0, 0.0], &[0.0, 1.0]]),
                 Matrix::row_vector(&[0.0, 0.0]),
-            ),
-        ]);
+            )
+            .unwrap(),
+        ])
+        .unwrap();
         let mut buf = Vec::new();
         net.save(&mut buf).unwrap();
         let loaded = MlpNet::load(&mut BufReader::new(buf.as_slice())).unwrap();
         let x = Matrix::from_rows(&[&[1.0, 1.0]]);
         assert_eq!(net.predict_proba(&x), loaded.predict_proba(&x));
+    }
+
+    /// `text` with tensor `name` replaced by `rows`, one string of
+    /// space-separated values per row.
+    fn with_tensor(text: &str, name: &str, rows: &[&str]) -> String {
+        let mut out = Vec::new();
+        let mut lines = text.lines();
+        while let Some(line) = lines.next() {
+            let header: Vec<&str> = line.split_whitespace().collect();
+            if header.get(1) == Some(&name) {
+                let old_rows: usize = header[2].parse().unwrap();
+                lines.by_ref().take(old_rows).for_each(drop);
+                let cols = rows[0].split_whitespace().count();
+                out.push(format!("tensor {name} {} {cols}", rows.len()));
+                out.extend(rows.iter().map(|r| r.to_string()));
+            } else {
+                out.push(line.to_string());
+            }
+        }
+        out.join("\n") + "\n"
+    }
+
+    fn saved(save: impl FnOnce(&mut Vec<u8>) -> io::Result<()>) -> String {
+        let mut buf = Vec::new();
+        save(&mut buf).unwrap();
+        String::from_utf8(buf).unwrap()
+    }
+
+    fn expect_parse_error<T>(loaded: Result<T, LoadError>) -> String {
+        match loaded {
+            Err(e @ LoadError::Parse { .. }) => e.to_string(),
+            Err(e) => panic!("expected a parse error, got {e}"),
+            Ok(_) => panic!("a mis-shaped file loaded"),
+        }
+    }
+
+    fn load_mlp(text: &str) -> Result<MlpNet, LoadError> {
+        MlpNet::load(&mut BufReader::new(text.as_bytes()))
+    }
+
+    fn tiny_mlp() -> String {
+        let net = MlpNet::new(&MlpConfig {
+            input_dim: 2,
+            hidden: vec![3],
+            classes: 2,
+            seed: 1,
+        });
+        saved(|w| net.save(w))
+    }
+
+    fn tiny_recurrent() -> LstmConfig {
+        LstmConfig {
+            feature_dim: 2,
+            timesteps: 2,
+            hidden: vec![1],
+            classes: 2,
+            seed: 1,
+        }
+    }
+
+    #[test]
+    fn mlp_load_rejects_unchained_layer_widths() {
+        let text = with_tensor(&tiny_mlp(), "dense1.w", &["1 1", "1 1"]);
+        let msg = expect_parse_error(load_mlp(&text));
+        assert!(msg.contains("dense1 input width 2"), "{msg}");
+    }
+
+    #[test]
+    fn mlp_load_rejects_mis_sized_bias() {
+        let text = with_tensor(&tiny_mlp(), "dense0.b", &["0 0"]);
+        let msg = expect_parse_error(load_mlp(&text));
+        assert!(msg.contains("dense0: bias is 1x2, expected 1x3"), "{msg}");
+    }
+
+    #[test]
+    fn lstm_load_rejects_two_row_gate_bias() {
+        let net = LstmNet::new(&tiny_recurrent());
+        let text = with_tensor(&saved(|w| net.save(w)), "lstm0.b", &["0 1 0 0"; 2]);
+        let msg = expect_parse_error(LstmNet::load(&mut BufReader::new(text.as_bytes())));
+        assert!(msg.contains("lstm0: gate shapes inconsistent"), "{msg}");
+    }
+
+    #[test]
+    fn lstm_load_rejects_mis_sized_head_bias() {
+        let net = LstmNet::new(&tiny_recurrent());
+        let text = with_tensor(&saved(|w| net.save(w)), "head.b", &["0 0 0"]);
+        let msg = expect_parse_error(LstmNet::load(&mut BufReader::new(text.as_bytes())));
+        assert!(msg.contains("head: bias is 1x3, expected 1x2"), "{msg}");
+    }
+
+    #[test]
+    fn gru_load_rejects_mis_sized_head_bias() {
+        let net = GruNet::new(&tiny_recurrent());
+        let text = with_tensor(&saved(|w| net.save(w)), "head.b", &["0 0 0"]);
+        let msg = expect_parse_error(GruNet::load(&mut BufReader::new(text.as_bytes())));
+        assert!(msg.contains("head: bias is 1x3, expected 1x2"), "{msg}");
+    }
+
+    #[test]
+    fn load_rejects_out_of_range_header_values() {
+        let mlp = tiny_mlp();
+        for bad in [
+            mlp.replacen("semantic 0.5", "semantic NaN", 1),
+            mlp.replacen("semantic 0.5", "semantic", 1),
+            mlp.replacen("layers 2", "layers", 1),
+            with_tensor(&with_tensor(&mlp, "dense0.w", &["", ""]), "dense0.b", &[""]),
+            mlp.replacen(
+                "tensor dense0.w 2 3",
+                "tensor dense0.w 99999999999 99999999999",
+                1,
+            ),
+        ] {
+            expect_parse_error(load_mlp(&bad));
+        }
+        let lstm = saved(|w| LstmNet::new(&tiny_recurrent()).save(w));
+        let bad = lstm.replacen("shape 2 2", "shape 2 0", 1);
+        expect_parse_error(LstmNet::load(&mut BufReader::new(bad.as_bytes())));
     }
 }

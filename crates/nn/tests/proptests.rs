@@ -96,7 +96,7 @@ proptest! {
         prop_assert!(approx_eq(&a.transpose_matmul(&b), &a.transpose().matmul(&b), 1e-12));
         // a·cᵀ via the fused kernel vs explicit transpose.
         let c = Matrix::from_vec(5, 3, b.slice_rows(0, 3).transpose().into_vec());
-        prop_assert!(approx_eq(&a.matmul_transpose(&c), &a.matmul(&c.transpose()), 1e-12));
+        prop_assert!(approx_eq(&a.matmul_tb(&c), &a.matmul(&c.transpose()), 1e-12));
     }
 
     #[test]
@@ -346,13 +346,30 @@ proptest! {
 // ---------------------------------------------------------------------------
 
 use cpsmon_nn::par::{ThreadsGuard, GRAD_CHUNK, PREDICT_CHUNK};
-use cpsmon_nn::{AdamTrainer, GradModel, LstmConfig, LstmNet, MlpConfig, MlpNet};
+use cpsmon_nn::{AdamTrainer, GradModel, GruNet, LstmConfig, LstmNet, MlpConfig, MlpNet, Network};
 
 fn labeled_batch(rows: usize, cols: usize, seed: u64) -> (Matrix, Vec<usize>) {
     let mut rng = SmallRng::new(seed);
     let x = cpsmon_nn::init::random_normal(rows, cols, 1.0, &mut rng);
     let labels = (0..rows).map(|_| rng.index(2)).collect();
     (x, labels)
+}
+
+/// `net`'s probabilities, input gradient, one training step's loss and the
+/// post-step probabilities, computed at `threads` worker threads.
+fn run_at_threads<N: Network + Clone>(
+    net: &N,
+    x: &Matrix,
+    labels: &[usize],
+    threads: usize,
+) -> (Matrix, Matrix, f64, Matrix) {
+    let _guard = ThreadsGuard::set(threads);
+    let proba = net.predict_proba(x);
+    let grad = net.input_gradient(x, labels);
+    let mut trained = net.clone();
+    let mut tr = AdamTrainer::new(net.param_count(), 1e-3);
+    let loss = trained.train_batch(x, labels, None, &mut tr);
+    (proba, grad, loss, trained.predict_proba(x))
 }
 
 proptest! {
@@ -385,26 +402,24 @@ proptest! {
 
     #[test]
     fn lstm_is_thread_count_invariant(seed in any::<u64>()) {
+        // The stacked LSTM and a GRU of the same shape share the recurrent
+        // scaffold; both must be thread-count invariant.
         let rows = 2 * GRAD_CHUNK + 3;
         let (x, labels) = labeled_batch(rows, 8, seed);
-        let net = LstmNet::new(&LstmConfig {
+        let config = LstmConfig {
             feature_dim: 2, timesteps: 4, hidden: vec![5], classes: 2, seed,
-        });
-        let run = |threads: usize| {
-            let _guard = ThreadsGuard::set(threads);
-            let proba = net.predict_proba(&x);
-            let grad = net.input_gradient(&x, &labels);
-            let mut trained = net.clone();
-            let mut tr = AdamTrainer::new(trained.param_count(), 1e-3);
-            let loss = trained.train_batch(&x, &labels, None, &mut tr);
-            (proba, grad, loss, trained.predict_proba(&x))
         };
-        let serial = run(1);
-        let parallel = run(4);
-        prop_assert_eq!(serial.0, parallel.0);
-        prop_assert_eq!(serial.1, parallel.1);
-        prop_assert_eq!(serial.2, parallel.2);
-        prop_assert_eq!(serial.3, parallel.3);
+        let lstm = LstmNet::new(&config);
+        let gru = GruNet::new(&config);
+        for (serial, parallel) in [
+            (run_at_threads(&lstm, &x, &labels, 1), run_at_threads(&lstm, &x, &labels, 4)),
+            (run_at_threads(&gru, &x, &labels, 1), run_at_threads(&gru, &x, &labels, 4)),
+        ] {
+            prop_assert_eq!(serial.0, parallel.0);
+            prop_assert_eq!(serial.1, parallel.1);
+            prop_assert_eq!(serial.2, parallel.2);
+            prop_assert_eq!(serial.3, parallel.3);
+        }
     }
 
     #[test]

@@ -446,6 +446,27 @@ fn admin_surface_reports_health_and_reloads_bundles_safely() {
     );
     assert_eq!(status, 409, "missing file rejected: {body}");
 
+    // Mis-shaped network with a valid fingerprint: the first bias loses a
+    // value, so every tensor parses but the layer does not fit together.
+    // The loader must reject it with a 409, not panic the admin thread.
+    let text = String::from_utf8(bytes.clone()).unwrap();
+    let mut lines: Vec<String> = text.lines().map(str::to_string).collect();
+    let at = lines
+        .iter()
+        .position(|l| l.starts_with("tensor dense0.b 1 "))
+        .expect("an MLP bundle has a first-layer bias");
+    let values: Vec<String> = lines[at + 1].split(' ').map(str::to_string).collect();
+    lines[at] = format!("tensor dense0.b 1 {}", values.len() - 1);
+    lines[at + 1] = values[1..].join(" ");
+    let misshaped = tmp_path("bundle-misshaped.bin");
+    std::fs::write(&misshaped, lines.join("\n") + "\n").unwrap();
+    let (status, body) = http(
+        admin,
+        &format!("POST /reload?path={} HTTP/1.0\r\n\r\n", misshaped.display()),
+    );
+    assert_eq!(status, 409, "mis-shaped reload rejected: {body}");
+    assert!(body.contains("\"reloaded\":false"), "got {body}");
+
     // The rejected reloads left the swapped bundle serving.
     let (status, body) = http(admin, "GET /stats HTTP/1.0\r\n\r\n");
     assert_eq!(status, 200);
@@ -466,5 +487,6 @@ fn admin_surface_reports_health_and_reloads_bundles_safely() {
 
     let _ = std::fs::remove_file(&good);
     let _ = std::fs::remove_file(&corrupt);
+    let _ = std::fs::remove_file(&misshaped);
     daemon.shutdown().unwrap();
 }
