@@ -166,6 +166,13 @@ fn bench_kernels(c: &mut Criterion) {
     c.bench_function("matmul_add_bias_128x36_36x256", |b| {
         b.iter(|| a.matmul_add_bias(&w, &bias))
     });
+    // The LSTM's largest weight-gradient product, one per BPTT timestep of
+    // a 64-row chunk: h_prev (64 × 128)ᵀ · dz (64 × 4·128).
+    let h_prev = random_normal(64, 128, 1.0, &mut rng);
+    let dz = random_normal(64, 512, 1.0, &mut rng);
+    c.bench_function("transpose_matmul_64x128t_64x512", |b| {
+        b.iter(|| h_prev.transpose_matmul(&dz))
+    });
 }
 
 fn bench_sweep(c: &mut Criterion) {

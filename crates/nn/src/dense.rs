@@ -84,18 +84,24 @@ impl Dense {
     }
 
     /// Backward pass given the upstream gradient `dz` and the cached input
-    /// `x` of the forward pass. Returns the weight gradients `[dW, db]` and
-    /// the gradient w.r.t. the input (for deeper layers / FGSM).
+    /// `x` of the forward pass. Returns the weight gradients `[dW, db]`
+    /// and, when `input_grad`, the gradient w.r.t. the input (for deeper
+    /// layers / FGSM; a network's first layer in training skips it).
     ///
     /// # Panics
     ///
     /// Panics on shape mismatches.
-    pub fn backward(&self, x: &Matrix, dz: &Matrix) -> ([Matrix; 2], Matrix) {
+    pub fn backward(
+        &self,
+        x: &Matrix,
+        dz: &Matrix,
+        input_grad: bool,
+    ) -> ([Matrix; 2], Option<Matrix>) {
         assert_eq!(dz.cols(), self.output_dim(), "dz width mismatch");
         assert_eq!(x.rows(), dz.rows(), "batch size mismatch");
         let dw = x.transpose_matmul(dz);
         let db = dz.sum_rows();
-        let dx = dz.matmul_tb(&self.w);
+        let dx = input_grad.then(|| dz.matmul_tb(&self.w));
         ([dw, db], dx)
     }
 
@@ -128,7 +134,8 @@ mod tests {
         let x = crate::init::random_normal(2, 4, 1.0, &mut rng);
         // Scalar objective: sum of outputs.
         let dz = Matrix::filled(2, 3, 1.0);
-        let (_, dx) = layer.backward(&x, &dz);
+        let (_, dx) = layer.backward(&x, &dz, true);
+        let dx = dx.expect("input grad requested");
         let num = numeric_input_grad(&x, 1e-5, |xp| layer.forward(xp).sum());
         for (a, n) in dx.as_slice().iter().zip(num.as_slice()) {
             assert!((a - n).abs() < 1e-5, "analytic {a} vs numeric {n}");
@@ -141,7 +148,8 @@ mod tests {
         let layer = Dense::new(3, 2, &mut rng);
         let x = crate::init::random_normal(4, 3, 1.0, &mut rng);
         let dz = Matrix::filled(4, 2, 1.0);
-        let ([dw, _], _) = layer.backward(&x, &dz);
+        let ([dw, _], dx) = layer.backward(&x, &dz, false);
+        assert!(dx.is_none());
         let h = 1e-5;
         for r in 0..3 {
             for c in 0..2 {
@@ -163,7 +171,7 @@ mod tests {
         let layer = Dense::new(2, 2, &mut rng);
         let x = Matrix::from_rows(&[&[1.0, 0.0], &[0.0, 1.0], &[1.0, 1.0]]);
         let dz = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0], &[5.0, 6.0]]);
-        let ([_, db], _) = layer.backward(&x, &dz);
+        let ([_, db], _) = layer.backward(&x, &dz, false);
         assert_eq!(db, Matrix::row_vector(&[9.0, 12.0]));
     }
 

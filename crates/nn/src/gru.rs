@@ -196,14 +196,20 @@ impl RecurrentCell for Gru {
         hs
     }
 
-    fn backward(&self, cache: &GruCache, dhs: &[Matrix]) -> (Vec<Matrix>, Vec<Matrix>) {
-        let (grads, dxs) = self.backward_impl(cache, dhs, true);
+    fn backward(
+        &self,
+        cache: &GruCache,
+        dhs: &[Matrix],
+        input_grads: bool,
+    ) -> (Vec<Matrix>, Option<Vec<Matrix>>) {
+        let (grads, dxs) = self.backward_impl(cache, dhs, true, input_grads);
         (grads.expect("weight grads requested"), dxs)
     }
 
     /// Skips the six weight-gradient matmuls per timestep.
     fn backward_input_only(&self, cache: &GruCache, dhs: &[Matrix]) -> Vec<Matrix> {
-        self.backward_impl(cache, dhs, false).1
+        let (_, dxs) = self.backward_impl(cache, dhs, false, true);
+        dxs.expect("input grads requested")
     }
 
     fn params(&self) -> Vec<&Matrix> {
@@ -231,13 +237,15 @@ impl RecurrentCell for Gru {
 impl Gru {
     /// BPTT over `cache`; the weight gradients (in
     /// [`params`](RecurrentCell::params) order) only when
-    /// `want_weight_grads`.
+    /// `want_weight_grads`, the input gradients only when
+    /// `want_input_grads`.
     fn backward_impl(
         &self,
         cache: &GruCache,
         dhs: &[Matrix],
         want_weight_grads: bool,
-    ) -> (Option<Vec<Matrix>>, Vec<Matrix>) {
+        want_input_grads: bool,
+    ) -> (Option<Vec<Matrix>>, Option<Vec<Matrix>>) {
         assert_eq!(dhs.len(), cache.steps.len(), "dhs/timestep count mismatch");
         let t_len = cache.steps.len();
         let n_rows = cache.steps[0].x.rows();
@@ -248,7 +256,7 @@ impl Gru {
                 .map(|m| Matrix::zeros(m.rows(), m.cols()))
                 .collect::<Vec<_>>()
         });
-        let mut dxs = vec![Matrix::zeros(0, 0); t_len];
+        let mut dxs = want_input_grads.then(|| vec![Matrix::zeros(0, 0); t_len]);
         let mut dh_next = Matrix::zeros(n_rows, self.hidden_dim);
         for t in (0..t_len).rev() {
             let s = &cache.steps[t];
@@ -276,10 +284,12 @@ impl Gru {
                 g[7] += &dzr.sum_rows();
                 g[8] += &dzn.sum_rows();
             }
-            let mut dx = dzn.matmul_tb(&self.wxn);
-            dx += &dzz.matmul_tb(&self.wxz);
-            dx += &dzr.matmul_tb(&self.wxr);
-            dxs[t] = dx;
+            if let Some(dxs) = dxs.as_mut() {
+                let mut dx = dzn.matmul_tb(&self.wxn);
+                dx += &dzz.matmul_tb(&self.wxz);
+                dx += &dzr.matmul_tb(&self.wxr);
+                dxs[t] = dx;
+            }
             dh_prev += &dzz.matmul_tb(&self.whz);
             dh_prev += &dzr.matmul_tb(&self.whr);
             dh_next = dh_prev;
@@ -338,7 +348,10 @@ mod tests {
             .iter()
             .map(|h| Matrix::filled(h.rows(), h.cols(), 1.0))
             .collect();
-        let (_, dxs) = gru.backward(&cache, &dhs);
+        let dxs = gru
+            .backward(&cache, &dhs, true)
+            .1
+            .expect("input grads requested");
         for t in 0..3 {
             let num = numeric_input_grad(&xs[t], 1e-5, |xp| {
                 let mut xs2 = xs.clone();
@@ -360,7 +373,7 @@ mod tests {
             .iter()
             .map(|h| Matrix::filled(h.rows(), h.cols(), 1.0))
             .collect();
-        let (grads, _) = gru.backward(&cache, &dhs);
+        let (grads, _) = gru.backward(&cache, &dhs, false);
         let h = 1e-5;
         // Sample entries from every weight tensor, including recurrent ones.
         for (which, r, c) in [
@@ -396,7 +409,10 @@ mod tests {
             .collect();
         let last = dhs.len() - 1;
         dhs[last] = Matrix::filled(1, 3, 1.0);
-        let (_, dxs) = gru.backward(&cache, &dhs);
+        let dxs = gru
+            .backward(&cache, &dhs, true)
+            .1
+            .expect("input grads requested");
         assert!(dxs[0].max_abs() > 0.0);
     }
 

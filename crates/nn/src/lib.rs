@@ -71,6 +71,7 @@ pub mod recurrent_net;
 pub mod rng;
 pub mod serialize;
 pub mod simd;
+mod spare;
 
 pub use adam::AdamTrainer;
 pub use dense::Dense;

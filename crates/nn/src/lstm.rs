@@ -5,12 +5,12 @@
 //! is initialized to 1.0, the usual trick to avoid vanishing cell gradients
 //! early in training.
 
-use crate::activation::{sigmoid, tanh};
 use crate::init::xavier_uniform;
-use crate::matrix::{seed_rows, Matrix};
+use crate::matrix::{seed_rows, transpose_into, transpose_matmul_acc, Matrix};
 use crate::recurrent_net::RecurrentCell;
 use crate::rng::SmallRng;
 use crate::simd;
+use crate::spare;
 
 /// Reusable buffers for [`Lstm::forward_only_into`]: the fused-gate
 /// pre-activation `z`, the running cell state `c`, and the zero initial
@@ -64,29 +64,131 @@ pub struct Lstm {
     hidden_dim: usize,
 }
 
-/// Per-timestep intermediate values cached for the backward pass.
-#[derive(Debug, Clone)]
-struct StepCache {
-    x: Matrix,
-    h_prev: Matrix,
-    c_prev: Matrix,
-    i: Matrix,
-    f: Matrix,
-    g: Matrix,
-    o: Matrix,
-    tc: Matrix,
-}
-
-/// Forward-pass cache consumed by the backward passes of [`Lstm`].
+/// Forward-pass cache consumed by the backward passes of [`Lstm`]: five
+/// flat buffers per layer, each holding one row-major block per timestep
+/// (for `T` steps of `N` rows, `I` inputs and `H` hidden units):
+///
+/// - `xs`: `T` blocks of `N × I`, the inputs;
+/// - `hs`, `cs`: `T + 1` blocks of `N × H`, the hidden and cell state
+///   entering step `t` (block 0 is the zero initial state; block `T` is
+///   the final state);
+/// - `acts`: `T` blocks of `N × 4H`, the activated gates `[i, f, g, o]`;
+/// - `tcs`: `T` blocks of `N × H`, `tanh(c)` after step `t`.
+///
+/// The buffers come from and return to the crate's spare buffers, so a
+/// training epoch reuses them batch after batch.
 #[derive(Debug, Clone)]
 pub struct LstmCache {
-    steps: Vec<StepCache>,
+    rows: usize,
+    timesteps: usize,
+    xs: Vec<f64>,
+    hs: Vec<f64>,
+    cs: Vec<f64>,
+    acts: Vec<f64>,
+    tcs: Vec<f64>,
 }
 
 impl LstmCache {
     /// Number of timesteps this cache covers.
     pub fn timesteps(&self) -> usize {
-        self.steps.len()
+        self.timesteps
+    }
+}
+
+impl Drop for LstmCache {
+    fn drop(&mut self) {
+        let bufs = [
+            &mut self.xs,
+            &mut self.hs,
+            &mut self.cs,
+            &mut self.acts,
+            &mut self.tcs,
+        ];
+        spare::give(bufs.map(std::mem::take));
+    }
+}
+
+/// The transpose of `w` (packed once per backward call for the
+/// per-timestep `dz·Wᵀ` products) in a spare buffer.
+fn transposed(w: &Matrix) -> Vec<f64> {
+    let mut t = spare::take(w.len());
+    transpose_into(w.as_slice(), w.rows(), w.cols(), &mut t);
+    t
+}
+
+/// `dw += aᵀ·dz` with the product formed fresh in `scratch` and then
+/// added: the per-timestep weight-gradient order (`a` is `rows × cols`,
+/// `dz` is `rows × dz_cols`).
+fn add_step_product(
+    dw: &mut Matrix,
+    a: &[f64],
+    rows: usize,
+    cols: usize,
+    dz: &[f64],
+    dz_cols: usize,
+    scratch: &mut [f64],
+) {
+    let step = &mut scratch[..cols * dz_cols];
+    step.fill(0.0);
+    transpose_matmul_acc(a, rows, cols, dz, dz_cols, step);
+    for (d, &v) in dw.as_mut_slice().iter_mut().zip(step.iter()) {
+        *d += v;
+    }
+}
+
+/// One timestep of BPTT through the gates, fused into a single pass.
+/// From the hidden-state gradient `dh = dh_in + dh_next` and the carried
+/// cell gradient `dc_next`, writes the pre-activation gradient `dz`
+/// (`[dz_i, dz_f, dz_g, dz_o]` per row) and replaces `dc_next` with the
+/// gradient reaching the previous step's cell state. Each element goes
+/// through the operations of the gate equations in the order written
+/// below, rounding after every multiply and add.
+#[allow(clippy::too_many_arguments)]
+fn gate_grads(
+    acts: &[f64],
+    tc: &[f64],
+    c_prev: &[f64],
+    dh_in: &[f64],
+    dh_next: &[f64],
+    dc_next: &mut [f64],
+    dz: &mut [f64],
+    h_dim: usize,
+) {
+    let g4 = 4 * h_dim;
+    for (r, (dz_row, a)) in dz
+        .chunks_exact_mut(g4)
+        .zip(acts.chunks_exact(g4))
+        .enumerate()
+    {
+        let span = r * h_dim..(r + 1) * h_dim;
+        let (tc, c_prev) = (&tc[span.clone()], &c_prev[span.clone()]);
+        let (dh_in, dh_next) = (&dh_in[span.clone()], &dh_next[span.clone()]);
+        let dc_next = &mut dc_next[span];
+        let (gi, gf, gg, go) = (
+            &a[..h_dim],
+            &a[h_dim..2 * h_dim],
+            &a[2 * h_dim..3 * h_dim],
+            &a[3 * h_dim..],
+        );
+        let (dz_i, rest) = dz_row.split_at_mut(h_dim);
+        let (dz_f, rest) = rest.split_at_mut(h_dim);
+        let (dz_g, dz_o) = rest.split_at_mut(h_dim);
+        for j in 0..h_dim {
+            let (i, f, g, o) = (gi[j], gf[j], gg[j], go[j]);
+            let dh = dh_in[j] + dh_next[j];
+            // h = o ⊙ tanh(c)
+            let d_o = dh * tc[j];
+            let dtc = dh * o;
+            // tanh'(c) = 1 − tanh²(c), plus the gradient carried from t+1.
+            let dc = (1.0 - tc[j] * tc[j]) * dtc + dc_next[j];
+            // c = f ⊙ c_prev + i ⊙ g
+            dc_next[j] = dc * f;
+            // Through the gate nonlinearities: σ' = σ(1−σ), tanh' = 1−tanh².
+            dz_i[j] = dc * g * i * (1.0 - i);
+            dz_f[j] = dc * c_prev[j] * f * (1.0 - f);
+            dz_g[j] = dc * i * (1.0 - g * g);
+            dz_o[j] = d_o * o * (1.0 - o);
+        }
     }
 }
 
@@ -189,60 +291,92 @@ impl Lstm {
         step_state(z, c, h, self.hidden_dim);
     }
 
-    /// BPTT over `cache`; the weight gradients `[dWx, dWh, db]` only when
-    /// `want_weight_grads`.
+    /// BPTT over `cache`: the weight gradients `[dWx, dWh, db]` when
+    /// `weight_grads`, the input gradients `dxs[t]` when `input_grads`.
+    ///
+    /// Per timestep (last first): one fused [`gate_grads`] pass, then the
+    /// GEMMs. Each weight gradient gains its step's product formed fresh
+    /// (`dW += x_tᵀ·dz_t`, never-fused), `db` its step's row sum, and
+    /// `dxs[t] = dz·Wxᵀ`, `dh_next = dz·Whᵀ` run through [`simd::gemm_acc`]
+    /// against weights transposed once per call. Step 0's `dz·Whᵀ` would
+    /// feed no earlier step and is skipped.
     fn backward_impl(
         &self,
         cache: &LstmCache,
         dhs: &[Matrix],
-        want_weight_grads: bool,
-    ) -> (Option<[Matrix; 3]>, Vec<Matrix>) {
-        assert_eq!(dhs.len(), cache.steps.len(), "dhs/timestep count mismatch");
-        let h_dim = self.hidden_dim;
-        let t_len = cache.steps.len();
-        let n = cache.steps[0].x.rows();
-        let mut grads = want_weight_grads.then(|| {
+        weight_grads: bool,
+        input_grads: bool,
+    ) -> (Option<[Matrix; 3]>, Option<Vec<Matrix>>) {
+        let t_len = cache.timesteps;
+        assert_eq!(dhs.len(), t_len, "dhs/timestep count mismatch");
+        let n = cache.rows;
+        let (i_dim, h_dim) = (self.input_dim, self.hidden_dim);
+        let g4 = 4 * h_dim;
+        let (nx, nh) = (n * i_dim, n * h_dim);
+        let wx_t = input_grads.then(|| transposed(&self.wx));
+        let wh_t = transposed(&self.wh);
+        let mut grads = weight_grads.then(|| {
             [
-                Matrix::zeros(self.input_dim, 4 * h_dim),
-                Matrix::zeros(h_dim, 4 * h_dim),
-                Matrix::zeros(1, 4 * h_dim),
+                Matrix::zeros(i_dim, g4),
+                Matrix::zeros(h_dim, g4),
+                Matrix::zeros(1, g4),
             ]
         });
-        let mut dxs = vec![Matrix::zeros(0, 0); t_len];
-        let mut dh_next = Matrix::zeros(n, h_dim);
-        let mut dc_next = Matrix::zeros(n, h_dim);
+        let step_len = if weight_grads {
+            i_dim.max(h_dim) * g4
+        } else {
+            0
+        };
+        let mut dw_step = spare::take(step_len);
+        let mut db_step = vec![0.0; g4];
+        let mut dxs = input_grads.then(|| vec![Matrix::zeros(0, 0); t_len]);
+        let mut dz = spare::take(n * g4);
+        let mut dh_next = spare::take(nh);
+        dh_next.fill(0.0);
+        let mut dc_next = spare::take(nh);
+        dc_next.fill(0.0);
         for t in (0..t_len).rev() {
-            let s = &cache.steps[t];
-            let dh = &dhs[t] + &dh_next;
-            // h = o ⊙ tanh(c)
-            let d_o = dh.hadamard(&s.tc);
-            let dtc = dh.hadamard(&s.o);
-            // d tanh(c) = (1 - tanh(c)^2)
-            let mut dc = s.tc.map(|v| 1.0 - v * v).hadamard(&dtc);
-            dc += &dc_next;
-            // c = f ⊙ c_prev + i ⊙ g
-            let d_i = dc.hadamard(&s.g);
-            let d_g = dc.hadamard(&s.i);
-            let d_f = dc.hadamard(&s.c_prev);
-            dc_next = dc.hadamard(&s.f);
-            // Through the gate nonlinearities: σ' = σ(1−σ), tanh' = 1−tanh².
-            let dz_i = d_i.hadamard(&s.i).hadamard(&s.i.map(|v| 1.0 - v));
-            let dz_f = d_f.hadamard(&s.f).hadamard(&s.f.map(|v| 1.0 - v));
-            let dz_g = d_g.hadamard(&s.g.map(|v| 1.0 - v * v));
-            let dz_o = d_o.hadamard(&s.o).hadamard(&s.o.map(|v| 1.0 - v));
-            let mut dz = Matrix::zeros(n, 4 * h_dim);
-            dz.set_cols(0, &dz_i);
-            dz.set_cols(h_dim, &dz_f);
-            dz.set_cols(2 * h_dim, &dz_g);
-            dz.set_cols(3 * h_dim, &dz_o);
+            assert_eq!(dhs[t].shape(), (n, h_dim), "dh shape mismatch");
+            let block = t * nh..(t + 1) * nh;
+            gate_grads(
+                &cache.acts[t * n * g4..(t + 1) * n * g4],
+                &cache.tcs[block.clone()],
+                &cache.cs[block.clone()],
+                dhs[t].as_slice(),
+                &dh_next,
+                &mut dc_next,
+                &mut dz,
+                h_dim,
+            );
             if let Some([dwx, dwh, db]) = grads.as_mut() {
-                *dwx += &s.x.transpose_matmul(&dz);
-                *dwh += &s.h_prev.transpose_matmul(&dz);
-                *db += &dz.sum_rows();
+                let x = &cache.xs[t * nx..(t + 1) * nx];
+                add_step_product(dwx, x, n, i_dim, &dz, g4, &mut dw_step);
+                add_step_product(dwh, &cache.hs[block], n, h_dim, &dz, g4, &mut dw_step);
+                db_step.fill(0.0);
+                for row in dz.chunks_exact(g4) {
+                    for (s, &v) in db_step.iter_mut().zip(row) {
+                        *s += v;
+                    }
+                }
+                for (d, &s) in db.as_mut_slice().iter_mut().zip(&db_step) {
+                    *d += s;
+                }
             }
-            dxs[t] = dz.matmul_tb(&self.wx);
-            dh_next = dz.matmul_tb(&self.wh);
+            if let (Some(dxs), Some(wx_t)) = (dxs.as_mut(), wx_t.as_ref()) {
+                let mut dx = Matrix::zeros(n, i_dim);
+                simd::gemm_acc(&dz, n, g4, wx_t, i_dim, dx.as_mut_slice());
+                dxs[t] = dx;
+            }
+            if t > 0 {
+                dh_next.fill(0.0);
+                simd::gemm_acc(&dz, n, g4, &wh_t, h_dim, &mut dh_next);
+            }
         }
+        spare::give(
+            [wh_t, dw_step, dz, dh_next, dc_next]
+                .into_iter()
+                .chain(wx_t),
+        );
         (grads, dxs)
     }
 
@@ -334,48 +468,61 @@ impl RecurrentCell for Lstm {
         self.hidden_dim
     }
 
+    /// Per timestep: the gate pre-activation `z = x·Wx + b + h·Wh` (the
+    /// same GEMMs as [`Lstm::forward_only_into`]), then one gate pass per
+    /// row (`simd::lstm_step_row_cached`) that advances `c` and `h` with
+    /// [`simd::lstm_step_row`]'s per-element operations and writes the
+    /// gates and `tanh(c)` into the cache.
     fn forward(&self, xs: &[Matrix]) -> (Vec<Matrix>, LstmCache) {
         assert!(!xs.is_empty(), "LSTM forward needs at least one timestep");
         let n = xs[0].rows();
-        let h_dim = self.hidden_dim;
-        let mut h = Matrix::zeros(n, h_dim);
-        let mut c = Matrix::zeros(n, h_dim);
-        let mut hs = Vec::with_capacity(xs.len());
-        let mut steps = Vec::with_capacity(xs.len());
+        let (i_dim, h_dim) = (self.input_dim, self.hidden_dim);
+        let g4 = 4 * h_dim;
+        let (nx, nh, ng) = (n * i_dim, n * h_dim, n * g4);
+        let t_len = xs.len();
+        let mut cache = LstmCache {
+            rows: n,
+            timesteps: t_len,
+            xs: spare::take(t_len * nx),
+            hs: spare::take((t_len + 1) * nh),
+            cs: spare::take((t_len + 1) * nh),
+            acts: spare::take(t_len * ng),
+            tcs: spare::take(t_len * nh),
+        };
+        // Zero initial state; every other block is written below.
+        cache.hs[..nh].fill(0.0);
+        cache.cs[..nh].fill(0.0);
         // One fused-gate scratch buffer reused across all timesteps.
-        let mut z = Matrix::zeros(n, 4 * h_dim);
-        for x in xs {
-            assert_eq!(x.cols(), self.input_dim, "timestep width mismatch");
+        let mut z = spare::take(ng);
+        for (t, x) in xs.iter().enumerate() {
+            assert_eq!(x.cols(), i_dim, "timestep width mismatch");
             assert_eq!(x.rows(), n, "timestep batch-size mismatch");
-            x.matmul_add_bias_into(&self.wx, &self.b, &mut z);
-            h.matmul_acc(&self.wh, &mut z);
-            let i = sigmoid(&z.slice_cols(0, h_dim));
-            let f = sigmoid(&z.slice_cols(h_dim, 2 * h_dim));
-            let g = tanh(&z.slice_cols(2 * h_dim, 3 * h_dim));
-            let o = sigmoid(&z.slice_cols(3 * h_dim, 4 * h_dim));
-            let c_new = &f.hadamard(&c) + &i.hadamard(&g);
-            let tc = tanh(&c_new);
-            let h_new = o.hadamard(&tc);
-            steps.push(StepCache {
-                x: x.clone(),
-                h_prev: h,
-                c_prev: c,
-                i,
-                f,
-                g,
-                o,
-                tc,
-            });
-            hs.push(h_new.clone());
-            h = h_new;
-            c = c_new;
+            cache.xs[t * nx..(t + 1) * nx].copy_from_slice(x.as_slice());
+            seed_rows(&mut z, self.b.as_slice());
+            simd::gemm_acc(x.as_slice(), n, i_dim, self.wx.as_slice(), g4, &mut z);
+            let (h_prev, h) = cache.hs[t * nh..(t + 2) * nh].split_at_mut(nh);
+            simd::gemm_acc(h_prev, n, h_dim, self.wh.as_slice(), g4, &mut z);
+            let (c_prev, c) = cache.cs[t * nh..(t + 2) * nh].split_at_mut(nh);
+            c.copy_from_slice(c_prev);
+            let rows = z
+                .chunks_exact(g4)
+                .zip(c.chunks_exact_mut(h_dim))
+                .zip(h.chunks_exact_mut(h_dim))
+                .zip(cache.acts[t * ng..(t + 1) * ng].chunks_exact_mut(g4))
+                .zip(cache.tcs[t * nh..(t + 1) * nh].chunks_exact_mut(h_dim));
+            for ((((zr, cr), hr), ar), tr) in rows {
+                simd::lstm_step_row_cached(zr, cr, hr, ar, tr, h_dim);
+            }
         }
-        (hs, LstmCache { steps })
+        spare::give([z]);
+        let hs = (1..=t_len)
+            .map(|t| Matrix::from_vec(n, h_dim, cache.hs[t * nh..(t + 1) * nh].to_vec()))
+            .collect();
+        (hs, cache)
     }
 
-    /// Skips every backward-cache clone (`x`, `h_prev`, `c_prev`, the gate
-    /// activations) that [`forward`](RecurrentCell::forward) must retain.
-    /// Thin wrapper over [`forward_only_into`](Lstm::forward_only_into), so
+    /// Keeps none of the inputs, states and gates that
+    /// [`forward`](RecurrentCell::forward) caches. Thin wrapper over [`forward_only_into`](Lstm::forward_only_into), so
     /// batch and streaming predictions share one code path.
     fn forward_only(&self, xs: &[Matrix]) -> Vec<Matrix> {
         let mut hs = Vec::new();
@@ -384,14 +531,20 @@ impl RecurrentCell for Lstm {
         hs
     }
 
-    fn backward(&self, cache: &LstmCache, dhs: &[Matrix]) -> (Vec<Matrix>, Vec<Matrix>) {
-        let (grads, dxs) = self.backward_impl(cache, dhs, true);
+    fn backward(
+        &self,
+        cache: &LstmCache,
+        dhs: &[Matrix],
+        input_grads: bool,
+    ) -> (Vec<Matrix>, Option<Vec<Matrix>>) {
+        let (grads, dxs) = self.backward_impl(cache, dhs, true, input_grads);
         (grads.expect("weight grads requested").into(), dxs)
     }
 
-    /// Skips the three weight-gradient matmuls per timestep.
+    /// Skips the three weight-gradient products per timestep.
     fn backward_input_only(&self, cache: &LstmCache, dhs: &[Matrix]) -> Vec<Matrix> {
-        self.backward_impl(cache, dhs, false).1
+        let (_, dxs) = self.backward_impl(cache, dhs, false, true);
+        dxs.expect("input grads requested")
     }
 
     fn params(&self) -> Vec<&Matrix> {
@@ -408,6 +561,145 @@ mod tests {
     use super::*;
     use crate::gradcheck::{max_relative_error, numeric_input_grad};
     use crate::init::random_normal;
+
+    /// The hadamard-chain LSTM step: per-timestep gate matrices and
+    /// element-wise passes, with a `transpose_matmul` per weight gradient
+    /// and a `matmul_tb` per `dz·Wᵀ`. The fused training cell must match
+    /// it bit for bit.
+    mod reference {
+        use crate::activation::{sigmoid, tanh};
+        use crate::{Lstm, Matrix};
+
+        pub struct Step {
+            x: Matrix,
+            h_prev: Matrix,
+            c_prev: Matrix,
+            i: Matrix,
+            f: Matrix,
+            g: Matrix,
+            o: Matrix,
+            tc: Matrix,
+        }
+
+        pub fn forward(lstm: &Lstm, xs: &[Matrix]) -> (Vec<Matrix>, Vec<Step>) {
+            let n = xs[0].rows();
+            let h_dim = lstm.hidden_dim();
+            let mut h = Matrix::zeros(n, h_dim);
+            let mut c = Matrix::zeros(n, h_dim);
+            let mut hs = Vec::new();
+            let mut steps = Vec::new();
+            let mut z = Matrix::zeros(n, 4 * h_dim);
+            for x in xs {
+                x.matmul_add_bias_into(lstm.wx(), lstm.gate_bias(), &mut z);
+                h.matmul_acc(lstm.wh(), &mut z);
+                let i = sigmoid(&z.slice_cols(0, h_dim));
+                let f = sigmoid(&z.slice_cols(h_dim, 2 * h_dim));
+                let g = tanh(&z.slice_cols(2 * h_dim, 3 * h_dim));
+                let o = sigmoid(&z.slice_cols(3 * h_dim, 4 * h_dim));
+                let c_new = &f.hadamard(&c) + &i.hadamard(&g);
+                let tc = tanh(&c_new);
+                let h_new = o.hadamard(&tc);
+                steps.push(Step {
+                    x: x.clone(),
+                    h_prev: h,
+                    c_prev: c,
+                    i,
+                    f,
+                    g,
+                    o,
+                    tc,
+                });
+                hs.push(h_new.clone());
+                h = h_new;
+                c = c_new;
+            }
+            (hs, steps)
+        }
+
+        pub fn backward(lstm: &Lstm, steps: &[Step], dhs: &[Matrix]) -> ([Matrix; 3], Vec<Matrix>) {
+            let h_dim = lstm.hidden_dim();
+            let n = steps[0].x.rows();
+            let mut dwx = Matrix::zeros(lstm.input_dim(), 4 * h_dim);
+            let mut dwh = Matrix::zeros(h_dim, 4 * h_dim);
+            let mut db = Matrix::zeros(1, 4 * h_dim);
+            let mut dxs = vec![Matrix::zeros(0, 0); steps.len()];
+            let mut dh_next = Matrix::zeros(n, h_dim);
+            let mut dc_next = Matrix::zeros(n, h_dim);
+            for t in (0..steps.len()).rev() {
+                let s = &steps[t];
+                let dh = &dhs[t] + &dh_next;
+                let d_o = dh.hadamard(&s.tc);
+                let dtc = dh.hadamard(&s.o);
+                let mut dc = s.tc.map(|v| 1.0 - v * v).hadamard(&dtc);
+                dc += &dc_next;
+                let d_i = dc.hadamard(&s.g);
+                let d_g = dc.hadamard(&s.i);
+                let d_f = dc.hadamard(&s.c_prev);
+                dc_next = dc.hadamard(&s.f);
+                let dz_i = d_i.hadamard(&s.i).hadamard(&s.i.map(|v| 1.0 - v));
+                let dz_f = d_f.hadamard(&s.f).hadamard(&s.f.map(|v| 1.0 - v));
+                let dz_g = d_g.hadamard(&s.g.map(|v| 1.0 - v * v));
+                let dz_o = d_o.hadamard(&s.o).hadamard(&s.o.map(|v| 1.0 - v));
+                let mut dz = Matrix::zeros(n, 4 * h_dim);
+                dz.set_cols(0, &dz_i);
+                dz.set_cols(h_dim, &dz_f);
+                dz.set_cols(2 * h_dim, &dz_g);
+                dz.set_cols(3 * h_dim, &dz_o);
+                dwx += &s.x.transpose_matmul(&dz);
+                dwh += &s.h_prev.transpose_matmul(&dz);
+                db += &dz.sum_rows();
+                dxs[t] = dz.matmul_tb(lstm.wx());
+                dh_next = dz.matmul_tb(lstm.wh());
+            }
+            ([dwx, dwh, db], dxs)
+        }
+    }
+
+    fn bits(ms: &[Matrix]) -> Vec<(usize, usize, Vec<u64>)> {
+        ms.iter()
+            .map(|m| {
+                let b = m.as_slice().iter().map(|v| v.to_bits()).collect();
+                (m.rows(), m.cols(), b)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn fused_cell_bit_identical_to_hadamard_reference() {
+        // H = 5 and 13 reach the 8- and 4-lane gate blocks and the scalar
+        // tails; N = 67 reaches the GEMM's m ≥ 64 B-pack path and its row
+        // remainder.
+        for h_dim in [5, 13] {
+            for n in [1, 3, 67] {
+                for t_len in [1, 6] {
+                    let case = format!("H={h_dim} N={n} T={t_len}");
+                    let mut rng = SmallRng::new((100 * h_dim + 10 * n + t_len) as u64);
+                    let lstm = Lstm::new(4, h_dim, &mut rng);
+                    let xs: Vec<Matrix> = (0..t_len)
+                        .map(|_| random_normal(n, 4, 2.0, &mut rng))
+                        .collect();
+                    let dhs: Vec<Matrix> = (0..t_len)
+                        .map(|_| random_normal(n, h_dim, 1.0, &mut rng))
+                        .collect();
+                    let (hs, cache) = lstm.forward(&xs);
+                    let (ref_hs, steps) = reference::forward(&lstm, &xs);
+                    assert_eq!(bits(&hs), bits(&ref_hs), "hidden states, {case}");
+
+                    let (grads, dxs) = lstm.backward(&cache, &dhs, true);
+                    let (ref_grads, ref_dxs) = reference::backward(&lstm, &steps, &dhs);
+                    assert_eq!(bits(&grads), bits(&ref_grads), "[dWx, dWh, db], {case}");
+                    let dxs = dxs.expect("input grads requested");
+                    assert_eq!(bits(&dxs), bits(&ref_dxs), "dxs, {case}");
+
+                    let (grads_only, none) = lstm.backward(&cache, &dhs, false);
+                    assert!(none.is_none());
+                    assert_eq!(bits(&grads_only), bits(&ref_grads), "no-dxs grads, {case}");
+                    let dxs_only = lstm.backward_input_only(&cache, &dhs);
+                    assert_eq!(bits(&dxs_only), bits(&ref_dxs), "input-only dxs, {case}");
+                }
+            }
+        }
+    }
 
     fn objective(lstm: &Lstm, xs: &[Matrix]) -> f64 {
         // Scalar objective: sum of all hidden states over all steps.
@@ -452,7 +744,10 @@ mod tests {
             .iter()
             .map(|h| Matrix::filled(h.rows(), h.cols(), 1.0))
             .collect();
-        let (_, dxs) = lstm.backward(&cache, &dhs);
+        let dxs = lstm
+            .backward(&cache, &dhs, true)
+            .1
+            .expect("input grads requested");
         for t in 0..3 {
             let num = numeric_input_grad(&xs[t], 1e-5, |xp| {
                 let mut xs2 = xs.clone();
@@ -474,7 +769,7 @@ mod tests {
             .iter()
             .map(|h| Matrix::filled(h.rows(), h.cols(), 1.0))
             .collect();
-        let (grads, _) = lstm.backward(&cache, &dhs);
+        let (grads, _) = lstm.backward(&cache, &dhs, false);
         let h = 1e-5;
         // Check a sample of wx entries.
         for (r, c) in [(0, 0), (1, 5), (0, 11), (1, 7)] {
@@ -512,7 +807,10 @@ mod tests {
             .collect();
         let last = dhs.len() - 1;
         dhs[last] = Matrix::filled(1, 3, 1.0);
-        let (_, dxs) = lstm.backward(&cache, &dhs);
+        let dxs = lstm
+            .backward(&cache, &dhs, true)
+            .1
+            .expect("input grads requested");
         assert!(
             dxs[0].max_abs() > 0.0,
             "no gradient reached the first input"

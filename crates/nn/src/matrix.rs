@@ -9,14 +9,57 @@
 use std::fmt;
 use std::ops::{Add, AddAssign, Mul, Sub};
 
-use crate::simd::gemm_acc;
+use crate::simd::{gemm_acc, gemm_acc_unfused};
 
 thread_local! {
-    /// Reusable transpose-pack buffer for [`Matrix::matmul_tb`]. Per
-    /// thread so the backward pass's per-timestep `dz·Wᵀ` calls stop
-    /// paying a fresh `k·n` allocation (and the allocator-layout jitter it
-    /// induced on the output buffer) on every call.
+    /// Reusable transpose-pack buffer for [`Matrix::matmul_tb`] and
+    /// [`Matrix::transpose_matmul`]. Per thread so the backward passes'
+    /// per-timestep products stop paying a fresh `k·n` allocation (and the
+    /// allocator-layout jitter it induced on the output buffer) on every
+    /// call.
     static PACK_SCRATCH: std::cell::RefCell<Vec<f64>> = const { std::cell::RefCell::new(Vec::new()) };
+}
+
+/// Writes the transpose of the row-major `rows × cols` matrix `src` into
+/// `dst` (`cols × rows`, row-major).
+///
+/// The loop walks `dst` in order: contiguous writes, strided reads. The
+/// other way round scatters writes at a stride of `8·rows` bytes and
+/// stalls on a read-for-ownership round trip per element (measured ~6×
+/// the cost on the 256×36 backward shape).
+pub(crate) fn transpose_into(src: &[f64], rows: usize, cols: usize, dst: &mut [f64]) {
+    assert_eq!(src.len(), rows * cols, "transpose source length mismatch");
+    assert_eq!(dst.len(), rows * cols, "transpose target length mismatch");
+    let sp = src.as_ptr();
+    for (c, dst_row) in dst.chunks_exact_mut(rows.max(1)).enumerate() {
+        for (r, d) in dst_row.iter_mut().enumerate() {
+            // SAFETY: r < rows and c < cols, so r·cols + c < src.len().
+            *d = unsafe { *sp.add(r * cols + c) };
+        }
+    }
+}
+
+/// `out += aᵀ·b` for row-major `a` (`k × m`) and `b` (`k × n`): `aᵀ` is
+/// packed into the thread's pack scratch and the product runs through the
+/// never-fused GEMM ([`gemm_acc_unfused`]), so every element of `out`
+/// gains `Σ_r a[r][i]·b[r][j]` as one rounded multiply and one rounded
+/// add per row `r`, in ascending `r`.
+pub(crate) fn transpose_matmul_acc(
+    a: &[f64],
+    k: usize,
+    m: usize,
+    b: &[f64],
+    n: usize,
+    out: &mut [f64],
+) {
+    PACK_SCRATCH.with(|cell| {
+        let mut packed = cell.borrow_mut();
+        if packed.len() < m * k {
+            packed.resize(m * k, 0.0);
+        }
+        transpose_into(a, k, m, &mut packed[..m * k]);
+        gemm_acc_unfused(&packed[..m * k], m, k, b, n, out);
+    })
 }
 
 /// Seeds every `bias.len()`-wide row of the row-major `out` with `bias`:
@@ -373,11 +416,7 @@ impl Matrix {
     /// Returns the transpose.
     pub fn transpose(&self) -> Matrix {
         let mut out = Matrix::zeros(self.cols, self.rows);
-        for r in 0..self.rows {
-            for c in 0..self.cols {
-                out.data[c * self.rows + r] = self.data[r * self.cols + c];
-            }
-        }
+        transpose_into(&self.data, self.rows, self.cols, &mut out.data);
         out
     }
 
@@ -511,38 +550,30 @@ impl Matrix {
         );
         let k = self.cols;
         let n = rhs.rows;
-        // Transpose kk-major into a thread-local pack scratch. kk-major
-        // keeps the writes contiguous (the j-major form scatters writes at
-        // stride `8n` bytes, stalling on a read-for-ownership round trip
-        // per element — measured ~6× the pack cost on the 256×36 backward
-        // shape), and reusing one long-lived buffer keeps the allocator
-        // pattern identical to `matmul` (interleaving a fresh `k·n` chunk
-        // with the output allocation measurably perturbed how the output
-        // buffer itself was served, costing more than the pack).
+        // Reusing one long-lived pack buffer keeps the allocator pattern
+        // identical to `matmul` (interleaving a fresh `k·n` chunk with the
+        // output allocation measurably perturbed how the output buffer
+        // itself was served, costing more than the pack).
         PACK_SCRATCH.with(|cell| {
             let mut packed = cell.borrow_mut();
             if packed.len() < k * n {
                 packed.resize(k * n, 0.0);
             }
-            let rp = rhs.data.as_ptr();
-            for (kk, dst) in packed[..k * n].chunks_exact_mut(n).enumerate() {
-                // SAFETY: j*k + kk < n*k = rhs.data.len().
-                for (j, d) in dst.iter_mut().enumerate() {
-                    *d = unsafe { *rp.add(j * k + kk) };
-                }
-            }
+            transpose_into(&rhs.data, n, k, &mut packed[..k * n]);
             let mut out = Matrix::zeros(self.rows, n);
             gemm_acc(&self.data, self.rows, k, &packed[..k * n], n, &mut out.data);
             out
         })
     }
 
-    /// `selfᵀ · rhs` without materializing the transpose (the weight-grad
-    /// kernel: `dW = xᵀ·dz`).
+    /// `selfᵀ · rhs` (the weight-grad kernel: `dW = xᵀ·dz`).
     ///
-    /// Accumulation over the shared row index is strictly ascending per
-    /// output element; four rows are fused per pass so the output panel is
-    /// loaded and stored once per four rank-1 updates.
+    /// `selfᵀ` is packed once into a thread-local scratch and the product
+    /// runs through the dispatched never-fused GEMM
+    /// ([`gemm_acc_unfused`]): each output
+    /// element accumulates over the shared row index in strictly ascending
+    /// order, one rounded multiply and one rounded add per row, under every
+    /// backend — bit-identical to the naive `acc += a*b` loop.
     ///
     /// # Panics
     ///
@@ -553,46 +584,15 @@ impl Matrix {
             "transpose_matmul shape mismatch: ({}x{})ᵀ · {}x{}",
             self.rows, self.cols, rhs.rows, rhs.cols
         );
-        let m = self.cols;
-        let n = rhs.cols;
-        let mut out = Matrix::zeros(m, n);
-        let mut r = 0;
-        while r + 4 <= self.rows {
-            let a0 = &self.data[r * m..(r + 1) * m];
-            let a1 = &self.data[(r + 1) * m..(r + 2) * m];
-            let a2 = &self.data[(r + 2) * m..(r + 3) * m];
-            let a3 = &self.data[(r + 3) * m..(r + 4) * m];
-            let b0 = &rhs.data[r * n..(r + 1) * n];
-            let b1 = &rhs.data[(r + 1) * n..(r + 2) * n];
-            let b2 = &rhs.data[(r + 2) * n..(r + 3) * n];
-            let b3 = &rhs.data[(r + 3) * n..(r + 4) * n];
-            for i in 0..m {
-                let (c0, c1, c2, c3) = (a0[i], a1[i], a2[i], a3[i]);
-                let out_row = &mut out.data[i * n..(i + 1) * n];
-                for j in 0..n {
-                    // Sequential adds keep the row-ascending accumulation
-                    // order identical to the unfused rank-1 updates.
-                    let mut acc = out_row[j];
-                    acc += c0 * b0[j];
-                    acc += c1 * b1[j];
-                    acc += c2 * b2[j];
-                    acc += c3 * b3[j];
-                    out_row[j] = acc;
-                }
-            }
-            r += 4;
-        }
-        while r < self.rows {
-            let a_row = &self.data[r * m..(r + 1) * m];
-            let b_row = &rhs.data[r * n..(r + 1) * n];
-            for (i, &a) in a_row.iter().enumerate() {
-                let out_row = &mut out.data[i * n..(i + 1) * n];
-                for (o, &b) in out_row.iter_mut().zip(b_row.iter()) {
-                    *o += a * b;
-                }
-            }
-            r += 1;
-        }
+        let mut out = Matrix::zeros(self.cols, rhs.cols);
+        transpose_matmul_acc(
+            &self.data,
+            self.rows,
+            self.cols,
+            &rhs.data,
+            rhs.cols,
+            &mut out.data,
+        );
         out
     }
 
@@ -898,8 +898,8 @@ mod tests {
         out
     }
 
-    /// Plain (never-fused) naive reference, for the kernels that stay
-    /// scalar under every backend (`transpose_matmul`).
+    /// Plain (never-fused) naive reference, for the kernel that never
+    /// fuses under any backend (`transpose_matmul`).
     fn reference_matmul_plain(a: &Matrix, b: &Matrix) -> Matrix {
         let mut out = Matrix::zeros(a.rows(), b.cols());
         for i in 0..a.rows() {
@@ -953,7 +953,26 @@ mod tests {
 
     #[test]
     fn transpose_matmul_bit_identical_to_reference() {
-        for (k, m, n) in [(1, 2, 2), (6, 4, 5), (131, 3, 8)] {
+        // `(k×m)ᵀ·(k×n)` runs a GEMM with m rows, k depth and n columns.
+        // The four paper shapes (the LSTM's `x_tᵀ·dz` and `h_prevᵀ·dz` at
+        // 64 rows), then ragged shapes reaching the 16-column zmm tile, the
+        // 8/4/scalar column tails, the 1-3 row remainder, the m ≥ 64 B-pack
+        // path and the 128-deep k panel boundary.
+        for (k, m, n) in [
+            (1, 2, 2),
+            (6, 4, 5),
+            (131, 3, 8),
+            (64, 6, 512),
+            (64, 128, 512),
+            (64, 128, 256),
+            (64, 64, 256),
+            (67, 65, 31),
+            (130, 70, 45),
+            (5, 63, 29),
+            (64, 7, 16),
+            (3, 66, 17),
+            (129, 64, 12),
+        ] {
             let a = arbitrary_matrix(k, m, 31);
             let b = arbitrary_matrix(k, n, 37);
             let fast = a.transpose_matmul(&b);

@@ -205,13 +205,12 @@ impl Network for MlpNet {
     fn backward(&self, (inputs, zs): &Self::Cache, mut dz: Matrix) -> Vec<Matrix> {
         let mut grads = Vec::with_capacity(self.layers.len());
         for (i, layer) in self.layers.iter().enumerate().rev() {
-            let (g, dx) = layer.backward(&inputs[i], &dz);
+            // The first layer's input gradient would be dropped.
+            let (g, dx) = layer.backward(&inputs[i], &dz, i > 0);
             grads.push(g);
-            dz = if i > 0 {
-                dx.hadamard(&relu_grad_mask(&zs[i - 1]))
-            } else {
-                dx
-            };
+            if let Some(dx) = dx {
+                dz = dx.hadamard(&relu_grad_mask(&zs[i - 1]));
+            }
         }
         grads.into_iter().rev().flatten().collect()
     }

@@ -8,6 +8,7 @@ use crate::loss::{cross_entropy, softmax_ce_grad, SemanticLoss};
 use crate::matrix::Matrix;
 use crate::par;
 use crate::rng::SmallRng;
+use crate::spare;
 
 /// A differentiable classifier over flat feature rows.
 ///
@@ -156,7 +157,8 @@ pub trait Network: Sync {
     /// One epoch of minibatch training: shuffles the row order `0..n` with
     /// `rng`, then runs [`train_batch`](Self::train_batch) on consecutive
     /// `batch_size`-row slices of it, gathering each batch's rows, labels
-    /// and (when given) indicators.
+    /// and (when given) indicators. Batches reuse one another's large
+    /// scratch buffers for the length of the epoch.
     ///
     /// # Panics
     ///
@@ -170,6 +172,7 @@ pub trait Network: Sync {
         trainer: &mut AdamTrainer,
         rng: &mut SmallRng,
     ) {
+        let _spares = spare::keep();
         let mut idx: Vec<usize> = (0..x.rows()).collect();
         rng.shuffle(&mut idx);
         for batch in idx.chunks(batch_size.max(1)) {
@@ -229,6 +232,7 @@ impl<N: Network + ?Sized> GradModel for N {
     fn input_gradient(&self, x: &Matrix, labels: &[usize]) -> Matrix {
         assert_eq!(labels.len(), x.rows(), "label count mismatch");
         let n = x.rows();
+        let _spares = spare::keep();
         par::map_rows(x, par::GRAD_CHUNK, |r, chunk| {
             let (logits, cache) = self.forward_cached(chunk);
             let (_, dz) = softmax_ce_grad(&logits, &labels[r.clone()]);

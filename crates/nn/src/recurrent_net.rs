@@ -74,12 +74,19 @@ pub trait RecurrentCell: Sized + Sync {
     /// Backpropagation through time. `dhs[t]` is the loss gradient with
     /// respect to the hidden state emitted at step `t` (zeros for unused
     /// steps). Returns the weight gradients in [`params`](Self::params)
-    /// order and `dxs[t]`, the gradient with respect to each input step.
+    /// order and, when `input_grads`, `dxs[t]`, the gradient with respect
+    /// to each input step (the bottom layer of a training pass has no use
+    /// for them and skips their products).
     ///
     /// # Panics
     ///
     /// Panics if `dhs.len()` differs from the cached timestep count.
-    fn backward(&self, cache: &Self::Cache, dhs: &[Matrix]) -> (Vec<Matrix>, Vec<Matrix>);
+    fn backward(
+        &self,
+        cache: &Self::Cache,
+        dhs: &[Matrix],
+        input_grads: bool,
+    ) -> (Vec<Matrix>, Option<Vec<Matrix>>);
 
     /// [`backward`](Self::backward) computing only the input gradients
     /// (the attack path, with the weights frozen).
@@ -265,13 +272,16 @@ impl<C: RecurrentCell> Network for RecurrentNet<C> {
     }
 
     fn backward(&self, (caches, last_h): &Self::Cache, dz: Matrix) -> Vec<Matrix> {
-        let (head_grads, dh_last) = self.head.backward(last_h, &dz);
-        let mut dseq = self.seed_dhs(dh_last);
+        let (head_grads, dh_last) = self.head.backward(last_h, &dz, true);
+        let mut dseq = self.seed_dhs(dh_last.expect("input grad requested"));
         let mut cell_grads = Vec::with_capacity(self.cells.len());
-        for (cell, cache) in self.cells.iter().zip(caches).rev() {
-            let (grads, dxs) = cell.backward(cache, &dseq);
+        for (l, (cell, cache)) in self.cells.iter().zip(caches).enumerate().rev() {
+            // The bottom layer's input gradients would be dropped.
+            let (grads, dxs) = cell.backward(cache, &dseq, l > 0);
             cell_grads.push(grads);
-            dseq = dxs;
+            if let Some(dxs) = dxs {
+                dseq = dxs;
+            }
         }
         cell_grads
             .into_iter()
@@ -401,6 +411,43 @@ mod tests {
             let preds = net.predict_labels(&x);
             let correct = preds.iter().zip(&labels).filter(|(p, y)| p == y).count();
             assert!(correct >= 55, "{}: only {correct}/60 correct", C::KIND);
+        }
+        check::<Lstm>();
+        check::<Gru>();
+    }
+
+    #[test]
+    fn epoch_reusing_spare_buffers_matches_fresh_batches() {
+        // `train_epoch` lets batches reuse one another's cache and scratch
+        // buffers, stale contents included; a loop of `train_batch` calls
+        // outside any epoch allocates them fresh. The weights must agree
+        // bit for bit, with 64-row chunks, a ragged last chunk and a
+        // ragged last batch.
+        fn check<C: RecurrentCell>() {
+            let mut rng = SmallRng::new(21);
+            let x = random_normal(300, 12, 1.0, &mut rng);
+            let labels: Vec<usize> = (0..300).map(|_| rng.index(2)).collect();
+            let mut epoch = tiny_net::<C>(22);
+            let mut tr = AdamTrainer::new(epoch.param_count(), 1e-2);
+            epoch.train_epoch(&x, &labels, None, 140, &mut tr, &mut SmallRng::new(23));
+
+            let mut order: Vec<usize> = (0..300).collect();
+            SmallRng::new(23).shuffle(&mut order);
+            let mut fresh = tiny_net::<C>(22);
+            let mut tr = AdamTrainer::new(fresh.param_count(), 1e-2);
+            for batch in order.chunks(140) {
+                let y: Vec<usize> = batch.iter().map(|&i| labels[i]).collect();
+                fresh.train_batch(&x.select_rows(batch), &y, None, &mut tr);
+            }
+            let bits = |n: &mut RecurrentNet<C>| -> Vec<u64> {
+                let params = n.params_mut();
+                params
+                    .iter()
+                    .flat_map(|m| m.as_slice())
+                    .map(|v| v.to_bits())
+                    .collect()
+            };
+            assert_eq!(bits(&mut epoch), bits(&mut fresh), "{}", C::KIND);
         }
         check::<Lstm>();
         check::<Gru>();

@@ -33,6 +33,10 @@
 //!   AVX2 variant's scalar column tail uses [`f64::mul_add`], which rounds
 //!   identically to the vector `vfmadd` lanes, so an output column produces
 //!   the same bits whether it lands in a vector lane or the tail.
+//! - [`gemm_acc_unfused`] runs the same microkernels with every
+//!   multiply-add split into a rounded multiply and a rounded add (tails:
+//!   `acc + a*b`), so under every backend it gives the bits of the naive
+//!   unfused loop.
 //! - The vector transcendentals (`exp`/`sigmoid`/`tanh`) have scalar
 //!   mirrors (`exp_m`/`sigmoid_m`/`tanh_m`) built from the *same* operation
 //!   sequence (fused multiply-adds included), used for slice tails; a value
@@ -202,9 +206,32 @@ pub fn gemm_acc(a: &[f64], m: usize, k: usize, b: &[f64], n: usize, out: &mut [f
     check_gemm_shapes(a, m, k, b, n, out);
     match backend() {
         #[cfg(target_arch = "x86_64")]
-        Backend::Avx512 => unsafe { avx512::gemm_acc(a, m, k, b, n, out) },
+        Backend::Avx512 => unsafe { avx512::gemm_acc::<true>(a, m, k, b, n, out) },
         #[cfg(target_arch = "x86_64")]
-        Backend::Avx2Fma => unsafe { gemm_acc_avx2(a, m, k, b, n, out) },
+        Backend::Avx2Fma => unsafe { gemm_acc_avx2::<true>(a, m, k, b, n, out) },
+        _ => gemm_acc_scalar(a, m, k, b, n, out),
+    }
+}
+
+/// Dispatched `out += a · b` that never fuses: under every backend each
+/// `k` step is a rounded multiply followed by a rounded add, in strictly
+/// ascending `k` order per element — bit-identical to the naive
+/// `acc += a*b` triple loop. The vector backends run the same
+/// microkernels as [`gemm_acc`] with each `vfmadd` split in two; the
+/// scalar backend is [`gemm_acc_scalar`], which is already unfused. This
+/// is the weight-gradient kernel behind
+/// [`Matrix::transpose_matmul`](crate::Matrix::transpose_matmul).
+///
+/// # Panics
+///
+/// Panics if any buffer length disagrees with the stated shape.
+pub fn gemm_acc_unfused(a: &[f64], m: usize, k: usize, b: &[f64], n: usize, out: &mut [f64]) {
+    check_gemm_shapes(a, m, k, b, n, out);
+    match backend() {
+        #[cfg(target_arch = "x86_64")]
+        Backend::Avx512 => unsafe { avx512::gemm_acc::<false>(a, m, k, b, n, out) },
+        #[cfg(target_arch = "x86_64")]
+        Backend::Avx2Fma => unsafe { gemm_acc_avx2::<false>(a, m, k, b, n, out) },
         _ => gemm_acc_scalar(a, m, k, b, n, out),
     }
 }
@@ -260,7 +287,7 @@ pub fn gemm_acc_scalar(a: &[f64], m: usize, k: usize, b: &[f64], n: usize, out: 
 pub fn gemm_acc_fma(a: &[f64], m: usize, k: usize, b: &[f64], n: usize, out: &mut [f64]) {
     assert!(detect_avx2_fma(), "AVX2+FMA not supported on this CPU");
     check_gemm_shapes(a, m, k, b, n, out);
-    unsafe { gemm_acc_avx2(a, m, k, b, n, out) }
+    unsafe { gemm_acc_avx2::<true>(a, m, k, b, n, out) }
 }
 
 /// AVX-512 GEMM through the safe entry used by tests and benches. Bit-
@@ -276,17 +303,48 @@ pub fn gemm_acc_fma(a: &[f64], m: usize, k: usize, b: &[f64], n: usize, out: &mu
 pub fn gemm_acc_avx512(a: &[f64], m: usize, k: usize, b: &[f64], n: usize, out: &mut [f64]) {
     assert!(detect_avx512(), "AVX-512F not supported on this CPU");
     check_gemm_shapes(a, m, k, b, n, out);
-    unsafe { avx512::gemm_acc(a, m, k, b, n, out) }
+    unsafe { avx512::gemm_acc::<true>(a, m, k, b, n, out) }
+}
+
+/// One multiply-add step `acc + a·b` of a GEMM chain: [`f64::mul_add`]
+/// (one rounding, like a `vfmadd` lane) when `FUSED`, else a rounded
+/// multiply then a rounded add (like the split vector form).
+#[inline(always)]
+fn madd<const FUSED: bool>(a: f64, b: f64, acc: f64) -> f64 {
+    if FUSED {
+        a.mul_add(b, acc)
+    } else {
+        acc + a * b
+    }
+}
+
+/// The 4-lane form of [`madd`]: `vfmadd` when `FUSED`, else `vmul` then
+/// `vadd`.
+#[cfg(target_arch = "x86_64")]
+#[inline]
+#[target_feature(enable = "avx2", enable = "fma")]
+unsafe fn madd256<const FUSED: bool>(
+    a: std::arch::x86_64::__m256d,
+    b: std::arch::x86_64::__m256d,
+    c: std::arch::x86_64::__m256d,
+) -> std::arch::x86_64::__m256d {
+    use std::arch::x86_64::*;
+    if FUSED {
+        _mm256_fmadd_pd(a, b, c)
+    } else {
+        _mm256_add_pd(c, _mm256_mul_pd(a, b))
+    }
 }
 
 /// Vectorized GEMM with a 4-row × 8-column register microkernel: four `a`
 /// rows share every load of a `b` panel line (¼ the L2 traffic of a
 /// row-at-a-time loop), and each of the eight accumulator chains takes one
-/// fused multiply-add per `k` step. Row remainders fall back to a
-/// single-row vector loop; column tails mirror the lanes with
-/// [`f64::mul_add`]. Per element the FMA chain is strictly `k`-ascending
-/// regardless of which micro-tile computed it, so results are independent
-/// of blocking, batch slicing, and lane/tail position.
+/// multiply-add ([`madd256`]) per `k` step. Row remainders fall back to a
+/// single-row vector loop; column tails mirror the lanes with [`madd`].
+/// Per element the chain is strictly `k`-ascending regardless of which
+/// micro-tile computed it, so results are independent of blocking, batch
+/// slicing, and lane/tail position. `FUSED` picks fused multiply-adds
+/// ([`gemm_acc`]) or split ones ([`gemm_acc_unfused`]).
 ///
 /// # Safety
 ///
@@ -294,7 +352,14 @@ pub fn gemm_acc_avx512(a: &[f64], m: usize, k: usize, b: &[f64], n: usize, out: 
 /// (checked by the safe wrappers).
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2", enable = "fma")]
-unsafe fn gemm_acc_avx2(a: &[f64], m: usize, k: usize, b: &[f64], n: usize, out: &mut [f64]) {
+unsafe fn gemm_acc_avx2<const FUSED: bool>(
+    a: &[f64],
+    m: usize,
+    k: usize,
+    b: &[f64],
+    n: usize,
+    out: &mut [f64],
+) {
     use std::arch::x86_64::*;
     let ap = a.as_ptr();
     let bp = b.as_ptr();
@@ -325,17 +390,17 @@ unsafe fn gemm_acc_avx2(a: &[f64], m: usize, k: usize, b: &[f64], n: usize, out:
                     let b0 = _mm256_loadu_pd(bp.add(kk * n + j));
                     let b1 = _mm256_loadu_pd(bp.add(kk * n + j + 4));
                     let av = _mm256_set1_pd(*a0.add(kk));
-                    c00 = _mm256_fmadd_pd(av, b0, c00);
-                    c01 = _mm256_fmadd_pd(av, b1, c01);
+                    c00 = madd256::<FUSED>(av, b0, c00);
+                    c01 = madd256::<FUSED>(av, b1, c01);
                     let av = _mm256_set1_pd(*a1.add(kk));
-                    c10 = _mm256_fmadd_pd(av, b0, c10);
-                    c11 = _mm256_fmadd_pd(av, b1, c11);
+                    c10 = madd256::<FUSED>(av, b0, c10);
+                    c11 = madd256::<FUSED>(av, b1, c11);
                     let av = _mm256_set1_pd(*a2.add(kk));
-                    c20 = _mm256_fmadd_pd(av, b0, c20);
-                    c21 = _mm256_fmadd_pd(av, b1, c21);
+                    c20 = madd256::<FUSED>(av, b0, c20);
+                    c21 = madd256::<FUSED>(av, b1, c21);
                     let av = _mm256_set1_pd(*a3.add(kk));
-                    c30 = _mm256_fmadd_pd(av, b0, c30);
-                    c31 = _mm256_fmadd_pd(av, b1, c31);
+                    c30 = madd256::<FUSED>(av, b0, c30);
+                    c31 = madd256::<FUSED>(av, b1, c31);
                 }
                 _mm256_storeu_pd(o0.add(j), c00);
                 _mm256_storeu_pd(o0.add(j + 4), c01);
@@ -354,10 +419,10 @@ unsafe fn gemm_acc_avx2(a: &[f64], m: usize, k: usize, b: &[f64], n: usize, out:
                 let mut c3 = _mm256_loadu_pd(o3.add(j));
                 for kk in k0..k1 {
                     let b0 = _mm256_loadu_pd(bp.add(kk * n + j));
-                    c0 = _mm256_fmadd_pd(_mm256_set1_pd(*a0.add(kk)), b0, c0);
-                    c1 = _mm256_fmadd_pd(_mm256_set1_pd(*a1.add(kk)), b0, c1);
-                    c2 = _mm256_fmadd_pd(_mm256_set1_pd(*a2.add(kk)), b0, c2);
-                    c3 = _mm256_fmadd_pd(_mm256_set1_pd(*a3.add(kk)), b0, c3);
+                    c0 = madd256::<FUSED>(_mm256_set1_pd(*a0.add(kk)), b0, c0);
+                    c1 = madd256::<FUSED>(_mm256_set1_pd(*a1.add(kk)), b0, c1);
+                    c2 = madd256::<FUSED>(_mm256_set1_pd(*a2.add(kk)), b0, c2);
+                    c3 = madd256::<FUSED>(_mm256_set1_pd(*a3.add(kk)), b0, c3);
                 }
                 _mm256_storeu_pd(o0.add(j), c0);
                 _mm256_storeu_pd(o1.add(j), c1);
@@ -366,14 +431,14 @@ unsafe fn gemm_acc_avx2(a: &[f64], m: usize, k: usize, b: &[f64], n: usize, out:
                 j += 4;
             }
             while j < n {
-                // Scalar tail: `mul_add` rounds exactly like the vector
-                // `vfmadd` lanes, so column position cannot change bits.
+                // Scalar tail: `madd` rounds exactly like the vector
+                // lanes, so column position cannot change bits.
                 for row in 0..4 {
                     let ar = ap.add((i + row) * k);
                     let or = op.add((i + row) * n + j);
                     let mut acc = *or;
                     for kk in k0..k1 {
-                        acc = (*ar.add(kk)).mul_add(*bp.add(kk * n + j), acc);
+                        acc = madd::<FUSED>(*ar.add(kk), *bp.add(kk * n + j), acc);
                     }
                     *or = acc;
                 }
@@ -411,33 +476,33 @@ unsafe fn gemm_acc_avx2(a: &[f64], m: usize, k: usize, b: &[f64], n: usize, out:
                     // latency of the four-deep chains.
                     let mut c0 = _mm256_loadu_pd(or.add(j));
                     let mut c1 = _mm256_loadu_pd(or.add(j + 4));
-                    c0 = _mm256_fmadd_pd(av0, _mm256_loadu_pd(b0.add(j)), c0);
-                    c1 = _mm256_fmadd_pd(av0, _mm256_loadu_pd(b0.add(j + 4)), c1);
-                    c0 = _mm256_fmadd_pd(av1, _mm256_loadu_pd(b1.add(j)), c0);
-                    c1 = _mm256_fmadd_pd(av1, _mm256_loadu_pd(b1.add(j + 4)), c1);
-                    c0 = _mm256_fmadd_pd(av2, _mm256_loadu_pd(b2.add(j)), c0);
-                    c1 = _mm256_fmadd_pd(av2, _mm256_loadu_pd(b2.add(j + 4)), c1);
-                    c0 = _mm256_fmadd_pd(av3, _mm256_loadu_pd(b3.add(j)), c0);
-                    c1 = _mm256_fmadd_pd(av3, _mm256_loadu_pd(b3.add(j + 4)), c1);
+                    c0 = madd256::<FUSED>(av0, _mm256_loadu_pd(b0.add(j)), c0);
+                    c1 = madd256::<FUSED>(av0, _mm256_loadu_pd(b0.add(j + 4)), c1);
+                    c0 = madd256::<FUSED>(av1, _mm256_loadu_pd(b1.add(j)), c0);
+                    c1 = madd256::<FUSED>(av1, _mm256_loadu_pd(b1.add(j + 4)), c1);
+                    c0 = madd256::<FUSED>(av2, _mm256_loadu_pd(b2.add(j)), c0);
+                    c1 = madd256::<FUSED>(av2, _mm256_loadu_pd(b2.add(j + 4)), c1);
+                    c0 = madd256::<FUSED>(av3, _mm256_loadu_pd(b3.add(j)), c0);
+                    c1 = madd256::<FUSED>(av3, _mm256_loadu_pd(b3.add(j + 4)), c1);
                     _mm256_storeu_pd(or.add(j), c0);
                     _mm256_storeu_pd(or.add(j + 4), c1);
                     j += 8;
                 }
                 while j + 4 <= n {
                     let mut c = _mm256_loadu_pd(or.add(j));
-                    c = _mm256_fmadd_pd(av0, _mm256_loadu_pd(b0.add(j)), c);
-                    c = _mm256_fmadd_pd(av1, _mm256_loadu_pd(b1.add(j)), c);
-                    c = _mm256_fmadd_pd(av2, _mm256_loadu_pd(b2.add(j)), c);
-                    c = _mm256_fmadd_pd(av3, _mm256_loadu_pd(b3.add(j)), c);
+                    c = madd256::<FUSED>(av0, _mm256_loadu_pd(b0.add(j)), c);
+                    c = madd256::<FUSED>(av1, _mm256_loadu_pd(b1.add(j)), c);
+                    c = madd256::<FUSED>(av2, _mm256_loadu_pd(b2.add(j)), c);
+                    c = madd256::<FUSED>(av3, _mm256_loadu_pd(b3.add(j)), c);
                     _mm256_storeu_pd(or.add(j), c);
                     j += 4;
                 }
                 while j < n {
                     let mut acc = *or.add(j);
-                    acc = a_row[kk].mul_add(*b0.add(j), acc);
-                    acc = a_row[kk + 1].mul_add(*b1.add(j), acc);
-                    acc = a_row[kk + 2].mul_add(*b2.add(j), acc);
-                    acc = a_row[kk + 3].mul_add(*b3.add(j), acc);
+                    acc = madd::<FUSED>(a_row[kk], *b0.add(j), acc);
+                    acc = madd::<FUSED>(a_row[kk + 1], *b1.add(j), acc);
+                    acc = madd::<FUSED>(a_row[kk + 2], *b2.add(j), acc);
+                    acc = madd::<FUSED>(a_row[kk + 3], *b3.add(j), acc);
                     *or.add(j) = acc;
                     j += 1;
                 }
@@ -449,12 +514,12 @@ unsafe fn gemm_acc_avx2(a: &[f64], m: usize, k: usize, b: &[f64], n: usize, out:
                 let mut j = 0;
                 while j + 4 <= n {
                     let c0 = _mm256_loadu_pd(or.add(j));
-                    let c0 = _mm256_fmadd_pd(av, _mm256_loadu_pd(br.add(j)), c0);
+                    let c0 = madd256::<FUSED>(av, _mm256_loadu_pd(br.add(j)), c0);
                     _mm256_storeu_pd(or.add(j), c0);
                     j += 4;
                 }
                 while j < n {
-                    *or.add(j) = a_row[kk].mul_add(*br.add(j), *or.add(j));
+                    *or.add(j) = madd::<FUSED>(a_row[kk], *br.add(j), *or.add(j));
                     j += 1;
                 }
                 kk += 1;
@@ -698,13 +763,23 @@ mod avx2 {
     /// Fused LSTM state update for one row — the vector form of
     /// [`lstm_step_row_scalar`](super::lstm_step_row_scalar) under the
     /// AVX2 transcendentals. The gate algebra deliberately uses *unfused*
-    /// mul/add so it matches the cached-forward path, which computes
-    /// `f⊙c + i⊙g` through separate element-wise passes.
+    /// mul/add, the element-wise form `f⊙c + i⊙g` of the gate equations.
+    /// When `CACHE`, the activated gates `[i, f, g, o]` also go to `acts`
+    /// and `tanh(c)` to `tc` (otherwise both may be empty).
     #[target_feature(enable = "avx2", enable = "fma")]
-    pub unsafe fn lstm_step_row(z: &[f64], c: &mut [f64], h: &mut [f64], h_dim: usize) {
+    pub unsafe fn lstm_step_row<const CACHE: bool>(
+        z: &[f64],
+        c: &mut [f64],
+        h: &mut [f64],
+        acts: &mut [f64],
+        tc: &mut [f64],
+        h_dim: usize,
+    ) {
         let zp = z.as_ptr();
         let cp = c.as_mut_ptr();
         let hp = h.as_mut_ptr();
+        let ap = acts.as_mut_ptr();
+        let tp = tc.as_mut_ptr();
         let mut j = 0;
         while j + 4 <= h_dim {
             let i_g = sigmoid_pd(_mm256_loadu_pd(zp.add(j)));
@@ -716,7 +791,15 @@ mod avx2 {
                 _mm256_mul_pd(i_g, g_g),
             );
             _mm256_storeu_pd(cp.add(j), c_new);
-            _mm256_storeu_pd(hp.add(j), _mm256_mul_pd(o_g, tanh_pd(c_new)));
+            let t = tanh_pd(c_new);
+            if CACHE {
+                _mm256_storeu_pd(ap.add(j), i_g);
+                _mm256_storeu_pd(ap.add(h_dim + j), f_g);
+                _mm256_storeu_pd(ap.add(2 * h_dim + j), g_g);
+                _mm256_storeu_pd(ap.add(3 * h_dim + j), o_g);
+                _mm256_storeu_pd(tp.add(j), t);
+            }
+            _mm256_storeu_pd(hp.add(j), _mm256_mul_pd(o_g, t));
             j += 4;
         }
         while j < h_dim {
@@ -726,7 +809,11 @@ mod avx2 {
             let o_g = sigmoid_m(z[3 * h_dim + j]);
             let c_new = f_g * c[j] + i_g * g_g;
             c[j] = c_new;
-            h[j] = o_g * tanh_m(c_new);
+            let t = tanh_m(c_new);
+            if CACHE {
+                cache_gates(acts, tc, h_dim, j, [i_g, f_g, g_g, o_g], t);
+            }
+            h[j] = o_g * t;
             j += 1;
         }
     }
@@ -735,10 +822,11 @@ mod avx2 {
 #[cfg(target_arch = "x86_64")]
 mod avx512 {
     //! The 512-bit kernel tier. The GEMM applies the same strictly
-    //! `k`-ascending one-FMA-per-step chain per output element as the AVX2
-    //! tier, and the 8-lane transcendentals are transliterations of the
-    //! same `_m` scalar mirrors — so every kernel here is bit-identical
-    //! per element to its AVX2 counterpart; only throughput differs.
+    //! `k`-ascending one-multiply-add-per-step chain per output element as
+    //! the AVX2 tier (fused or split, per `FUSED`), and the 8-lane
+    //! transcendentals are transliterations of the same `_m` scalar
+    //! mirrors — so every kernel here is bit-identical per element to its
+    //! AVX2 counterpart; only throughput differs.
     #![allow(unsafe_op_in_unsafe_fn)]
 
     use super::*;
@@ -756,10 +844,21 @@ mod avx512 {
         static PACK_B: RefCell<Vec<f64>> = const { RefCell::new(Vec::new()) };
     }
 
+    /// The 8-lane form of [`madd`](super::madd).
+    #[inline]
+    #[target_feature(enable = "avx512f", enable = "avx2", enable = "fma")]
+    unsafe fn madd512<const FUSED: bool>(a: __m512d, b: __m512d, c: __m512d) -> __m512d {
+        if FUSED {
+            _mm512_fmadd_pd(a, b, c)
+        } else {
+            _mm512_add_pd(c, _mm512_mul_pd(a, b))
+        }
+    }
+
     /// 4-row × 16-column register microkernel (8 zmm accumulators), with
-    /// 8-, 4- (ymm) and scalar-`mul_add` column tails, then a single-row
-    /// axpy remainder with a 4-deep `k` unroll. Per element every path is
-    /// the same ascending-`k` FMA chain.
+    /// 8-, 4- (ymm) and scalar column tails, then a single-row axpy
+    /// remainder with a 4-deep `k` unroll. Per element every path is the
+    /// same ascending-`k` chain of `FUSED` multiply-adds.
     ///
     /// Large-`m` calls (the pooled stateful LSTM engine) first repack B
     /// into kk-major 16-column panels: the raw layout walks B with an
@@ -775,7 +874,14 @@ mod avx512 {
     /// Requires AVX-512F plus AVX2+FMA; buffer lengths must match the
     /// stated shapes (checked by the safe wrappers).
     #[target_feature(enable = "avx512f", enable = "avx2", enable = "fma")]
-    pub unsafe fn gemm_acc(a: &[f64], m: usize, k: usize, b: &[f64], n: usize, out: &mut [f64]) {
+    pub unsafe fn gemm_acc<const FUSED: bool>(
+        a: &[f64],
+        m: usize,
+        k: usize,
+        b: &[f64],
+        n: usize,
+        out: &mut [f64],
+    ) {
         if m >= PACK_MIN_M && n >= 16 {
             return PACK_B.with(|cell| {
                 let mut buf = cell.borrow_mut();
@@ -788,17 +894,17 @@ mod avx512 {
                             .copy_from_slice(&b[kk * n + jt * 16..kk * n + jt * 16 + 16]);
                     }
                 }
-                unsafe { gemm_acc_inner(a, m, k, b, n, out, buf.as_ptr()) }
+                unsafe { gemm_acc_inner::<FUSED>(a, m, k, b, n, out, buf.as_ptr()) }
             });
         }
-        gemm_acc_inner(a, m, k, b, n, out, std::ptr::null());
+        gemm_acc_inner::<FUSED>(a, m, k, b, n, out, std::ptr::null());
     }
 
     /// The microkernel proper. `pack` is either null (read B rows in
     /// place) or the kk-major panel buffer covering the first
     /// `n - n % 16` columns.
     #[target_feature(enable = "avx512f", enable = "avx2", enable = "fma")]
-    unsafe fn gemm_acc_inner(
+    unsafe fn gemm_acc_inner<const FUSED: bool>(
         a: &[f64],
         m: usize,
         k: usize,
@@ -843,17 +949,17 @@ mod avx512 {
                         let b0 = _mm512_loadu_pd(pb.add(kk * bs));
                         let b1 = _mm512_loadu_pd(pb.add(kk * bs + 8));
                         let av = _mm512_set1_pd(*a0.add(kk));
-                        c00 = _mm512_fmadd_pd(av, b0, c00);
-                        c01 = _mm512_fmadd_pd(av, b1, c01);
+                        c00 = madd512::<FUSED>(av, b0, c00);
+                        c01 = madd512::<FUSED>(av, b1, c01);
                         let av = _mm512_set1_pd(*a1.add(kk));
-                        c10 = _mm512_fmadd_pd(av, b0, c10);
-                        c11 = _mm512_fmadd_pd(av, b1, c11);
+                        c10 = madd512::<FUSED>(av, b0, c10);
+                        c11 = madd512::<FUSED>(av, b1, c11);
                         let av = _mm512_set1_pd(*a2.add(kk));
-                        c20 = _mm512_fmadd_pd(av, b0, c20);
-                        c21 = _mm512_fmadd_pd(av, b1, c21);
+                        c20 = madd512::<FUSED>(av, b0, c20);
+                        c21 = madd512::<FUSED>(av, b1, c21);
                         let av = _mm512_set1_pd(*a3.add(kk));
-                        c30 = _mm512_fmadd_pd(av, b0, c30);
-                        c31 = _mm512_fmadd_pd(av, b1, c31);
+                        c30 = madd512::<FUSED>(av, b0, c30);
+                        c31 = madd512::<FUSED>(av, b1, c31);
                     }
                     _mm512_storeu_pd(o0.add(j), c00);
                     _mm512_storeu_pd(o0.add(j + 8), c01);
@@ -872,10 +978,10 @@ mod avx512 {
                     let mut c3 = _mm512_loadu_pd(o3.add(j));
                     for kk in k0..k1 {
                         let b0 = _mm512_loadu_pd(bp.add(kk * n + j));
-                        c0 = _mm512_fmadd_pd(_mm512_set1_pd(*a0.add(kk)), b0, c0);
-                        c1 = _mm512_fmadd_pd(_mm512_set1_pd(*a1.add(kk)), b0, c1);
-                        c2 = _mm512_fmadd_pd(_mm512_set1_pd(*a2.add(kk)), b0, c2);
-                        c3 = _mm512_fmadd_pd(_mm512_set1_pd(*a3.add(kk)), b0, c3);
+                        c0 = madd512::<FUSED>(_mm512_set1_pd(*a0.add(kk)), b0, c0);
+                        c1 = madd512::<FUSED>(_mm512_set1_pd(*a1.add(kk)), b0, c1);
+                        c2 = madd512::<FUSED>(_mm512_set1_pd(*a2.add(kk)), b0, c2);
+                        c3 = madd512::<FUSED>(_mm512_set1_pd(*a3.add(kk)), b0, c3);
                     }
                     _mm512_storeu_pd(o0.add(j), c0);
                     _mm512_storeu_pd(o1.add(j), c1);
@@ -890,10 +996,10 @@ mod avx512 {
                     let mut c3 = _mm256_loadu_pd(o3.add(j));
                     for kk in k0..k1 {
                         let b0 = _mm256_loadu_pd(bp.add(kk * n + j));
-                        c0 = _mm256_fmadd_pd(_mm256_set1_pd(*a0.add(kk)), b0, c0);
-                        c1 = _mm256_fmadd_pd(_mm256_set1_pd(*a1.add(kk)), b0, c1);
-                        c2 = _mm256_fmadd_pd(_mm256_set1_pd(*a2.add(kk)), b0, c2);
-                        c3 = _mm256_fmadd_pd(_mm256_set1_pd(*a3.add(kk)), b0, c3);
+                        c0 = madd256::<FUSED>(_mm256_set1_pd(*a0.add(kk)), b0, c0);
+                        c1 = madd256::<FUSED>(_mm256_set1_pd(*a1.add(kk)), b0, c1);
+                        c2 = madd256::<FUSED>(_mm256_set1_pd(*a2.add(kk)), b0, c2);
+                        c3 = madd256::<FUSED>(_mm256_set1_pd(*a3.add(kk)), b0, c3);
                     }
                     _mm256_storeu_pd(o0.add(j), c0);
                     _mm256_storeu_pd(o1.add(j), c1);
@@ -907,7 +1013,7 @@ mod avx512 {
                         let or = op.add((i + row) * n + j);
                         let mut acc = *or;
                         for kk in k0..k1 {
-                            acc = (*ar.add(kk)).mul_add(*bp.add(kk * n + j), acc);
+                            acc = madd::<FUSED>(*ar.add(kk), *bp.add(kk * n + j), acc);
                         }
                         *or = acc;
                     }
@@ -935,33 +1041,33 @@ mod avx512 {
                     while j + 16 <= n {
                         let mut c0 = _mm512_loadu_pd(or.add(j));
                         let mut c1 = _mm512_loadu_pd(or.add(j + 8));
-                        c0 = _mm512_fmadd_pd(av0, _mm512_loadu_pd(b0.add(j)), c0);
-                        c1 = _mm512_fmadd_pd(av0, _mm512_loadu_pd(b0.add(j + 8)), c1);
-                        c0 = _mm512_fmadd_pd(av1, _mm512_loadu_pd(b1.add(j)), c0);
-                        c1 = _mm512_fmadd_pd(av1, _mm512_loadu_pd(b1.add(j + 8)), c1);
-                        c0 = _mm512_fmadd_pd(av2, _mm512_loadu_pd(b2.add(j)), c0);
-                        c1 = _mm512_fmadd_pd(av2, _mm512_loadu_pd(b2.add(j + 8)), c1);
-                        c0 = _mm512_fmadd_pd(av3, _mm512_loadu_pd(b3.add(j)), c0);
-                        c1 = _mm512_fmadd_pd(av3, _mm512_loadu_pd(b3.add(j + 8)), c1);
+                        c0 = madd512::<FUSED>(av0, _mm512_loadu_pd(b0.add(j)), c0);
+                        c1 = madd512::<FUSED>(av0, _mm512_loadu_pd(b0.add(j + 8)), c1);
+                        c0 = madd512::<FUSED>(av1, _mm512_loadu_pd(b1.add(j)), c0);
+                        c1 = madd512::<FUSED>(av1, _mm512_loadu_pd(b1.add(j + 8)), c1);
+                        c0 = madd512::<FUSED>(av2, _mm512_loadu_pd(b2.add(j)), c0);
+                        c1 = madd512::<FUSED>(av2, _mm512_loadu_pd(b2.add(j + 8)), c1);
+                        c0 = madd512::<FUSED>(av3, _mm512_loadu_pd(b3.add(j)), c0);
+                        c1 = madd512::<FUSED>(av3, _mm512_loadu_pd(b3.add(j + 8)), c1);
                         _mm512_storeu_pd(or.add(j), c0);
                         _mm512_storeu_pd(or.add(j + 8), c1);
                         j += 16;
                     }
                     while j + 8 <= n {
                         let mut c = _mm512_loadu_pd(or.add(j));
-                        c = _mm512_fmadd_pd(av0, _mm512_loadu_pd(b0.add(j)), c);
-                        c = _mm512_fmadd_pd(av1, _mm512_loadu_pd(b1.add(j)), c);
-                        c = _mm512_fmadd_pd(av2, _mm512_loadu_pd(b2.add(j)), c);
-                        c = _mm512_fmadd_pd(av3, _mm512_loadu_pd(b3.add(j)), c);
+                        c = madd512::<FUSED>(av0, _mm512_loadu_pd(b0.add(j)), c);
+                        c = madd512::<FUSED>(av1, _mm512_loadu_pd(b1.add(j)), c);
+                        c = madd512::<FUSED>(av2, _mm512_loadu_pd(b2.add(j)), c);
+                        c = madd512::<FUSED>(av3, _mm512_loadu_pd(b3.add(j)), c);
                         _mm512_storeu_pd(or.add(j), c);
                         j += 8;
                     }
                     while j < n {
                         let mut acc = *or.add(j);
-                        acc = a_row[kk].mul_add(*b0.add(j), acc);
-                        acc = a_row[kk + 1].mul_add(*b1.add(j), acc);
-                        acc = a_row[kk + 2].mul_add(*b2.add(j), acc);
-                        acc = a_row[kk + 3].mul_add(*b3.add(j), acc);
+                        acc = madd::<FUSED>(a_row[kk], *b0.add(j), acc);
+                        acc = madd::<FUSED>(a_row[kk + 1], *b1.add(j), acc);
+                        acc = madd::<FUSED>(a_row[kk + 2], *b2.add(j), acc);
+                        acc = madd::<FUSED>(a_row[kk + 3], *b3.add(j), acc);
                         *or.add(j) = acc;
                         j += 1;
                     }
@@ -973,12 +1079,12 @@ mod avx512 {
                     let mut j = 0;
                     while j + 8 <= n {
                         let c = _mm512_loadu_pd(or.add(j));
-                        let c = _mm512_fmadd_pd(av, _mm512_loadu_pd(br.add(j)), c);
+                        let c = madd512::<FUSED>(av, _mm512_loadu_pd(br.add(j)), c);
                         _mm512_storeu_pd(or.add(j), c);
                         j += 8;
                     }
                     while j < n {
-                        *or.add(j) = a_row[kk].mul_add(*br.add(j), *or.add(j));
+                        *or.add(j) = madd::<FUSED>(a_row[kk], *br.add(j), *or.add(j));
                         j += 1;
                     }
                     kk += 1;
@@ -1141,13 +1247,22 @@ mod avx512 {
     }
 
     /// Fused LSTM state update for one row — the 8-lane form of the AVX2
-    /// kernel. Gate algebra stays *unfused* mul/add to match the cached
-    /// forward path.
+    /// kernel, with the same unfused gate algebra and the same `CACHE`
+    /// outputs.
     #[target_feature(enable = "avx512f", enable = "avx2", enable = "fma")]
-    pub unsafe fn lstm_step_row(z: &[f64], c: &mut [f64], h: &mut [f64], h_dim: usize) {
+    pub unsafe fn lstm_step_row<const CACHE: bool>(
+        z: &[f64],
+        c: &mut [f64],
+        h: &mut [f64],
+        acts: &mut [f64],
+        tc: &mut [f64],
+        h_dim: usize,
+    ) {
         let zp = z.as_ptr();
         let cp = c.as_mut_ptr();
         let hp = h.as_mut_ptr();
+        let ap = acts.as_mut_ptr();
+        let tp = tc.as_mut_ptr();
         let mut j = 0;
         while j + 8 <= h_dim {
             let i_g = sigmoid_pd(_mm512_loadu_pd(zp.add(j)));
@@ -1159,7 +1274,15 @@ mod avx512 {
                 _mm512_mul_pd(i_g, g_g),
             );
             _mm512_storeu_pd(cp.add(j), c_new);
-            _mm512_storeu_pd(hp.add(j), _mm512_mul_pd(o_g, tanh_pd(c_new)));
+            let t = tanh_pd(c_new);
+            if CACHE {
+                _mm512_storeu_pd(ap.add(j), i_g);
+                _mm512_storeu_pd(ap.add(h_dim + j), f_g);
+                _mm512_storeu_pd(ap.add(2 * h_dim + j), g_g);
+                _mm512_storeu_pd(ap.add(3 * h_dim + j), o_g);
+                _mm512_storeu_pd(tp.add(j), t);
+            }
+            _mm512_storeu_pd(hp.add(j), _mm512_mul_pd(o_g, t));
             j += 8;
         }
         while j < h_dim {
@@ -1169,7 +1292,11 @@ mod avx512 {
             let o_g = sigmoid_m(z[3 * h_dim + j]);
             let c_new = f_g * c[j] + i_g * g_g;
             c[j] = c_new;
-            h[j] = o_g * tanh_m(c_new);
+            let t = tanh_m(c_new);
+            if CACHE {
+                cache_gates(acts, tc, h_dim, j, [i_g, f_g, g_g, o_g], t);
+            }
+            h[j] = o_g * t;
             j += 1;
         }
     }
@@ -1459,18 +1586,74 @@ pub fn lstm_step_row(z: &[f64], c: &mut [f64], h: &mut [f64], h_dim: usize) {
     assert_eq!(z.len(), 4 * h_dim, "gate row width mismatch");
     assert_eq!(c.len(), h_dim, "cell row width mismatch");
     assert_eq!(h.len(), h_dim, "hidden row width mismatch");
+    lstm_step_row_dispatch::<false>(z, c, h, &mut [], &mut [], h_dim);
+}
+
+/// [`lstm_step_row`] for the training forward: the same per-element
+/// operations (so `c` and `h` get the same bits), also keeping what
+/// backpropagation through time reads — the activated gates `[i, f, g, o]`
+/// in `acts` (`4·h_dim` wide) and `tanh(c)` in `tc`.
+///
+/// # Panics
+///
+/// Panics if the slice lengths disagree with `h_dim`.
+pub(crate) fn lstm_step_row_cached(
+    z: &[f64],
+    c: &mut [f64],
+    h: &mut [f64],
+    acts: &mut [f64],
+    tc: &mut [f64],
+    h_dim: usize,
+) {
+    assert_eq!(z.len(), 4 * h_dim, "gate row width mismatch");
+    assert_eq!(c.len(), h_dim, "cell row width mismatch");
+    assert_eq!(h.len(), h_dim, "hidden row width mismatch");
+    assert_eq!(acts.len(), 4 * h_dim, "gate cache width mismatch");
+    assert_eq!(tc.len(), h_dim, "tanh(c) cache width mismatch");
+    lstm_step_row_dispatch::<true>(z, c, h, acts, tc, h_dim);
+}
+
+fn lstm_step_row_dispatch<const CACHE: bool>(
+    z: &[f64],
+    c: &mut [f64],
+    h: &mut [f64],
+    acts: &mut [f64],
+    tc: &mut [f64],
+    h_dim: usize,
+) {
     match backend() {
         #[cfg(target_arch = "x86_64")]
-        Backend::Avx512 => unsafe { avx512::lstm_step_row(z, c, h, h_dim) },
+        Backend::Avx512 => unsafe { avx512::lstm_step_row::<CACHE>(z, c, h, acts, tc, h_dim) },
         #[cfg(target_arch = "x86_64")]
-        Backend::Avx2Fma => unsafe { avx2::lstm_step_row(z, c, h, h_dim) },
-        _ => lstm_step_row_scalar(z, c, h, h_dim),
+        Backend::Avx2Fma => unsafe { avx2::lstm_step_row::<CACHE>(z, c, h, acts, tc, h_dim) },
+        _ => lstm_step_row_libm::<CACHE>(z, c, h, acts, tc, h_dim),
     }
+}
+
+/// Stores one column's activated gates and `tanh(c)` into the step cache
+/// of [`lstm_step_row_cached`].
+#[inline(always)]
+fn cache_gates(acts: &mut [f64], tc: &mut [f64], h_dim: usize, j: usize, gates: [f64; 4], t: f64) {
+    for (q, v) in gates.into_iter().enumerate() {
+        acts[q * h_dim + j] = v;
+    }
+    tc[j] = t;
 }
 
 /// The portable LSTM state update (libm transcendentals) — the original
 /// fused step loop.
 pub fn lstm_step_row_scalar(z: &[f64], c: &mut [f64], h: &mut [f64], h_dim: usize) {
+    lstm_step_row_libm::<false>(z, c, h, &mut [], &mut [], h_dim);
+}
+
+fn lstm_step_row_libm<const CACHE: bool>(
+    z: &[f64],
+    c: &mut [f64],
+    h: &mut [f64],
+    acts: &mut [f64],
+    tc: &mut [f64],
+    h_dim: usize,
+) {
     use crate::activation::sigmoid_scalar;
     for j in 0..h_dim {
         let i = sigmoid_scalar(z[j]);
@@ -1479,7 +1662,11 @@ pub fn lstm_step_row_scalar(z: &[f64], c: &mut [f64], h: &mut [f64], h_dim: usiz
         let o = sigmoid_scalar(z[3 * h_dim + j]);
         let c_new = f * c[j] + i * g;
         c[j] = c_new;
-        h[j] = o * c_new.tanh();
+        let t = c_new.tanh();
+        if CACHE {
+            cache_gates(acts, tc, h_dim, j, [i, f, g, o], t);
+        }
+        h[j] = o * t;
     }
 }
 
@@ -1677,8 +1864,8 @@ mod tests {
             let mut c_256 = c0.clone();
             let mut h_256 = vec![0.0; h_dim];
             unsafe {
-                avx512::lstm_step_row(&z, &mut c_512, &mut h_512, h_dim);
-                avx2::lstm_step_row(&z, &mut c_256, &mut h_256, h_dim);
+                avx512::lstm_step_row::<false>(&z, &mut c_512, &mut h_512, &mut [], &mut [], h_dim);
+                avx2::lstm_step_row::<false>(&z, &mut c_256, &mut h_256, &mut [], &mut [], h_dim);
             }
             for j in 0..h_dim {
                 assert_eq!(c_512[j].to_bits(), c_256[j].to_bits(), "{h_dim} c[{j}]");
@@ -1788,7 +1975,9 @@ mod tests {
             let c0: Vec<f64> = (0..h_dim).map(|i| (i as f64 * 0.3).cos()).collect();
             let mut c_simd = c0.clone();
             let mut h_simd = vec![0.0; h_dim];
-            unsafe { avx2::lstm_step_row(&z, &mut c_simd, &mut h_simd, h_dim) };
+            unsafe {
+                avx2::lstm_step_row::<false>(&z, &mut c_simd, &mut h_simd, &mut [], &mut [], h_dim)
+            };
             let mut c_scalar = c0.clone();
             let mut h_scalar = vec![0.0; h_dim];
             lstm_step_row_scalar(&z, &mut c_scalar, &mut h_scalar, h_dim);
