@@ -173,6 +173,17 @@ fn bench_kernels(c: &mut Criterion) {
     c.bench_function("transpose_matmul_64x128t_64x512", |b| {
         b.iter(|| h_prev.transpose_matmul(&dz))
     });
+    // The LSTM's recurrent gate product h·Wh (128 → 4·128) on one windowed
+    // forward chunk (64 rows) and on one stateful-step chunk (256 rows),
+    // accumulated into a reused output as the gate pre-activation is.
+    let wh = random_normal(128, 512, 1.0, &mut rng);
+    for rows in [64, 256] {
+        let h = random_normal(rows, 128, 1.0, &mut rng);
+        let mut z = Matrix::zeros(rows, 512);
+        c.bench_function(&format!("matmul_{rows}x128_128x512"), |b| {
+            b.iter(|| h.matmul_acc(&wh, &mut z))
+        });
+    }
 }
 
 fn bench_sweep(c: &mut Criterion) {

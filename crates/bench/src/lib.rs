@@ -86,7 +86,7 @@ pub fn run_registered_as(csv_stem: &str, name: &str, scale: Scale) -> Result<(),
 /// Bench-target entry point: runs a registered experiment at quick scale,
 /// writing CSVs under `<name>_quick`, and exits non-zero on failure.
 pub fn bench_main(name: &str) {
-    if let Err(e) = run_registered_as(&format!("{name}_quick"), name, Scale::Quick) {
+    if let Err(e) = run_registered_as(&Scale::Quick.csv_stem(name), name, Scale::Quick) {
         eprintln!("[cpsmon-bench] error: {e}");
         std::process::exit(1);
     }

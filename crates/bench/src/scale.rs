@@ -27,6 +27,16 @@ impl Scale {
         }
     }
 
+    /// The CSV stem an experiment's tables are written under at this
+    /// scale: the bare name at full scale, `<name>_quick` at quick scale,
+    /// so a quick run never overwrites a full-scale table.
+    pub fn csv_stem(self, name: &str) -> String {
+        match self {
+            Scale::Quick => format!("{name}_quick"),
+            Scale::Full => name.to_string(),
+        }
+    }
+
     /// The simulation campaign for one simulator at this scale.
     pub fn campaign(self, kind: SimulatorKind) -> CampaignConfig {
         match self {

@@ -6,10 +6,10 @@
 //! early in training.
 
 use crate::init::xavier_uniform;
-use crate::matrix::{seed_rows, transpose_into, transpose_matmul_acc, Matrix};
+use crate::matrix::{seed_rows, transpose_matmul_acc, Matrix};
 use crate::recurrent_net::RecurrentCell;
 use crate::rng::SmallRng;
-use crate::simd;
+use crate::simd::{self, PackedB};
 use crate::spare;
 
 /// Reusable buffers for [`Lstm::forward_only_into`]: the fused-gate
@@ -108,11 +108,11 @@ impl Drop for LstmCache {
     }
 }
 
-/// The transpose of `w` (packed once per backward call for the
-/// per-timestep `dz·Wᵀ` products) in a spare buffer.
-fn transposed(w: &Matrix) -> Vec<f64> {
-    let mut t = spare::take(w.len());
-    transpose_into(w.as_slice(), w.rows(), w.cols(), &mut t);
+/// `wᵀ` packed for a backward pass of `rows` rows: the right operand of
+/// every per-timestep `dz·Wᵀ` product.
+fn packed_transpose(w: &Matrix, rows: usize) -> PackedB {
+    let mut t = PackedB::default();
+    t.pack_transposed(w.as_slice(), w.cols(), w.rows(), rows);
     t
 }
 
@@ -203,11 +203,55 @@ impl Lstm {
         self.hidden_dim
     }
 
+    /// `Wx` and `Wh` packed once for a pass of `rows`-row products, or
+    /// `None` when the pass reads them in place (it does not
+    /// [`simd::packs`]).
+    pub(crate) fn packed_weights(&self, rows: usize) -> Option<[PackedB; 2]> {
+        if !simd::packs(rows) {
+            return None;
+        }
+        let g4 = 4 * self.hidden_dim;
+        let mut wx = PackedB::default();
+        wx.pack(self.wx.as_slice(), self.input_dim, g4, rows);
+        let mut wh = PackedB::default();
+        wh.pack(self.wh.as_slice(), self.hidden_dim, g4, rows);
+        Some([wx, wh])
+    }
+
+    /// The gate pre-activation `z = b + x·Wx + h·Wh` of `rows` rows (`x` is
+    /// `rows × input`, `h` is `rows × hidden`, `z` is `rows × 4·hidden`),
+    /// through the pass's packed weights when it has them. Either way each
+    /// element is the bias followed by the ascending-`k` multiply-adds of
+    /// `x·Wx`, then those of `h·Wh`.
+    fn gates(
+        &self,
+        x: &[f64],
+        h: &[f64],
+        rows: usize,
+        packed: Option<&[PackedB; 2]>,
+        z: &mut [f64],
+    ) {
+        seed_rows(z, self.b.as_slice());
+        match packed {
+            Some([wx, wh]) => {
+                simd::gemm_acc_packed(x, rows, wx, z);
+                simd::gemm_acc_packed(h, rows, wh, z);
+            }
+            None => {
+                let g4 = 4 * self.hidden_dim;
+                simd::gemm_acc(x, rows, self.input_dim, self.wx.as_slice(), g4, z);
+                simd::gemm_acc(h, rows, self.hidden_dim, self.wh.as_slice(), g4, z);
+            }
+        }
+    }
+
     /// [`RecurrentCell::forward_only`] writing the per-step hidden
     /// states into caller-owned buffers. `hs` is resized to `xs.len()`
     /// matrices of shape `N × hidden`; with a warm `scratch` and correctly
     /// sized `hs` no allocation occurs — the per-step latency path for
-    /// streaming monitor sessions.
+    /// streaming monitor sessions. A pass of at least
+    /// [`simd::PACK_MIN_M`] rows packs `Wx` and `Wh` once for all its
+    /// timesteps.
     ///
     /// # Panics
     ///
@@ -227,13 +271,14 @@ impl Lstm {
         scratch.c.map_inplace(|_| 0.0);
         scratch.h0.reset_shape(n, h_dim);
         scratch.h0.map_inplace(|_| 0.0);
+        let weights = self.packed_weights(n);
         for (t, x) in xs.iter().enumerate() {
             assert_eq!(x.cols(), self.input_dim, "timestep width mismatch");
             assert_eq!(x.rows(), n, "timestep batch-size mismatch");
-            x.matmul_add_bias_into(&self.wx, &self.b, &mut scratch.z);
             let (done, todo) = hs.split_at_mut(t);
             let h_prev = if t == 0 { &scratch.h0 } else { &done[t - 1] };
-            h_prev.matmul_acc(&self.wh, &mut scratch.z);
+            let z = scratch.z.as_mut_slice();
+            self.gates(x.as_slice(), h_prev.as_slice(), n, weights.as_ref(), z);
             let h_t = &mut todo[0];
             h_t.reset_shape(n, h_dim);
             step_state(
@@ -271,23 +316,29 @@ impl Lstm {
             h.as_mut_slice(),
             c.as_mut_slice(),
             z.as_mut_slice(),
+            None,
         );
     }
 
     /// [`step_rows`](Self::step_rows) on row-major slices, the form each
     /// row chunk of the pooled stateful step takes: `x` is
     /// `rows × input_dim`, `h` and `c` are `rows × hidden`, and `z` is a
-    /// `rows × 4·hidden` scratch fully overwritten here.
+    /// `rows × 4·hidden` scratch fully overwritten here. `packed` holds
+    /// the weights when the tick packed them for all its chunks.
     ///
     /// # Panics
     ///
     /// Panics on any shape mismatch.
-    pub(crate) fn step_slices(&self, x: &[f64], h: &mut [f64], c: &mut [f64], z: &mut [f64]) {
+    pub(crate) fn step_slices(
+        &self,
+        x: &[f64],
+        h: &mut [f64],
+        c: &mut [f64],
+        z: &mut [f64],
+        packed: Option<&[PackedB; 2]>,
+    ) {
         let rows = h.len() / self.hidden_dim;
-        let gates = 4 * self.hidden_dim;
-        seed_rows(z, self.b.as_slice());
-        simd::gemm_acc(x, rows, self.input_dim, self.wx.as_slice(), gates, z);
-        simd::gemm_acc(h, rows, self.hidden_dim, self.wh.as_slice(), gates, z);
+        self.gates(x, h, rows, packed, z);
         step_state(z, c, h, self.hidden_dim);
     }
 
@@ -297,9 +348,10 @@ impl Lstm {
     /// Per timestep (last first): one fused [`gate_grads`] pass, then the
     /// GEMMs. Each weight gradient gains its step's product formed fresh
     /// (`dW += x_tᵀ·dz_t`, never-fused), `db` its step's row sum, and
-    /// `dxs[t] = dz·Wxᵀ`, `dh_next = dz·Whᵀ` run through [`simd::gemm_acc`]
-    /// against weights transposed once per call. Step 0's `dz·Whᵀ` would
-    /// feed no earlier step and is skipped.
+    /// `dxs[t] = dz·Wxᵀ`, `dh_next = dz·Whᵀ` run through
+    /// [`simd::gemm_acc_packed`] against weights transposed and packed once
+    /// per call. Step 0's `dz·Whᵀ` would feed no earlier step and is
+    /// skipped.
     fn backward_impl(
         &self,
         cache: &LstmCache,
@@ -313,8 +365,8 @@ impl Lstm {
         let (i_dim, h_dim) = (self.input_dim, self.hidden_dim);
         let g4 = 4 * h_dim;
         let (nx, nh) = (n * i_dim, n * h_dim);
-        let wx_t = input_grads.then(|| transposed(&self.wx));
-        let wh_t = transposed(&self.wh);
+        let wx_t = input_grads.then(|| packed_transpose(&self.wx, n));
+        let wh_t = packed_transpose(&self.wh, n);
         let mut grads = weight_grads.then(|| {
             [
                 Matrix::zeros(i_dim, g4),
@@ -364,19 +416,15 @@ impl Lstm {
             }
             if let (Some(dxs), Some(wx_t)) = (dxs.as_mut(), wx_t.as_ref()) {
                 let mut dx = Matrix::zeros(n, i_dim);
-                simd::gemm_acc(&dz, n, g4, wx_t, i_dim, dx.as_mut_slice());
+                simd::gemm_acc_packed(&dz, n, wx_t, dx.as_mut_slice());
                 dxs[t] = dx;
             }
             if t > 0 {
                 dh_next.fill(0.0);
-                simd::gemm_acc(&dz, n, g4, &wh_t, h_dim, &mut dh_next);
+                simd::gemm_acc_packed(&dz, n, &wh_t, &mut dh_next);
             }
         }
-        spare::give(
-            [wh_t, dw_step, dz, dh_next, dc_next]
-                .into_iter()
-                .chain(wx_t),
-        );
+        spare::give([dw_step, dz, dh_next, dc_next]);
         (grads, dxs)
     }
 
@@ -469,8 +517,9 @@ impl RecurrentCell for Lstm {
     }
 
     /// Per timestep: the gate pre-activation `z = x·Wx + b + h·Wh` (the
-    /// same GEMMs as [`Lstm::forward_only_into`]), then one gate pass per
-    /// row (`simd::lstm_step_row_cached`) that advances `c` and `h` with
+    /// same GEMMs as [`Lstm::forward_only_into`], against weights packed
+    /// once for the pass), then one gate pass per row
+    /// (`simd::lstm_step_row_cached`) that advances `c` and `h` with
     /// [`simd::lstm_step_row`]'s per-element operations and writes the
     /// gates and `tanh(c)` into the cache.
     fn forward(&self, xs: &[Matrix]) -> (Vec<Matrix>, LstmCache) {
@@ -494,14 +543,13 @@ impl RecurrentCell for Lstm {
         cache.cs[..nh].fill(0.0);
         // One fused-gate scratch buffer reused across all timesteps.
         let mut z = spare::take(ng);
+        let weights = self.packed_weights(n);
         for (t, x) in xs.iter().enumerate() {
             assert_eq!(x.cols(), i_dim, "timestep width mismatch");
             assert_eq!(x.rows(), n, "timestep batch-size mismatch");
             cache.xs[t * nx..(t + 1) * nx].copy_from_slice(x.as_slice());
-            seed_rows(&mut z, self.b.as_slice());
-            simd::gemm_acc(x.as_slice(), n, i_dim, self.wx.as_slice(), g4, &mut z);
             let (h_prev, h) = cache.hs[t * nh..(t + 2) * nh].split_at_mut(nh);
-            simd::gemm_acc(h_prev, n, h_dim, self.wh.as_slice(), g4, &mut z);
+            self.gates(x.as_slice(), h_prev, n, weights.as_ref(), &mut z);
             let (c_prev, c) = cache.cs[t * nh..(t + 2) * nh].split_at_mut(nh);
             c.copy_from_slice(c_prev);
             let rows = z
@@ -667,8 +715,8 @@ mod tests {
     #[test]
     fn fused_cell_bit_identical_to_hadamard_reference() {
         // H = 5 and 13 reach the 8- and 4-lane gate blocks and the scalar
-        // tails; N = 67 reaches the GEMM's m ≥ 64 B-pack path and its row
-        // remainder.
+        // tails; N = 67 reaches the passes that pack their weights once
+        // (at least `simd::PACK_MIN_M` rows) and the GEMM's row remainder.
         for h_dim in [5, 13] {
             for n in [1, 3, 67] {
                 for t_len in [1, 6] {

@@ -14,7 +14,7 @@ use crate::lstm::{step_state, Lstm, LstmScratch};
 use crate::matrix::{seed_rows, Matrix};
 use crate::par;
 use crate::recurrent_net::{RecurrentConfig, RecurrentNet};
-use crate::simd;
+use crate::simd::{self, PackedB};
 
 /// The stacked-LSTM softmax classifier over fixed-length windows.
 pub type LstmNet = RecurrentNet<Lstm>;
@@ -117,11 +117,14 @@ impl LstmNet {
 /// each step. A step cuts `h`, `c`, `z`, `probs` and the f32 scratch into
 /// [`par::STEP_CHUNK`]-row views and runs each chunk's whole layer stack as
 /// one [`par::for_each_part`] work item, so the buffers stay here and are
-/// split, not reallocated. After the first tick at a given row count a step
-/// allocates only what the fan-out itself needs: the list of per-chunk
-/// views (plus one small vector of layer views per chunk) and, when there
-/// are several chunks and several threads, the scoped worker spawn (a
-/// fresh worker also fills its own thread-local AVX-512 GEMM panel buffer).
+/// split, not reallocated. A step of at least [`simd::PACK_MIN_M`] rows
+/// first packs every layer's `Wx` and `Wh` once into the calling thread's
+/// pack buffers, and every chunk reads those read-only panels. After the
+/// first tick at a given row count a step allocates only what the fan-out
+/// itself needs: the list of per-chunk views (plus one small vector of
+/// layer views per chunk, and the list of per-layer packed weights) and,
+/// when there are several chunks and several threads, the scoped worker
+/// spawn.
 #[derive(Debug, Clone)]
 pub struct LstmStreamState {
     h: Vec<Matrix>,
@@ -316,7 +319,9 @@ impl LstmNet {
     /// emitted from the very first record (zero initial state).
     ///
     /// The batch runs in [`par::STEP_CHUNK`]-row chunks, each chunk's whole
-    /// layer stack one `par` work item. Every kernel invoked here is
+    /// layer stack one `par` work item. A batch of at least
+    /// [`simd::PACK_MIN_M`] rows first packs each layer's weights once,
+    /// and every chunk reads those panels. Every kernel invoked here is
     /// row-wise with a fixed per-element operation sequence, so row `r`'s
     /// outputs are bit-identical whether stepped alone or batched with any
     /// other sessions, on any number of threads — the pooled engine's core
@@ -332,15 +337,21 @@ impl LstmNet {
         assert_eq!(state.h.len(), self.cells.len(), "state layer mismatch");
         let widest = self.cells.iter().map(Lstm::hidden_dim).max();
         let gate_width = 4 * widest.expect("at least one layer");
+        let weights: Vec<_> = self
+            .cells
+            .iter()
+            .map(|lstm| lstm.packed_weights(x.rows()))
+            .collect();
         state.step_chunks(x, gate_width, self.head.output_dim(), 0, |chunk| {
-            self.step_chunk(chunk);
+            self.step_chunk(chunk, &weights);
         })
     }
 
     /// One row chunk of [`step_stream`](Self::step_stream): per layer the
-    /// fused gate GEMM pair (`x·Wx + b`, then `h·Wh` into the same `z`) and
+    /// fused gate GEMM pair (`x·Wx + b`, then `h·Wh` into the same `z`,
+    /// through the tick's packed weights when it has them) and
     /// `lstm_step_row`, then the head GEMM and softmax.
-    fn step_chunk(&self, chunk: StepChunk<'_>) {
+    fn step_chunk(&self, chunk: StepChunk<'_>, weights: &[Option<[PackedB; 2]>]) {
         let StepChunk {
             x,
             mut layers,
@@ -353,7 +364,8 @@ impl LstmNet {
             let (done, todo) = layers.split_at_mut(i);
             let input: &[f64] = done.last().map_or(x, |(h, _)| &**h);
             let (h, c) = &mut todo[0];
-            lstm.step_slices(input, h, c, &mut z[..rows * 4 * lstm.hidden_dim()]);
+            let z = &mut z[..rows * 4 * lstm.hidden_dim()];
+            lstm.step_slices(input, h, c, z, weights[i].as_ref());
         }
         let (last_h, _) = layers.last().expect("at least one layer");
         let classes = self.head.output_dim();
@@ -647,6 +659,61 @@ mod tests {
         }
         for (a, b) in state.probs.as_slice().iter().zip(want.as_slice()) {
             assert_eq!(a.to_bits(), b.to_bits(), "stateful {a} vs windowed {b}");
+        }
+    }
+
+    #[test]
+    fn paper_width_paths_bit_identical_around_pack_threshold() {
+        // The paper's monitor (128-64 units, 6 features over 6 steps) runs
+        // 512- and 256-wide gate GEMMs and k = 512 backward products. At
+        // row counts on both sides of `simd::PACK_MIN_M` every path — the
+        // windowed batch and scratch forwards, the stateful step from zero
+        // state and the cached training forward — must give the same bits,
+        // and gradients and a training step must not depend on the thread
+        // count.
+        use crate::activation::softmax_rows;
+        use crate::adam::AdamTrainer;
+        use crate::model::Network;
+        let net = LstmNet::new(&LstmConfig::paper(6));
+        let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let train_once = |x: &Matrix, labels: &[usize]| {
+            let mut net = net.clone();
+            let mut trainer = AdamTrainer::new(net.param_count(), 1e-3);
+            net.train_batch(x, labels, None, &mut trainer);
+            let params = net.params_mut();
+            params.iter().flat_map(|m| bits(m)).collect::<Vec<_>>()
+        };
+        for rows in [1, 63, 64, 65, 300] {
+            let x = random_normal(rows, 36, 1.0, &mut SmallRng::new(rows as u64));
+            let labels: Vec<usize> = (0..rows).map(|r| r % 2).collect();
+            let proba = bits(&net.predict_proba(&x));
+            let mut scratch = LstmNetScratch::default();
+            let scratch_proba = net.predict_proba_scratch(&x, &mut scratch);
+            assert_eq!(bits(scratch_proba), proba, "scratch forward, {rows} rows");
+            let mut state = net.stream_state(rows);
+            for t in 0..6 {
+                net.step_stream(&x.slice_cols(t * 6, (t + 1) * 6), &mut state);
+            }
+            assert_eq!(bits(&state.probs), proba, "stateful steps, {rows} rows");
+            let (logits, _) = net.forward_cached(&x);
+            assert_eq!(bits(&logits), bits(&net.logits(&x)), "logits, {rows} rows");
+            assert_eq!(
+                bits(&softmax_rows(&logits)),
+                proba,
+                "cached forward, {rows} rows"
+            );
+
+            let grad = bits(&net.input_gradient(&x, &labels));
+            let trained = train_once(&x, &labels);
+            let _one = par::ThreadsGuard::set(1);
+            assert_eq!(
+                bits(&net.predict_proba(&x)),
+                proba,
+                "1-thread predict, {rows} rows"
+            );
+            let grad_one = bits(&net.input_gradient(&x, &labels));
+            assert_eq!(grad_one, grad, "input gradient, {rows} rows");
+            assert_eq!(train_once(&x, &labels), trained, "train_batch, {rows} rows");
         }
     }
 

@@ -61,8 +61,9 @@ pub const GRAD_CHUNK: usize = 64;
 /// ([`LstmNet::step_stream`](crate::LstmNet::step_stream) and
 /// [`LstmNetF32::step_stream`](crate::LstmNetF32::step_stream)): each chunk
 /// runs its whole layer stack as one work item. The step is row-independent,
-/// so this affects scheduling granularity only. Larger chunks repack the
-/// AVX-512 GEMM's B panels fewer times per tick; 256 rows still gives a
+/// so this affects scheduling granularity only. A tick packs each layer's
+/// weights once and every chunk reads the same panels, so the chunk size
+/// does not change how much packing a tick does; 256 rows gives a
 /// 1000-session tick four work items.
 pub const STEP_CHUNK: usize = 256;
 

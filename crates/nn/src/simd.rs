@@ -50,6 +50,7 @@
 //!
 //! [`Matrix::matmul`]: crate::Matrix::matmul
 
+use std::cell::RefCell;
 use std::sync::OnceLock;
 
 /// Which kernel family [`backend`] resolved to for this process.
@@ -234,6 +235,191 @@ pub fn gemm_acc_unfused(a: &[f64], m: usize, k: usize, b: &[f64], n: usize, out:
         Backend::Avx2Fma => unsafe { gemm_acc_avx2::<false>(a, m, k, b, n, out) },
         _ => gemm_acc_scalar(a, m, k, b, n, out),
     }
+}
+
+/// Row count from which a GEMM packs its right operand into the AVX-512
+/// kernel's panels: below it the pack costs more than the contiguous,
+/// L1-resident panel loads save. Both the per-call pack inside
+/// [`gemm_acc`] and the once-per-pass [`PackedB`] use this threshold.
+pub const PACK_MIN_M: usize = 64;
+
+/// Column width of one packed B panel. `GEMM_KC` rows of a panel are
+/// 32 KiB, which fits in L1 next to the rows streaming past it.
+const PANEL: usize = 32;
+
+/// Whether a pass of `rows`-row products lays its right operand out as
+/// panels: the AVX-512 backend and at least [`PACK_MIN_M`] rows.
+pub fn packs(rows: usize) -> bool {
+    rows >= PACK_MIN_M && backend() == Backend::Avx512
+}
+
+/// Idle pack buffers a thread keeps: enough for a two-layer LSTM tick's
+/// four packed weights.
+const MAX_PACK_BUFS: usize = 4;
+
+thread_local! {
+    /// This thread's idle pack buffers. The per-call pack inside
+    /// [`gemm_acc`] and every [`PackedB`] take their storage from here and
+    /// give it back, so one set of buffers serves both, and a thread
+    /// allocates only when it holds more packed operands at once than it
+    /// ever did.
+    static PACK_BUFS: RefCell<Vec<Vec<f64>>> = const { RefCell::new(Vec::new()) };
+}
+
+/// A buffer of `len` elements with unspecified contents from this
+/// thread's pack buffers: the smallest that holds `len`, else the largest,
+/// grown. Growing rather than adding a buffer keeps a thread at one buffer
+/// per operand it holds at once.
+fn take_pack_buf(len: usize) -> Vec<f64> {
+    let mut buf = PACK_BUFS.with(|bufs| {
+        let mut bufs = bufs.borrow_mut();
+        let fits = (0..bufs.len()).filter(|&i| bufs[i].capacity() >= len);
+        let pick = fits.min_by_key(|&i| bufs[i].capacity());
+        let pick = pick.or_else(|| (0..bufs.len()).max_by_key(|&i| bufs[i].capacity()));
+        pick.map(|i| bufs.swap_remove(i)).unwrap_or_default()
+    });
+    buf.resize(len, 0.0);
+    buf
+}
+
+/// Returns a buffer to this thread's pack buffers, or frees it when the
+/// thread already keeps [`MAX_PACK_BUFS`] (or is exiting).
+fn give_pack_buf(buf: Vec<f64>) {
+    if buf.capacity() == 0 {
+        return;
+    }
+    let _ = PACK_BUFS.try_with(|bufs| {
+        let mut bufs = bufs.borrow_mut();
+        if bufs.len() < MAX_PACK_BUFS {
+            bufs.push(buf);
+        }
+    });
+}
+
+/// Writes B (`k × n`) in the panel layout into `dst` (`k · n` long):
+/// first each full `PANEL`-column panel as `k` contiguous `PANEL`-wide rows
+/// (kk-major), then the `n % PANEL` tail columns as a row-major
+/// `k × (n % PANEL)` block. `fill(kk, j, row)` writes B's row `kk`,
+/// columns `j..j + row.len()`, into `row`. Read in place, the monitors'
+/// B (n = 256 or 512) steps a multiple of 4 KiB per `k`, so a column
+/// strip's rows all map to the same L1 sets; a contiguous panel does not.
+fn lay_out_panels(k: usize, n: usize, dst: &mut [f64], fill: impl Fn(usize, usize, &mut [f64])) {
+    debug_assert_eq!(dst.len(), k * n);
+    let full = n - n % PANEL;
+    let (panels, tail) = dst.split_at_mut(full * k);
+    for (p, panel) in panels.chunks_exact_mut(PANEL * k).enumerate() {
+        for (kk, row) in panel.chunks_exact_mut(PANEL).enumerate() {
+            fill(kk, p * PANEL, row);
+        }
+    }
+    for (kk, row) in tail.chunks_exact_mut((n - full).max(1)).enumerate() {
+        fill(kk, full, row);
+    }
+}
+
+/// Lays out row-major `b` (`k × n`) as panels in `dst`
+/// (see [`lay_out_panels`]).
+fn pack_panels(b: &[f64], k: usize, n: usize, dst: &mut [f64]) {
+    lay_out_panels(k, n, dst, |kk, j, row| {
+        row.copy_from_slice(&b[kk * n + j..kk * n + j + row.len()]);
+    });
+}
+
+/// Lays out `wᵀ` as panels in `dst`, where `w` is row-major `n × k`.
+fn pack_panels_transposed(w: &[f64], k: usize, n: usize, dst: &mut [f64]) {
+    lay_out_panels(k, n, dst, |kk, j, row| {
+        for (c, v) in row.iter_mut().enumerate() {
+            *v = w[(j + c) * k + kk];
+        }
+    });
+}
+
+/// A GEMM right operand `B` (`k × n`) laid out once for every product of a
+/// pass that multiplies by it, such as an LSTM weight matrix across the
+/// timesteps of a forward pass or the row chunks of a stateful tick. When
+/// the pass [`packs`], B is stored as the AVX-512 kernel's panels, so the
+/// products skip [`gemm_acc`]'s per-call pack; otherwise B is stored
+/// row-major for the active backend's kernel. The storage comes from the
+/// packing thread's pack buffers and goes back to the dropping thread's,
+/// so a pass that packs allocates nothing once its threads are warm.
+///
+/// Layout never changes results: [`gemm_acc_packed`] gives every element
+/// the bits [`gemm_acc`] gives it on the row-major B.
+#[derive(Debug, Clone, Default)]
+pub struct PackedB {
+    k: usize,
+    n: usize,
+    panels: bool,
+    buf: Vec<f64>,
+}
+
+impl Drop for PackedB {
+    fn drop(&mut self) {
+        give_pack_buf(std::mem::take(&mut self.buf));
+    }
+}
+
+impl PackedB {
+    /// Stores `b` (row-major `k × n`) for a pass of `rows`-row products.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `b.len() != k · n`.
+    pub fn pack(&mut self, b: &[f64], k: usize, n: usize, rows: usize) {
+        assert_eq!(b.len(), k * n, "packed operand length mismatch");
+        self.reset(k, n, rows);
+        if self.panels {
+            pack_panels(b, k, n, &mut self.buf);
+        } else {
+            self.buf.copy_from_slice(b);
+        }
+    }
+
+    /// Stores `wᵀ`, where `w` is row-major `n × k`, for a pass of
+    /// `rows`-row products: the `dz·Wᵀ` operand of a backward pass,
+    /// transposed as it is packed.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `w.len() != k · n`.
+    pub fn pack_transposed(&mut self, w: &[f64], k: usize, n: usize, rows: usize) {
+        assert_eq!(w.len(), k * n, "packed operand length mismatch");
+        self.reset(k, n, rows);
+        if self.panels {
+            pack_panels_transposed(w, k, n, &mut self.buf);
+        } else {
+            crate::matrix::transpose_into(w, n, k, &mut self.buf);
+        }
+    }
+
+    fn reset(&mut self, k: usize, n: usize, rows: usize) {
+        self.k = k;
+        self.n = n;
+        self.panels = packs(rows);
+        if self.buf.capacity() < k * n {
+            give_pack_buf(std::mem::take(&mut self.buf));
+            self.buf = take_pack_buf(k * n);
+        }
+        self.buf.resize(k * n, 0.0);
+    }
+}
+
+/// Dispatched `out += a · b` for a right operand packed once per pass:
+/// `a` is `m × b.k`, `out` is `m × b.n`. Bit-identical per element to
+/// [`gemm_acc`] on the row-major B.
+///
+/// # Panics
+///
+/// Panics if any buffer length disagrees with the stated shape.
+pub fn gemm_acc_packed(a: &[f64], m: usize, b: &PackedB, out: &mut [f64]) {
+    check_gemm_shapes(a, m, b.k, &b.buf, b.n, out);
+    #[cfg(target_arch = "x86_64")]
+    if b.panels {
+        // SAFETY: panels are laid out only under the AVX-512 backend
+        // (`packs`), and the shapes were checked above.
+        return unsafe { avx512::gemm_panels::<true>(a, m, b.k, b.n, &b.buf, out) };
+    }
+    gemm_acc(a, m, b.k, &b.buf, b.n, out);
 }
 
 /// The portable blocked `ikj` GEMM with a 4-wide unroll over `k` —
@@ -831,18 +1017,12 @@ mod avx512 {
 
     use super::*;
     use std::arch::x86_64::*;
-    use std::cell::RefCell;
+    use std::ops::Range;
 
-    /// Row count above which packing B pays for itself: the pack streams
-    /// `k·n` doubles once and every 4-row block then reads contiguous
-    /// panels instead of `n`-strided rows.
-    const PACK_MIN_M: usize = 64;
-
-    thread_local! {
-        /// Reused kk-major B-panel scratch (see [`gemm_acc`]); thread-local
-        /// so concurrent worker GEMMs never contend.
-        static PACK_B: RefCell<Vec<f64>> = const { RefCell::new(Vec::new()) };
-    }
+    /// Rows per block of the panel kernel: one `GEMM_KC × PANEL` panel of
+    /// B (32 KiB, resident in L1) serves this many rows, 16 register tiles,
+    /// before the kernel moves to the next panel.
+    const ROW_BLOCK: usize = 64;
 
     /// The 8-lane form of [`madd`](super::madd).
     #[inline]
@@ -855,19 +1035,12 @@ mod avx512 {
         }
     }
 
-    /// 4-row × 16-column register microkernel (8 zmm accumulators), with
-    /// 8-, 4- (ymm) and scalar column tails, then a single-row axpy
-    /// remainder with a 4-deep `k` unroll. Per element every path is the
-    /// same ascending-`k` chain of `FUSED` multiply-adds.
-    ///
-    /// Large-`m` calls (the pooled stateful LSTM engine) first repack B
-    /// into kk-major 16-column panels: the raw layout walks B with an
-    /// `n`-element stride, which for the monitor shapes (n = 256/512) is a
-    /// multiple of 4 KiB per step — every load in a panel lands in the
-    /// same L1 set and the panel thrashes instead of caching. Packing only
-    /// rearranges memory; each output element keeps the identical
-    /// ascending-`k` FMA chain, so results are bit-identical with and
-    /// without it.
+    /// `out += a · b` with a per-call pack. With at least `PACK_MIN_M` rows
+    /// and one full panel of columns, B is first laid out as panels in one
+    /// of the thread's pack buffers and the product runs through
+    /// [`gemm_panels`]; otherwise [`gemm_rows`] reads B in place. Per
+    /// element both are the same ascending-`k` chain of `FUSED`
+    /// multiply-adds.
     ///
     /// # Safety
     ///
@@ -882,36 +1055,92 @@ mod avx512 {
         n: usize,
         out: &mut [f64],
     ) {
-        if m >= PACK_MIN_M && n >= 16 {
-            return PACK_B.with(|cell| {
-                let mut buf = cell.borrow_mut();
-                let n16 = n - n % 16;
-                buf.resize(k * n16, 0.0);
-                for jt in 0..n16 / 16 {
-                    let panel = &mut buf[jt * k * 16..(jt + 1) * k * 16];
-                    for kk in 0..k {
-                        panel[kk * 16..kk * 16 + 16]
-                            .copy_from_slice(&b[kk * n + jt * 16..kk * n + jt * 16 + 16]);
-                    }
-                }
-                unsafe { gemm_acc_inner::<FUSED>(a, m, k, b, n, out, buf.as_ptr()) }
-            });
+        if m >= PACK_MIN_M && n >= PANEL {
+            let mut buf = take_pack_buf(k * n);
+            pack_panels(b, k, n, &mut buf);
+            gemm_panels::<FUSED>(a, m, k, n, &buf, out);
+            give_pack_buf(buf);
+        } else {
+            gemm_rows::<FUSED>(a, m, k, b, n, out);
         }
-        gemm_acc_inner::<FUSED>(a, m, k, b, n, out, std::ptr::null());
     }
 
-    /// The microkernel proper. `pack` is either null (read B rows in
-    /// place) or the kk-major panel buffer covering the first
-    /// `n - n % 16` columns.
+    /// `out += a · B` with B (`k × n`) in the panel layout of
+    /// [`pack_panels`](super::pack_panels), run panel-major: for each
+    /// `GEMM_KC` k-panel, for each `ROW_BLOCK`-row block, for each 32-column
+    /// panel, the block's 4-row × 32-column register tiles ([`tile_4x32`]).
+    /// The panel's KC rows are 32 KiB, so they stay in L1 while the block's
+    /// tiles stream past. The `n % 32` tail columns take the 16/8/4/scalar
+    /// tiles of [`cols_4`], and the `m % 4` remainder rows the single-row
+    /// [`row_axpy`], both reading the packed tail block.
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX-512F plus AVX2+FMA; `a` is `m × k`, `out` is `m × n`
+    /// and `pack` holds `k · n` values in the panel layout.
     #[target_feature(enable = "avx512f", enable = "avx2", enable = "fma")]
-    unsafe fn gemm_acc_inner<const FUSED: bool>(
+    pub unsafe fn gemm_panels<const FUSED: bool>(
+        a: &[f64],
+        m: usize,
+        k: usize,
+        n: usize,
+        pack: &[f64],
+        out: &mut [f64],
+    ) {
+        debug_assert_eq!(pack.len(), k * n);
+        let ap = a.as_ptr();
+        let pp = pack.as_ptr();
+        let op = out.as_mut_ptr();
+        let full = n - n % PANEL;
+        let tw = n - full;
+        let tail = pp.add(full * k);
+        let m4 = m - m % 4;
+        for k0 in (0..k).step_by(GEMM_KC) {
+            let k1 = (k0 + GEMM_KC).min(k);
+            for i0 in (0..m4).step_by(ROW_BLOCK) {
+                let i1 = (i0 + ROW_BLOCK).min(m4);
+                for j0 in (0..full).step_by(PANEL) {
+                    let panel = pp.add(j0 * k);
+                    for i in (i0..i1).step_by(4) {
+                        tile_4x32::<FUSED>(ap.add(i * k), k, k0..k1, panel, op.add(i * n + j0), n);
+                    }
+                }
+                if tw > 0 {
+                    for i in (i0..i1).step_by(4) {
+                        let o = op.add(i * n + full);
+                        cols_4::<FUSED>(ap.add(i * k), k, k0..k1, (tail, tw), tw, o, n);
+                    }
+                }
+            }
+            for i in m4..m {
+                let a_row = ap.add(i * k);
+                for j0 in (0..full).step_by(PANEL) {
+                    let o = op.add(i * n + j0);
+                    row_axpy::<FUSED>(a_row, k0..k1, (pp.add(j0 * k), PANEL), PANEL, o);
+                }
+                if tw > 0 {
+                    row_axpy::<FUSED>(a_row, k0..k1, (tail, tw), tw, op.add(i * n + full));
+                }
+            }
+        }
+    }
+
+    /// `out += a · b` reading B rows in place: for each `GEMM_KC` k-panel,
+    /// 4-row blocks across all `n` columns ([`cols_4`]), then the `m % 4`
+    /// remainder rows ([`row_axpy`]).
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX-512F plus AVX2+FMA; buffer lengths must match the
+    /// stated shapes.
+    #[target_feature(enable = "avx512f", enable = "avx2", enable = "fma")]
+    pub unsafe fn gemm_rows<const FUSED: bool>(
         a: &[f64],
         m: usize,
         k: usize,
         b: &[f64],
         n: usize,
         out: &mut [f64],
-        pack: *const f64,
     ) {
         let ap = a.as_ptr();
         let bp = b.as_ptr();
@@ -920,177 +1149,235 @@ mod avx512 {
             let k1 = (k0 + GEMM_KC).min(k);
             let mut i = 0;
             while i + 4 <= m {
-                let a0 = ap.add(i * k);
-                let a1 = ap.add((i + 1) * k);
-                let a2 = ap.add((i + 2) * k);
-                let a3 = ap.add((i + 3) * k);
-                let o0 = op.add(i * n);
-                let o1 = op.add((i + 1) * n);
-                let o2 = op.add((i + 2) * n);
-                let o3 = op.add((i + 3) * n);
-                let mut j = 0;
-                while j + 16 <= n {
-                    // Inside this loop j < n - n%16 always holds, so the
-                    // packed panels (when present) cover every iteration.
-                    let (pb, bs) = if pack.is_null() {
-                        (bp.add(j), n)
-                    } else {
-                        (pack.add((j / 16) * k * 16), 16)
-                    };
-                    let mut c00 = _mm512_loadu_pd(o0.add(j));
-                    let mut c01 = _mm512_loadu_pd(o0.add(j + 8));
-                    let mut c10 = _mm512_loadu_pd(o1.add(j));
-                    let mut c11 = _mm512_loadu_pd(o1.add(j + 8));
-                    let mut c20 = _mm512_loadu_pd(o2.add(j));
-                    let mut c21 = _mm512_loadu_pd(o2.add(j + 8));
-                    let mut c30 = _mm512_loadu_pd(o3.add(j));
-                    let mut c31 = _mm512_loadu_pd(o3.add(j + 8));
-                    for kk in k0..k1 {
-                        let b0 = _mm512_loadu_pd(pb.add(kk * bs));
-                        let b1 = _mm512_loadu_pd(pb.add(kk * bs + 8));
-                        let av = _mm512_set1_pd(*a0.add(kk));
-                        c00 = madd512::<FUSED>(av, b0, c00);
-                        c01 = madd512::<FUSED>(av, b1, c01);
-                        let av = _mm512_set1_pd(*a1.add(kk));
-                        c10 = madd512::<FUSED>(av, b0, c10);
-                        c11 = madd512::<FUSED>(av, b1, c11);
-                        let av = _mm512_set1_pd(*a2.add(kk));
-                        c20 = madd512::<FUSED>(av, b0, c20);
-                        c21 = madd512::<FUSED>(av, b1, c21);
-                        let av = _mm512_set1_pd(*a3.add(kk));
-                        c30 = madd512::<FUSED>(av, b0, c30);
-                        c31 = madd512::<FUSED>(av, b1, c31);
-                    }
-                    _mm512_storeu_pd(o0.add(j), c00);
-                    _mm512_storeu_pd(o0.add(j + 8), c01);
-                    _mm512_storeu_pd(o1.add(j), c10);
-                    _mm512_storeu_pd(o1.add(j + 8), c11);
-                    _mm512_storeu_pd(o2.add(j), c20);
-                    _mm512_storeu_pd(o2.add(j + 8), c21);
-                    _mm512_storeu_pd(o3.add(j), c30);
-                    _mm512_storeu_pd(o3.add(j + 8), c31);
-                    j += 16;
-                }
-                while j + 8 <= n {
-                    let mut c0 = _mm512_loadu_pd(o0.add(j));
-                    let mut c1 = _mm512_loadu_pd(o1.add(j));
-                    let mut c2 = _mm512_loadu_pd(o2.add(j));
-                    let mut c3 = _mm512_loadu_pd(o3.add(j));
-                    for kk in k0..k1 {
-                        let b0 = _mm512_loadu_pd(bp.add(kk * n + j));
-                        c0 = madd512::<FUSED>(_mm512_set1_pd(*a0.add(kk)), b0, c0);
-                        c1 = madd512::<FUSED>(_mm512_set1_pd(*a1.add(kk)), b0, c1);
-                        c2 = madd512::<FUSED>(_mm512_set1_pd(*a2.add(kk)), b0, c2);
-                        c3 = madd512::<FUSED>(_mm512_set1_pd(*a3.add(kk)), b0, c3);
-                    }
-                    _mm512_storeu_pd(o0.add(j), c0);
-                    _mm512_storeu_pd(o1.add(j), c1);
-                    _mm512_storeu_pd(o2.add(j), c2);
-                    _mm512_storeu_pd(o3.add(j), c3);
-                    j += 8;
-                }
-                while j + 4 <= n {
-                    let mut c0 = _mm256_loadu_pd(o0.add(j));
-                    let mut c1 = _mm256_loadu_pd(o1.add(j));
-                    let mut c2 = _mm256_loadu_pd(o2.add(j));
-                    let mut c3 = _mm256_loadu_pd(o3.add(j));
-                    for kk in k0..k1 {
-                        let b0 = _mm256_loadu_pd(bp.add(kk * n + j));
-                        c0 = madd256::<FUSED>(_mm256_set1_pd(*a0.add(kk)), b0, c0);
-                        c1 = madd256::<FUSED>(_mm256_set1_pd(*a1.add(kk)), b0, c1);
-                        c2 = madd256::<FUSED>(_mm256_set1_pd(*a2.add(kk)), b0, c2);
-                        c3 = madd256::<FUSED>(_mm256_set1_pd(*a3.add(kk)), b0, c3);
-                    }
-                    _mm256_storeu_pd(o0.add(j), c0);
-                    _mm256_storeu_pd(o1.add(j), c1);
-                    _mm256_storeu_pd(o2.add(j), c2);
-                    _mm256_storeu_pd(o3.add(j), c3);
-                    j += 4;
-                }
-                while j < n {
-                    for row in 0..4 {
-                        let ar = ap.add((i + row) * k);
-                        let or = op.add((i + row) * n + j);
-                        let mut acc = *or;
-                        for kk in k0..k1 {
-                            acc = madd::<FUSED>(*ar.add(kk), *bp.add(kk * n + j), acc);
-                        }
-                        *or = acc;
-                    }
-                    j += 1;
-                }
+                cols_4::<FUSED>(ap.add(i * k), k, k0..k1, (bp, n), n, op.add(i * n), n);
                 i += 4;
             }
             while i < m {
-                // Single-row axpy remainder, 4 k-steps per pass over the out
-                // row (see the AVX2 kernel for the rationale — identical
-                // per-element chains, twice the lane width).
-                let a_row = &a[i * k..(i + 1) * k];
-                let or = op.add(i * n);
-                let mut kk = k0;
-                while kk + 4 <= k1 {
-                    let av0 = _mm512_set1_pd(a_row[kk]);
-                    let av1 = _mm512_set1_pd(a_row[kk + 1]);
-                    let av2 = _mm512_set1_pd(a_row[kk + 2]);
-                    let av3 = _mm512_set1_pd(a_row[kk + 3]);
-                    let b0 = bp.add(kk * n);
-                    let b1 = bp.add((kk + 1) * n);
-                    let b2 = bp.add((kk + 2) * n);
-                    let b3 = bp.add((kk + 3) * n);
-                    let mut j = 0;
-                    while j + 16 <= n {
-                        let mut c0 = _mm512_loadu_pd(or.add(j));
-                        let mut c1 = _mm512_loadu_pd(or.add(j + 8));
-                        c0 = madd512::<FUSED>(av0, _mm512_loadu_pd(b0.add(j)), c0);
-                        c1 = madd512::<FUSED>(av0, _mm512_loadu_pd(b0.add(j + 8)), c1);
-                        c0 = madd512::<FUSED>(av1, _mm512_loadu_pd(b1.add(j)), c0);
-                        c1 = madd512::<FUSED>(av1, _mm512_loadu_pd(b1.add(j + 8)), c1);
-                        c0 = madd512::<FUSED>(av2, _mm512_loadu_pd(b2.add(j)), c0);
-                        c1 = madd512::<FUSED>(av2, _mm512_loadu_pd(b2.add(j + 8)), c1);
-                        c0 = madd512::<FUSED>(av3, _mm512_loadu_pd(b3.add(j)), c0);
-                        c1 = madd512::<FUSED>(av3, _mm512_loadu_pd(b3.add(j + 8)), c1);
-                        _mm512_storeu_pd(or.add(j), c0);
-                        _mm512_storeu_pd(or.add(j + 8), c1);
-                        j += 16;
-                    }
-                    while j + 8 <= n {
-                        let mut c = _mm512_loadu_pd(or.add(j));
-                        c = madd512::<FUSED>(av0, _mm512_loadu_pd(b0.add(j)), c);
-                        c = madd512::<FUSED>(av1, _mm512_loadu_pd(b1.add(j)), c);
-                        c = madd512::<FUSED>(av2, _mm512_loadu_pd(b2.add(j)), c);
-                        c = madd512::<FUSED>(av3, _mm512_loadu_pd(b3.add(j)), c);
-                        _mm512_storeu_pd(or.add(j), c);
-                        j += 8;
-                    }
-                    while j < n {
-                        let mut acc = *or.add(j);
-                        acc = madd::<FUSED>(a_row[kk], *b0.add(j), acc);
-                        acc = madd::<FUSED>(a_row[kk + 1], *b1.add(j), acc);
-                        acc = madd::<FUSED>(a_row[kk + 2], *b2.add(j), acc);
-                        acc = madd::<FUSED>(a_row[kk + 3], *b3.add(j), acc);
-                        *or.add(j) = acc;
-                        j += 1;
-                    }
-                    kk += 4;
-                }
-                while kk < k1 {
-                    let av = _mm512_set1_pd(a_row[kk]);
-                    let br = bp.add(kk * n);
-                    let mut j = 0;
-                    while j + 8 <= n {
-                        let c = _mm512_loadu_pd(or.add(j));
-                        let c = madd512::<FUSED>(av, _mm512_loadu_pd(br.add(j)), c);
-                        _mm512_storeu_pd(or.add(j), c);
-                        j += 8;
-                    }
-                    while j < n {
-                        *or.add(j) = madd::<FUSED>(a_row[kk], *br.add(j), *or.add(j));
-                        j += 1;
-                    }
-                    kk += 1;
-                }
+                row_axpy::<FUSED>(ap.add(i * k), k0..k1, (bp, n), n, op.add(i * n));
                 i += 1;
             }
+        }
+    }
+
+    /// The 4-row × 32-column register tile: 16 zmm accumulators, and per
+    /// `k` step four panel loads, four broadcasts of `a` and 16
+    /// multiply-adds. `a` is row `i` of the `k`-wide left operand, `panel`
+    /// a kk-major `PANEL`-wide panel and `o` row `i`, column `j0` of the
+    /// `n`-wide output.
+    #[inline]
+    #[target_feature(enable = "avx512f", enable = "avx2", enable = "fma")]
+    unsafe fn tile_4x32<const FUSED: bool>(
+        a: *const f64,
+        k: usize,
+        ks: Range<usize>,
+        panel: *const f64,
+        o: *mut f64,
+        n: usize,
+    ) {
+        let mut c = [[_mm512_setzero_pd(); 4]; 4];
+        for (r, row) in c.iter_mut().enumerate() {
+            for (q, acc) in row.iter_mut().enumerate() {
+                *acc = _mm512_loadu_pd(o.add(r * n + 8 * q));
+            }
+        }
+        for kk in ks {
+            let bk = panel.add(kk * PANEL);
+            let b = [
+                _mm512_loadu_pd(bk),
+                _mm512_loadu_pd(bk.add(8)),
+                _mm512_loadu_pd(bk.add(16)),
+                _mm512_loadu_pd(bk.add(24)),
+            ];
+            for (r, row) in c.iter_mut().enumerate() {
+                let av = _mm512_set1_pd(*a.add(r * k + kk));
+                for (acc, &bq) in row.iter_mut().zip(&b) {
+                    *acc = madd512::<FUSED>(av, bq, *acc);
+                }
+            }
+        }
+        for (r, row) in c.iter().enumerate() {
+            for (q, &acc) in row.iter().enumerate() {
+                _mm512_storeu_pd(o.add(r * n + 8 * q), acc);
+            }
+        }
+    }
+
+    /// Four rows across `w` columns of B, where B row `kk` starts at
+    /// `b.0 + kk · b.1`: 4 × 16 tiles (8 zmm accumulators), then 8-, 4-
+    /// (ymm) and scalar column tails. `a` and `o` are as for [`tile_4x32`].
+    #[inline]
+    #[target_feature(enable = "avx512f", enable = "avx2", enable = "fma")]
+    unsafe fn cols_4<const FUSED: bool>(
+        a: *const f64,
+        k: usize,
+        ks: Range<usize>,
+        (bp, bs): (*const f64, usize),
+        w: usize,
+        o: *mut f64,
+        n: usize,
+    ) {
+        let (a0, a1, a2, a3) = (a, a.add(k), a.add(2 * k), a.add(3 * k));
+        let (o0, o1, o2, o3) = (o, o.add(n), o.add(2 * n), o.add(3 * n));
+        let mut j = 0;
+        while j + 16 <= w {
+            let mut c00 = _mm512_loadu_pd(o0.add(j));
+            let mut c01 = _mm512_loadu_pd(o0.add(j + 8));
+            let mut c10 = _mm512_loadu_pd(o1.add(j));
+            let mut c11 = _mm512_loadu_pd(o1.add(j + 8));
+            let mut c20 = _mm512_loadu_pd(o2.add(j));
+            let mut c21 = _mm512_loadu_pd(o2.add(j + 8));
+            let mut c30 = _mm512_loadu_pd(o3.add(j));
+            let mut c31 = _mm512_loadu_pd(o3.add(j + 8));
+            for kk in ks.clone() {
+                let b0 = _mm512_loadu_pd(bp.add(kk * bs + j));
+                let b1 = _mm512_loadu_pd(bp.add(kk * bs + j + 8));
+                let av = _mm512_set1_pd(*a0.add(kk));
+                c00 = madd512::<FUSED>(av, b0, c00);
+                c01 = madd512::<FUSED>(av, b1, c01);
+                let av = _mm512_set1_pd(*a1.add(kk));
+                c10 = madd512::<FUSED>(av, b0, c10);
+                c11 = madd512::<FUSED>(av, b1, c11);
+                let av = _mm512_set1_pd(*a2.add(kk));
+                c20 = madd512::<FUSED>(av, b0, c20);
+                c21 = madd512::<FUSED>(av, b1, c21);
+                let av = _mm512_set1_pd(*a3.add(kk));
+                c30 = madd512::<FUSED>(av, b0, c30);
+                c31 = madd512::<FUSED>(av, b1, c31);
+            }
+            _mm512_storeu_pd(o0.add(j), c00);
+            _mm512_storeu_pd(o0.add(j + 8), c01);
+            _mm512_storeu_pd(o1.add(j), c10);
+            _mm512_storeu_pd(o1.add(j + 8), c11);
+            _mm512_storeu_pd(o2.add(j), c20);
+            _mm512_storeu_pd(o2.add(j + 8), c21);
+            _mm512_storeu_pd(o3.add(j), c30);
+            _mm512_storeu_pd(o3.add(j + 8), c31);
+            j += 16;
+        }
+        while j + 8 <= w {
+            let mut c0 = _mm512_loadu_pd(o0.add(j));
+            let mut c1 = _mm512_loadu_pd(o1.add(j));
+            let mut c2 = _mm512_loadu_pd(o2.add(j));
+            let mut c3 = _mm512_loadu_pd(o3.add(j));
+            for kk in ks.clone() {
+                let b0 = _mm512_loadu_pd(bp.add(kk * bs + j));
+                c0 = madd512::<FUSED>(_mm512_set1_pd(*a0.add(kk)), b0, c0);
+                c1 = madd512::<FUSED>(_mm512_set1_pd(*a1.add(kk)), b0, c1);
+                c2 = madd512::<FUSED>(_mm512_set1_pd(*a2.add(kk)), b0, c2);
+                c3 = madd512::<FUSED>(_mm512_set1_pd(*a3.add(kk)), b0, c3);
+            }
+            _mm512_storeu_pd(o0.add(j), c0);
+            _mm512_storeu_pd(o1.add(j), c1);
+            _mm512_storeu_pd(o2.add(j), c2);
+            _mm512_storeu_pd(o3.add(j), c3);
+            j += 8;
+        }
+        while j + 4 <= w {
+            let mut c0 = _mm256_loadu_pd(o0.add(j));
+            let mut c1 = _mm256_loadu_pd(o1.add(j));
+            let mut c2 = _mm256_loadu_pd(o2.add(j));
+            let mut c3 = _mm256_loadu_pd(o3.add(j));
+            for kk in ks.clone() {
+                let b0 = _mm256_loadu_pd(bp.add(kk * bs + j));
+                c0 = madd256::<FUSED>(_mm256_set1_pd(*a0.add(kk)), b0, c0);
+                c1 = madd256::<FUSED>(_mm256_set1_pd(*a1.add(kk)), b0, c1);
+                c2 = madd256::<FUSED>(_mm256_set1_pd(*a2.add(kk)), b0, c2);
+                c3 = madd256::<FUSED>(_mm256_set1_pd(*a3.add(kk)), b0, c3);
+            }
+            _mm256_storeu_pd(o0.add(j), c0);
+            _mm256_storeu_pd(o1.add(j), c1);
+            _mm256_storeu_pd(o2.add(j), c2);
+            _mm256_storeu_pd(o3.add(j), c3);
+            j += 4;
+        }
+        while j < w {
+            for (ar, or) in [(a0, o0), (a1, o1), (a2, o2), (a3, o3)] {
+                let or = or.add(j);
+                let mut acc = *or;
+                for kk in ks.clone() {
+                    acc = madd::<FUSED>(*ar.add(kk), *bp.add(kk * bs + j), acc);
+                }
+                *or = acc;
+            }
+            j += 1;
+        }
+    }
+
+    /// One row across `w` columns of B (laid out as for [`cols_4`]): an
+    /// axpy over the out row, four `k` steps per pass (see the AVX2 kernel
+    /// for the rationale — identical per-element chains, twice the lane
+    /// width). `a_row` is the row of the left operand, `o` its out row.
+    #[inline]
+    #[target_feature(enable = "avx512f", enable = "avx2", enable = "fma")]
+    unsafe fn row_axpy<const FUSED: bool>(
+        a_row: *const f64,
+        ks: Range<usize>,
+        (bp, bs): (*const f64, usize),
+        w: usize,
+        o: *mut f64,
+    ) {
+        let mut kk = ks.start;
+        while kk + 4 <= ks.end {
+            let av0 = _mm512_set1_pd(*a_row.add(kk));
+            let av1 = _mm512_set1_pd(*a_row.add(kk + 1));
+            let av2 = _mm512_set1_pd(*a_row.add(kk + 2));
+            let av3 = _mm512_set1_pd(*a_row.add(kk + 3));
+            let b0 = bp.add(kk * bs);
+            let b1 = bp.add((kk + 1) * bs);
+            let b2 = bp.add((kk + 2) * bs);
+            let b3 = bp.add((kk + 3) * bs);
+            let mut j = 0;
+            while j + 16 <= w {
+                let mut c0 = _mm512_loadu_pd(o.add(j));
+                let mut c1 = _mm512_loadu_pd(o.add(j + 8));
+                c0 = madd512::<FUSED>(av0, _mm512_loadu_pd(b0.add(j)), c0);
+                c1 = madd512::<FUSED>(av0, _mm512_loadu_pd(b0.add(j + 8)), c1);
+                c0 = madd512::<FUSED>(av1, _mm512_loadu_pd(b1.add(j)), c0);
+                c1 = madd512::<FUSED>(av1, _mm512_loadu_pd(b1.add(j + 8)), c1);
+                c0 = madd512::<FUSED>(av2, _mm512_loadu_pd(b2.add(j)), c0);
+                c1 = madd512::<FUSED>(av2, _mm512_loadu_pd(b2.add(j + 8)), c1);
+                c0 = madd512::<FUSED>(av3, _mm512_loadu_pd(b3.add(j)), c0);
+                c1 = madd512::<FUSED>(av3, _mm512_loadu_pd(b3.add(j + 8)), c1);
+                _mm512_storeu_pd(o.add(j), c0);
+                _mm512_storeu_pd(o.add(j + 8), c1);
+                j += 16;
+            }
+            while j + 8 <= w {
+                let mut c = _mm512_loadu_pd(o.add(j));
+                c = madd512::<FUSED>(av0, _mm512_loadu_pd(b0.add(j)), c);
+                c = madd512::<FUSED>(av1, _mm512_loadu_pd(b1.add(j)), c);
+                c = madd512::<FUSED>(av2, _mm512_loadu_pd(b2.add(j)), c);
+                c = madd512::<FUSED>(av3, _mm512_loadu_pd(b3.add(j)), c);
+                _mm512_storeu_pd(o.add(j), c);
+                j += 8;
+            }
+            while j < w {
+                let mut acc = *o.add(j);
+                acc = madd::<FUSED>(*a_row.add(kk), *b0.add(j), acc);
+                acc = madd::<FUSED>(*a_row.add(kk + 1), *b1.add(j), acc);
+                acc = madd::<FUSED>(*a_row.add(kk + 2), *b2.add(j), acc);
+                acc = madd::<FUSED>(*a_row.add(kk + 3), *b3.add(j), acc);
+                *o.add(j) = acc;
+                j += 1;
+            }
+            kk += 4;
+        }
+        while kk < ks.end {
+            let a_val = *a_row.add(kk);
+            let av = _mm512_set1_pd(a_val);
+            let br = bp.add(kk * bs);
+            let mut j = 0;
+            while j + 8 <= w {
+                let c = _mm512_loadu_pd(o.add(j));
+                let c = madd512::<FUSED>(av, _mm512_loadu_pd(br.add(j)), c);
+                _mm512_storeu_pd(o.add(j), c);
+                j += 8;
+            }
+            while j < w {
+                *o.add(j) = madd::<FUSED>(a_val, *br.add(j), *o.add(j));
+                j += 1;
+            }
+            kk += 1;
         }
     }
 
@@ -1783,6 +2070,17 @@ mod tests {
         }
     }
 
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// Deterministic `m × k` and `k × n` operands with mixed signs.
+    fn operands(m: usize, k: usize, n: usize) -> (Vec<f64>, Vec<f64>) {
+        let a = (0..m * k).map(|i| (i as f64 * 0.37).sin()).collect();
+        let b = (0..k * n).map(|i| (i as f64 * 0.61).cos()).collect();
+        (a, b)
+    }
+
     #[cfg(target_arch = "x86_64")]
     #[test]
     fn avx2_gemm_matches_mul_add_reference() {
@@ -1792,8 +2090,7 @@ mod tests {
         // Shapes crossing the 16- and 4-column vector widths and the KC
         // panel boundary.
         for (m, k, n) in [(1, 1, 1), (3, 5, 18), (2, 130, 21), (4, 7, 3)] {
-            let a: Vec<f64> = (0..m * k).map(|i| (i as f64 * 0.37).sin()).collect();
-            let b: Vec<f64> = (0..k * n).map(|i| (i as f64 * 0.61).cos()).collect();
+            let (a, b) = operands(m, k, n);
             let mut out = vec![0.25; m * n];
             let mut want = out.clone();
             gemm_acc_fma(&a, m, k, &b, n, &mut out);
@@ -1806,8 +2103,39 @@ mod tests {
                     want[i * n + j] = acc;
                 }
             }
-            assert_eq!(out, want, "{m}x{k}·{k}x{n}");
+            assert_eq!(bits(&out), bits(&want), "{m}x{k}·{k}x{n}");
         }
+    }
+
+    /// Runs every AVX-512 GEMM form on one shape against the AVX2 kernel,
+    /// comparing bits: the dispatched entry (which packs per call from
+    /// `PACK_MIN_M` rows), the panel kernel on operands packed beforehand
+    /// (from B, and transposed from Bᵀ), and the unpacked kernel.
+    #[cfg(target_arch = "x86_64")]
+    fn check_avx512_gemm<const FUSED: bool>(m: usize, k: usize, n: usize) {
+        let (a, b) = operands(m, k, n);
+        let case = format!("FUSED={FUSED} {m}x{k}·{k}x{n}");
+        let run = |f: &dyn Fn(&mut [f64])| {
+            let mut out = vec![0.25; m * n];
+            f(&mut out);
+            bits(&out)
+        };
+        let want = run(&|out| unsafe { gemm_acc_avx2::<FUSED>(&a, m, k, &b, n, out) });
+        let per_call = run(&|out| unsafe { avx512::gemm_acc::<FUSED>(&a, m, k, &b, n, out) });
+        assert_eq!(per_call, want, "per-call packed, {case}");
+        let unpacked = run(&|out| unsafe { avx512::gemm_rows::<FUSED>(&a, m, k, &b, n, out) });
+        assert_eq!(unpacked, want, "unpacked, {case}");
+        let mut pack = vec![0.0; k * n];
+        pack_panels(&b, k, n, &mut pack);
+        let prepacked =
+            run(&|out| unsafe { avx512::gemm_panels::<FUSED>(&a, m, k, n, &pack, out) });
+        assert_eq!(prepacked, want, "prepacked, {case}");
+        let mut bt = vec![0.0; k * n];
+        crate::matrix::transpose_into(&b, k, n, &mut bt);
+        pack_panels_transposed(&bt, k, n, &mut pack);
+        let transposed =
+            run(&|out| unsafe { avx512::gemm_panels::<FUSED>(&a, m, k, n, &pack, out) });
+        assert_eq!(transposed, want, "prepacked from Bᵀ, {case}");
     }
 
     #[cfg(target_arch = "x86_64")]
@@ -1817,10 +2145,9 @@ mod tests {
             return;
         }
         // GEMM: both tiers are one-FMA-per-k-step ascending chains, so the
-        // 512-bit kernel must reproduce the 256-bit kernel exactly. Shapes
-        // cross the 16/8/4-lane tails, the 4-row microkernel boundary, the
-        // KC panel boundary, and the m >= 64 B-packing threshold (with and
-        // without a non-16-multiple column tail).
+        // 512-bit kernels must reproduce the 256-bit kernel exactly. Small
+        // shapes cross the 32/16/8/4-lane tiles, the 4-row tile boundary and
+        // the KC panel boundary.
         for (m, k, n) in [
             (1, 1, 1),
             (5, 9, 37),
@@ -1830,13 +2157,34 @@ mod tests {
             (70, 5, 37),
             (129, 130, 48),
         ] {
-            let a: Vec<f64> = (0..m * k).map(|i| (i as f64 * 0.37).sin()).collect();
-            let b: Vec<f64> = (0..k * n).map(|i| (i as f64 * 0.61).cos()).collect();
-            let mut got = vec![0.25; m * n];
-            let mut want = got.clone();
-            gemm_acc_avx512(&a, m, k, &b, n, &mut got);
-            gemm_acc_fma(&a, m, k, &b, n, &mut want);
-            assert_eq!(got, want, "{m}x{k}·{k}x{n}");
+            check_avx512_gemm::<true>(m, k, n);
+        }
+        // The monitors' shapes, around the PACK_MIN_M threshold and at a
+        // stateful chunk's 232/256 rows: the 512- and 256-wide gate
+        // outputs, the K = 6 input projection, and the k = 4H backward
+        // products (`dz·Wᵀ`, k = 512 > KC).
+        for m in [63, 64, 65, 232, 256] {
+            for (k, n) in [
+                (6, 512),
+                (128, 512),
+                (128, 256),
+                (64, 256),
+                (512, 128),
+                (512, 6),
+                (256, 64),
+            ] {
+                check_avx512_gemm::<true>(m, k, n);
+            }
+            // Ragged widths: one column short of and past a panel, a panel
+            // and a half, and a tail past sixteen panels.
+            for n in [31, 33, 48, 520] {
+                check_avx512_gemm::<true>(m, 130, n);
+            }
+        }
+        // The never-fused weight-gradient products `dW = xᵀ·dz` of the
+        // paper LSTM's layers on a 64-row chunk, plus ragged rows.
+        for (m, k, n) in [(128, 64, 512), (64, 64, 256), (65, 64, 520), (6, 64, 512)] {
+            check_avx512_gemm::<false>(m, k, n);
         }
         // Transcendental lanes mirror the scalar `_m` forms (and therefore
         // the AVX2 lanes) bitwise, at every lane position.

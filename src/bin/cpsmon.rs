@@ -10,6 +10,9 @@
 //! ```
 //!
 //! Scale is `--scale quick|full` (default: `CPSMON_SCALE`, then quick).
+//! Tables are written as CSVs under `results/`: `<name>.csv` at full
+//! scale and `<name>_quick.csv` at quick scale (multi-table experiments
+//! add `_<i>`), so a quick run never overwrites a full-scale table.
 //! Trained monitors are served from the bundle cache under
 //! `results/cache/` — the first run trains and persists, later runs load
 //! in milliseconds with bit-identical predictions. `CPSMON_CACHE=0`
@@ -365,7 +368,7 @@ fn run() -> Result<(), CliError> {
             }
             let ctx = Context::load_or_build(scale)?;
             for name in &names {
-                cpsmon_bench::run_registered_on(&ctx, name, name)?;
+                cpsmon_bench::run_registered_on(&ctx, name, &scale.csv_stem(name))?;
             }
             Ok(())
         }
@@ -373,7 +376,7 @@ fn run() -> Result<(), CliError> {
             let ctx = Context::load_or_build(scale)?;
             let started = std::time::Instant::now();
             for e in registry::REGISTRY {
-                cpsmon_bench::run_registered_on(&ctx, e.name(), e.name())?;
+                cpsmon_bench::run_registered_on(&ctx, e.name(), &scale.csv_stem(e.name()))?;
             }
             eprintln!(
                 "[cpsmon-bench] run-all finished in {:.1?}",
