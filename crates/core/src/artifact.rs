@@ -484,6 +484,15 @@ impl MonitorBundle {
                 let [bgt, hypo, iob_eps, bg_trend_eps]: [f64; 4] = params
                     .try_into()
                     .map_err(|_| lines.err("rules line must hold exactly four parameters"))?;
+                if !bgt.is_finite() || !hypo.is_finite() {
+                    return Err(lines.err("rule thresholds bgt and hypo must be finite"));
+                }
+                if ![iob_eps, bg_trend_eps]
+                    .iter()
+                    .all(|t| t.is_finite() && *t >= 0.0)
+                {
+                    return Err(lines.err("rule tolerances must be finite and non-negative"));
+                }
                 MonitorModel::Rule(RuleMonitor::new(ApsRules {
                     bgt,
                     hypo,

@@ -51,7 +51,7 @@ use crate::guard::{GuardPolicy, HealthState, InputGuard};
 use crate::stream::{GuardedVerdict, MonitorSession};
 use cpsmon_sim::trace::StepRecord;
 use cpsmon_sim::{PumpCommand, StepObserver};
-use cpsmon_stl::{ApsContext, ApsRules, HazardType, RuleMonitor};
+use cpsmon_stl::{ApsContext, ApsRules, HazardType, IobAtom, RuleMonitor, TrendAtom};
 
 /// A typed corrective action attached to every
 /// [`Verdict`](crate::stream::Verdict).
@@ -232,7 +232,9 @@ impl Mitigator {
                 steps: self.policy.suspend_steps,
             };
         }
-        if ctx.dbg < -self.rules.bg_trend_eps && ctx.diob > self.rules.iob_eps {
+        if TrendAtom::Falling.holds(&self.rules, ctx.dbg)
+            && IobAtom::Up.holds(&self.rules, ctx.diob)
+        {
             return Action::CapRate {
                 max_rate: self.policy.cap_rate,
                 steps: self.policy.cap_steps,

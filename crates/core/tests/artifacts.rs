@@ -145,3 +145,23 @@ fn mismatched_fingerprint_is_rejected_for_every_kind() {
         );
     }
 }
+
+#[test]
+fn out_of_range_rule_parameters_are_rejected() {
+    let ds = dataset(SimulatorKind::Glucosym);
+    let cfg = TrainConfig::quick_test();
+    let monitor = MonitorKind::RuleBased.train(&ds, &cfg).unwrap();
+    let text = String::from_utf8(saved_bytes(&MonitorBundle::new(monitor, &ds, &cfg))).unwrap();
+    let good = "rules 120 70 0.001 1.5";
+    assert!(text.contains(good), "{text}");
+    assert!(MonitorBundle::load(&mut BufReader::new(text.as_bytes())).is_ok());
+    for bad in [
+        "rules NaN 70 0.001 1.5",
+        "rules 120 70 -1 -2",
+        "rules inf -inf 0.001 1.5",
+    ] {
+        let edited = text.replacen(good, bad, 1);
+        let err = MonitorBundle::load(&mut BufReader::new(edited.as_bytes())).unwrap_err();
+        assert!(matches!(err, ArtifactError::Parse { .. }), "{bad}: {err}");
+    }
+}

@@ -1,46 +1,43 @@
-//! # cpsmon-stl — Signal Temporal Logic engine and APS safety rules
+//! # cpsmon-stl — the APS safety rules of Table I
 //!
 //! The paper integrates domain knowledge into ML monitors by encoding
 //! context-dependent safety specifications — derived from STPA hazard
 //! analysis — as Signal Temporal Logic (STL) formulas (Table I), then
-//! folding their truth value into a semantic loss (Eq. 2). This crate
-//! provides:
+//! folding their truth value into a semantic loss (Eq. 2). Each of the 12
+//! formulas is a conjunction of atoms over one window-aggregated context,
+//! with no temporal operator, so this crate holds them as data:
 //!
-//! - [`Stl`]: an STL abstract syntax tree over named, discretely sampled
-//!   signals, with boolean satisfaction and quantitative robustness
-//!   semantics ([`eval`]).
-//! - [`SignalTrace`]: a simple multi-signal sampled trace.
-//! - [`rules::ApsRules`]: the paper's 12 context-dependent unsafe-control-
-//!   action rules for Artificial Pancreas Systems, available both as STL
-//!   formulas and as a fast direct evaluator used inside training loops.
-//! - [`monitor::RuleMonitor`]: a purely knowledge-driven baseline monitor
-//!   (the "Rule-based" row of Table III).
+//! - [`TABLE_I`]: the 12 rules, one row of `BG`, `BG'`, `IOB'` and command
+//!   atoms plus a hazard each.
+//! - [`ApsRules`]: the thresholds the atoms compare against, the evaluator
+//!   behind the Eq. 2 indicator, and a printer of each row in the paper's
+//!   STL notation.
+//! - [`RuleMonitor`]: a purely knowledge-driven baseline monitor (the
+//!   "Rule-based" row of Table III).
 //!
 //! ## Example
 //!
 //! ```
-//! use cpsmon_stl::{Stl, SignalTrace};
+//! use cpsmon_stl::{ApsContext, Command, HazardType, RuleMonitor, TABLE_I};
 //!
-//! // "Eventually within 3 steps, bg exceeds 180."
-//! let phi = Stl::eventually(0, 3, Stl::gt("bg", 180.0));
-//! let mut trace = SignalTrace::new();
-//! trace.push_signal("bg", vec![120.0, 150.0, 185.0, 170.0]);
-//! assert!(phi.satisfied(&trace, 0));
-//! assert!(!phi.satisfied(&trace, 3));
+//! // Stopping insulin while BG is above target fires rule 9, a
+//! // hyperglycemia (H2) context.
+//! let monitor = RuleMonitor::default();
+//! let ctx = ApsContext { bg: 200.0, dbg: 0.0, diob: 0.0, command: Command::StopInsulin };
+//! assert_eq!(monitor.explain(&ctx), Some(9));
+//! let rule = &TABLE_I[9 - 1];
+//! assert_eq!(rule.hazard, HazardType::H2);
+//! let printed = monitor.rules().formula(rule).to_string();
+//! assert_eq!(printed, "((bg > 120) ∧ (u3 > 0.5))");
 //! ```
 
 #![warn(missing_docs)]
 
-pub mod ast;
-pub mod eval;
 pub mod monitor;
-pub mod parse;
 pub mod rules;
-pub mod series;
-pub mod signal;
 
-pub use ast::{CmpOp, Stl};
-pub use monitor::{RuleMonitor, RuleStream};
-pub use parse::{parse, ParseError};
-pub use rules::{ApsContext, ApsRules, Command, HazardType, SafetyRule};
-pub use signal::SignalTrace;
+pub use monitor::RuleMonitor;
+pub use rules::{
+    ApsContext, ApsRules, BgAtom, Command, CommandAtom, HazardType, IobAtom, SafetyRule, TrendAtom,
+    TABLE_I,
+};

@@ -59,98 +59,12 @@ impl RuleMonitor {
     pub fn explain(&self, ctx: &ApsContext) -> Option<usize> {
         self.rules.violated_rule(ctx)
     }
-
-    /// Starts an incremental evaluator for a stream of contexts (the
-    /// online deployment form of this monitor).
-    pub fn stream(&self) -> RuleStream {
-        RuleStream {
-            monitor: *self,
-            steps: 0,
-            violations: 0,
-            streak: 0,
-            longest_streak: 0,
-            last_fired: None,
-        }
-    }
 }
 
 /// Contexts per parallel chunk in [`RuleMonitor::predict_batch`]. Rule
 /// evaluation is a few dozen float comparisons, so chunks must be large for
 /// the fan-out to beat its overhead.
 pub const RULE_CHUNK: usize = 4096;
-
-/// Incremental [`RuleMonitor`] evaluation over a streaming sequence of
-/// [`ApsContext`]s — one context per closed-loop step. Tracks the running
-/// statistics an online deployment needs (violation counts, consecutive
-/// streaks, the most recent fired rule) while delegating every verdict to
-/// the same [`RuleMonitor::predict`]/[`RuleMonitor::explain`] the batch
-/// path uses, so streamed labels are bit-identical to batch labels.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RuleStream {
-    monitor: RuleMonitor,
-    steps: usize,
-    violations: usize,
-    streak: usize,
-    longest_streak: usize,
-    last_fired: Option<usize>,
-}
-
-impl RuleStream {
-    /// Feeds one context; returns its label (1 = unsafe).
-    pub fn push(&mut self, ctx: &ApsContext) -> usize {
-        self.steps += 1;
-        let fired = self.monitor.explain(ctx);
-        if let Some(rule) = fired {
-            self.last_fired = Some(rule);
-            self.violations += 1;
-            self.streak += 1;
-            self.longest_streak = self.longest_streak.max(self.streak);
-            1
-        } else {
-            self.streak = 0;
-            0
-        }
-    }
-
-    /// Contexts seen so far.
-    pub fn steps(&self) -> usize {
-        self.steps
-    }
-
-    /// Contexts flagged unsafe so far.
-    pub fn violations(&self) -> usize {
-        self.violations
-    }
-
-    /// Fraction of contexts flagged unsafe (0 when nothing was pushed).
-    pub fn violation_rate(&self) -> f64 {
-        if self.steps == 0 {
-            0.0
-        } else {
-            self.violations as f64 / self.steps as f64
-        }
-    }
-
-    /// Length of the current run of consecutive violations.
-    pub fn streak(&self) -> usize {
-        self.streak
-    }
-
-    /// Longest run of consecutive violations seen so far.
-    pub fn longest_streak(&self) -> usize {
-        self.longest_streak
-    }
-
-    /// Id of the most recently fired rule, if any fired yet.
-    pub fn last_fired(&self) -> Option<usize> {
-        self.last_fired
-    }
-
-    /// Clears all running statistics (e.g. at a patient hand-over).
-    pub fn reset(&mut self) {
-        *self = self.monitor.stream();
-    }
-}
 
 #[cfg(test)]
 mod tests {
@@ -228,45 +142,5 @@ mod tests {
             let _guard = cpsmon_nn::par::ThreadsGuard::set(threads);
             assert_eq!(m.predict_batch(&ctxs), serial, "{threads} threads");
         }
-    }
-
-    #[test]
-    fn stream_labels_match_batch() {
-        let m = RuleMonitor::default();
-        let ctxs = synthetic_ctxs(500);
-        let batch = m.predict_batch(&ctxs);
-        let mut s = m.stream();
-        let streamed: Vec<usize> = ctxs.iter().map(|c| s.push(c)).collect();
-        assert_eq!(streamed, batch);
-        assert_eq!(s.steps(), 500);
-        assert_eq!(s.violations(), batch.iter().sum::<usize>());
-    }
-
-    #[test]
-    fn stream_tracks_streaks_and_reset() {
-        let m = RuleMonitor::default();
-        let bad = ApsContext {
-            bg: 200.0,
-            dbg: 3.0,
-            diob: -0.1,
-            command: Command::DecreaseInsulin,
-        };
-        let good = ApsContext {
-            bg: 120.0,
-            dbg: 0.0,
-            diob: 0.0,
-            command: Command::KeepInsulin,
-        };
-        let mut s = m.stream();
-        for ctx in [&bad, &bad, &good, &bad] {
-            s.push(ctx);
-        }
-        assert_eq!(s.longest_streak(), 2);
-        assert_eq!(s.streak(), 1);
-        assert_eq!(s.last_fired(), Some(1));
-        assert!((s.violation_rate() - 0.75).abs() < 1e-12);
-        s.reset();
-        assert_eq!(s.steps(), 0);
-        assert_eq!(s.last_fired(), None);
     }
 }

@@ -8,17 +8,16 @@
 //! - **H1** — too much insulin → BG falls → hypoglycemia;
 //! - **H2** — too little insulin → BG rises → hyperglycemia.
 //!
-//! The rules are exposed in two equivalent forms:
-//!
-//! - [`ApsRules::formulas`] — STL objects for the generic engine (used by
-//!   the rule-based monitor and for documentation/display);
-//! - [`ApsRules::violated`] — a direct evaluator over an [`ApsContext`],
-//!   used in the training hot loop to compute the Eq. 2 indicator.
-//!
-//! A property test asserts the two forms agree on random contexts.
+//! Every rule is a conjunction of atoms over one aggregated context, so the
+//! table is written once, as data: [`TABLE_I`] holds one row of atoms per
+//! rule, and an [`ApsRules`] supplies the thresholds at evaluation time.
+//! [`ApsRules::violated_rule`] finds the rule that fires (for explanations
+//! and the closed-loop mitigator), and [`ApsRules::violated`], the Eq. 2
+//! indicator and the rule-based monitor's verdict, asks whether one does.
+//! [`ApsRules::hazard_of`], [`ApsRules::formula`] (the rows in the paper's
+//! STL notation) and the mitigator's falling-BG, rising-IOB test read the
+//! same rows and atoms.
 
-use crate::ast::Stl;
-use crate::signal::SignalTrace;
 use std::fmt;
 
 /// The four discrete control actions a monitor distinguishes (per Table I).
@@ -51,11 +50,6 @@ impl Command {
             Command::StopInsulin => 2,
             Command::KeepInsulin => 3,
         }
-    }
-
-    /// Signal name used by the STL encoding (`"u1"…"u4"`, 0/1-valued).
-    pub fn signal_name(self) -> &'static str {
-        ["u1", "u2", "u3", "u4"][self.index()]
     }
 
     /// Classifies a pump-rate transition into a command: `rate == 0` is
@@ -103,16 +97,167 @@ impl fmt::Display for HazardType {
     }
 }
 
-/// One row of Table I: an id, the STL formula, and the implied hazard.
-#[derive(Debug, Clone, PartialEq)]
+/// The `BG` atom of a Table I row.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum BgAtom {
+    /// `BG > BGT`.
+    High,
+    /// `BG < BGT`.
+    Low,
+    /// `BG < hypo` (rule 10).
+    Hypo,
+}
+
+impl BgAtom {
+    /// Truth of the atom for `bg` under `rules`' thresholds.
+    pub fn holds(self, rules: &ApsRules, bg: f64) -> bool {
+        match self {
+            BgAtom::High => bg > rules.bgt,
+            BgAtom::Low => bg < rules.bgt,
+            BgAtom::Hypo => bg < rules.hypo,
+        }
+    }
+}
+
+/// The `BG'` atom of a Table I row, outside the
+/// [`ApsRules::bg_trend_eps`] deadband.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum TrendAtom {
+    /// `BG' > 0`, read as `dbg > bg_trend_eps`.
+    Rising,
+    /// `BG' < 0`, read as `dbg < -bg_trend_eps`.
+    Falling,
+}
+
+impl TrendAtom {
+    /// Truth of the atom for `dbg` under `rules`' deadband.
+    pub fn holds(self, rules: &ApsRules, dbg: f64) -> bool {
+        match self {
+            TrendAtom::Rising => dbg > rules.bg_trend_eps,
+            TrendAtom::Falling => dbg < -rules.bg_trend_eps,
+        }
+    }
+}
+
+/// The `IOB'` atom of a Table I row, with the [`ApsRules::iob_eps`]
+/// tolerance standing in for zero.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum IobAtom {
+    /// `IOB' > 0`, read as `diob > iob_eps`.
+    Up,
+    /// `IOB' < 0`, read as `diob < -iob_eps`.
+    Down,
+    /// `IOB' = 0`, read as `|diob| <= iob_eps`.
+    Flat,
+    /// `IOB' ≤ 0` (rule 11), read as `diob <= iob_eps`.
+    NotUp,
+    /// `IOB' ≥ 0` (rule 12), read as `diob >= -iob_eps`.
+    NotDown,
+}
+
+impl IobAtom {
+    /// Truth of the atom for `diob` under `rules`' tolerance.
+    pub fn holds(self, rules: &ApsRules, diob: f64) -> bool {
+        let eps = rules.iob_eps;
+        match self {
+            IobAtom::Up => diob > eps,
+            IobAtom::Down => diob < -eps,
+            IobAtom::Flat => diob.abs() <= eps,
+            IobAtom::NotUp => diob <= eps,
+            IobAtom::NotDown => diob >= -eps,
+        }
+    }
+}
+
+/// The command atom of a Table I row.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum CommandAtom {
+    /// This one command.
+    Is(Command),
+    /// Any command but [`Command::StopInsulin`] (rule 10).
+    AnyButStop,
+}
+
+impl CommandAtom {
+    /// Truth of the atom for `command`.
+    pub fn holds(self, command: Command) -> bool {
+        match self {
+            CommandAtom::Is(c) => command == c,
+            CommandAtom::AnyButStop => command != Command::StopInsulin,
+        }
+    }
+}
+
+/// One row of Table I: the conjunction of its atoms makes the command
+/// unsafe. `None` leaves the trend or `IOB'` unconstrained.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SafetyRule {
     /// Rule number (1–12, matching Table I).
     pub id: usize,
-    /// The STL context formula (including the command atom).
-    pub formula: Stl,
+    /// The `BG` atom.
+    pub bg: BgAtom,
+    /// The `BG'` atom, if any.
+    pub trend: Option<TrendAtom>,
+    /// The `IOB'` atom, if any.
+    pub iob: Option<IobAtom>,
+    /// The command atom.
+    pub command: CommandAtom,
     /// Hazard the unsafe action would contribute to.
     pub hazard: HazardType,
 }
+
+impl SafetyRule {
+    /// Does this rule fire on `ctx` under `rules`' thresholds?
+    fn fires(&self, rules: &ApsRules, ctx: &ApsContext) -> bool {
+        self.command.holds(ctx.command)
+            && self.bg.holds(rules, ctx.bg)
+            && self.trend.is_none_or(|t| t.holds(rules, ctx.dbg))
+            && self.iob.is_none_or(|i| i.holds(rules, ctx.diob))
+    }
+}
+
+/// The 12 rules of Table I, in id order.
+pub const TABLE_I: [SafetyRule; 12] = {
+    use BgAtom::{High, Hypo, Low};
+    use Command::{
+        DecreaseInsulin as U1, IncreaseInsulin as U2, KeepInsulin as U4, StopInsulin as U3,
+    };
+    use CommandAtom::{AnyButStop, Is};
+    use HazardType::{H1, H2};
+    use IobAtom::{Down, Flat, NotDown, NotUp, Up};
+    use TrendAtom::{Falling, Rising};
+    const fn rule(
+        id: usize,
+        bg: BgAtom,
+        trend: Option<TrendAtom>,
+        iob: Option<IobAtom>,
+        command: CommandAtom,
+        hazard: HazardType,
+    ) -> SafetyRule {
+        SafetyRule {
+            id,
+            bg,
+            trend,
+            iob,
+            command,
+            hazard,
+        }
+    }
+    [
+        rule(1, High, Some(Rising), Some(Down), Is(U1), H2),
+        rule(2, High, Some(Rising), Some(Flat), Is(U1), H2),
+        rule(3, High, Some(Falling), Some(Up), Is(U1), H2),
+        rule(4, High, Some(Falling), Some(Down), Is(U1), H2),
+        rule(5, High, Some(Falling), Some(Flat), Is(U1), H2),
+        rule(6, Low, Some(Falling), Some(Up), Is(U2), H1),
+        rule(7, Low, Some(Falling), Some(Down), Is(U2), H1),
+        rule(8, Low, Some(Falling), Some(Flat), Is(U2), H1),
+        rule(9, High, None, None, Is(U3), H2),
+        rule(10, Hypo, None, None, AnyButStop, H1),
+        rule(11, High, Some(Rising), Some(NotUp), Is(U4), H2),
+        rule(12, Low, Some(Falling), Some(NotDown), Is(U4), H1),
+    ]
+};
 
 /// The aggregated system context a rule is evaluated against.
 ///
@@ -159,14 +304,6 @@ impl Default for ApsRules {
 }
 
 impl ApsRules {
-    /// Creates a rule set with a custom BG target.
-    pub fn with_target(bgt: f64) -> Self {
-        Self {
-            bgt,
-            ..Self::default()
-        }
-    }
-
     /// Fast direct evaluation: does *any* of the 12 rules fire for `ctx`?
     ///
     /// This is the Eq. 2 indicator `I(⋁_Φh f(μ(X_t)) ⊨ Φ_h)`.
@@ -174,154 +311,86 @@ impl ApsRules {
         self.violated_rule(ctx).is_some()
     }
 
-    /// Like [`violated`](Self::violated) but reports *which* rule fired
-    /// (command-specific rules take precedence over the catch-all rule 10),
-    /// for explainability.
+    /// Like [`violated`](Self::violated) but reports *which* rule fired,
+    /// for explainability: the first matching row of the command-specific
+    /// rules in id order, then the catch-all rule 10.
     pub fn violated_rule(&self, ctx: &ApsContext) -> Option<usize> {
-        let ApsContext {
-            bg,
-            dbg,
-            diob,
-            command,
-        } = *ctx;
-        let eps = self.iob_eps;
-        let high = bg > self.bgt;
-        let low = bg < self.bgt;
-        let rising = dbg > self.bg_trend_eps;
-        let falling = dbg < -self.bg_trend_eps;
-        let iob_up = diob > eps;
-        let iob_down = diob < -eps;
-        let iob_flat = diob.abs() <= eps;
-        let rule = match command {
-            Command::DecreaseInsulin => {
-                if high && rising && iob_down {
-                    Some(1)
-                } else if high && rising && iob_flat {
-                    Some(2)
-                } else if high && falling && iob_up {
-                    Some(3)
-                } else if high && falling && iob_down {
-                    Some(4)
-                } else if high && falling && iob_flat {
-                    Some(5)
-                } else {
-                    None
-                }
-            }
-            Command::IncreaseInsulin => {
-                if low && falling && iob_up {
-                    Some(6)
-                } else if low && falling && iob_down {
-                    Some(7)
-                } else if low && falling && iob_flat {
-                    Some(8)
-                } else {
-                    None
-                }
-            }
-            Command::StopInsulin => {
-                if high {
-                    Some(9)
-                } else {
-                    None
-                }
-            }
-            Command::KeepInsulin => {
-                if high && rising && diob <= eps {
-                    Some(11)
-                } else if low && falling && diob >= -eps {
-                    Some(12)
-                } else {
-                    None
-                }
-            }
-        };
-        // Rule 10 applies to any command other than stop.
-        if rule.is_none() && bg < self.hypo && command != Command::StopInsulin {
-            return Some(10);
-        }
-        rule
+        let catch_all = |r: &&SafetyRule| r.command == CommandAtom::AnyButStop;
+        TABLE_I
+            .iter()
+            .filter(|r| !catch_all(r))
+            .chain(TABLE_I.iter().filter(catch_all))
+            .find(|r| r.fires(self, ctx))
+            .map(|r| r.id)
     }
 
-    /// Hazard class a Table I rule id contributes to (see
-    /// [`SafetyRule::hazard`]; rules 6–8, 10, and 12 are the
+    /// Hazard class of Table I rule `id` (rules 6–8, 10 and 12 are the
     /// too-much-insulin H1 contexts).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` is not a rule number (1–12).
     pub fn hazard_of(id: usize) -> HazardType {
-        match id {
-            6 | 7 | 8 | 10 | 12 => HazardType::H1,
-            _ => HazardType::H2,
-        }
+        TABLE_I[id - 1].hazard
     }
 
-    /// The 12 rules as STL formulas over the signals
-    /// `bg`, `dbg`, `diob`, `u1`…`u4` (command signals are 0/1-valued).
-    pub fn formulas(&self) -> Vec<SafetyRule> {
-        let bgt = self.bgt;
-        let eps = self.iob_eps;
-        let teps = self.bg_trend_eps;
-        let high = || Stl::gt("bg", bgt);
-        let low = || Stl::lt("bg", bgt);
-        let rising = || Stl::gt("dbg", teps);
-        let falling = || Stl::lt("dbg", -teps);
-        let iob_up = || Stl::gt("diob", eps);
-        let iob_down = || Stl::lt("diob", -eps);
-        let iob_flat = || Stl::near_zero("diob", eps);
-        let cmd = |c: Command| Stl::gt(c.signal_name(), 0.5);
-        let u1 = || cmd(Command::DecreaseInsulin);
-        let u2 = || cmd(Command::IncreaseInsulin);
-        let u3 = || cmd(Command::StopInsulin);
-        let u4 = || cmd(Command::KeepInsulin);
-        let rule = |id, parts: Vec<Stl>, hazard| SafetyRule {
-            id,
-            formula: Stl::and(parts),
-            hazard,
+    /// `rule` in the paper's STL notation under these thresholds, with the
+    /// commands as 0/1-valued signals `u1`…`u4`.
+    pub fn formula(&self, rule: &SafetyRule) -> impl fmt::Display {
+        Formula {
+            rules: *self,
+            rule: *rule,
+        }
+    }
+}
+
+/// A Table I row printed in the paper's STL notation; see
+/// [`ApsRules::formula`].
+struct Formula {
+    rules: ApsRules,
+    rule: SafetyRule,
+}
+
+impl fmt::Display for Formula {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let ApsRules {
+            bgt,
+            hypo,
+            iob_eps: eps,
+            bg_trend_eps: teps,
+        } = self.rules;
+        let bg = match self.rule.bg {
+            BgAtom::High => format!("(bg > {bgt})"),
+            BgAtom::Low => format!("(bg < {bgt})"),
+            BgAtom::Hypo => format!("(bg < {hypo})"),
         };
-        vec![
-            rule(1, vec![high(), rising(), iob_down(), u1()], HazardType::H2),
-            rule(2, vec![high(), rising(), iob_flat(), u1()], HazardType::H2),
-            rule(3, vec![high(), falling(), iob_up(), u1()], HazardType::H2),
-            rule(4, vec![high(), falling(), iob_down(), u1()], HazardType::H2),
-            rule(5, vec![high(), falling(), iob_flat(), u1()], HazardType::H2),
-            rule(6, vec![low(), falling(), iob_up(), u2()], HazardType::H1),
-            rule(7, vec![low(), falling(), iob_down(), u2()], HazardType::H1),
-            rule(8, vec![low(), falling(), iob_flat(), u2()], HazardType::H1),
-            rule(9, vec![high(), u3()], HazardType::H2),
-            rule(
-                10,
-                vec![Stl::lt("bg", self.hypo), Stl::not(u3())],
-                HazardType::H1,
-            ),
-            rule(
-                11,
-                vec![high(), rising(), Stl::le("diob", eps), u4()],
-                HazardType::H2,
-            ),
-            rule(
-                12,
-                vec![low(), falling(), Stl::ge("diob", -eps), u4()],
-                HazardType::H1,
-            ),
-        ]
-    }
-
-    /// Encodes a context as a single-sample [`SignalTrace`], so the STL
-    /// form of the rules can be evaluated against it.
-    pub fn context_trace(ctx: &ApsContext) -> SignalTrace {
-        let mut t = SignalTrace::new();
-        t.push_signal("bg", vec![ctx.bg]);
-        t.push_signal("dbg", vec![ctx.dbg]);
-        t.push_signal("diob", vec![ctx.diob]);
-        for c in Command::ALL {
-            let v = if c == ctx.command { 1.0 } else { 0.0 };
-            t.push_signal(c.signal_name(), vec![v]);
-        }
-        t
+        let trend = self.rule.trend.map(|t| match t {
+            TrendAtom::Rising => format!("(dbg > {teps})"),
+            TrendAtom::Falling => format!("(dbg < {})", -teps),
+        });
+        let iob = self.rule.iob.map(|i| match i {
+            IobAtom::Up => format!("(diob > {eps})"),
+            IobAtom::Down => format!("(diob < {})", -eps),
+            IobAtom::Flat => format!("((diob <= {eps}) ∧ (diob >= {}))", -eps),
+            IobAtom::NotUp => format!("(diob <= {eps})"),
+            IobAtom::NotDown => format!("(diob >= {})", -eps),
+        });
+        let command = match self.rule.command {
+            CommandAtom::Is(c) => format!("(u{} > 0.5)", c.index() + 1),
+            CommandAtom::AnyButStop => "¬(u3 > 0.5)".to_string(),
+        };
+        let atoms: Vec<String> = [Some(bg), trend, iob, Some(command)]
+            .into_iter()
+            .flatten()
+            .collect();
+        write!(f, "({})", atoms.join(" ∧ "))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn ctx(bg: f64, dbg: f64, diob: f64, command: Command) -> ApsContext {
         ApsContext {
@@ -447,41 +516,119 @@ mod tests {
         );
     }
 
+    /// Table I as a hand-written match: the reference the evaluator is
+    /// checked against, rule id and precedence included.
+    fn reference(rules: &ApsRules, ctx: &ApsContext) -> Option<usize> {
+        let ApsContext {
+            bg,
+            dbg,
+            diob,
+            command,
+        } = *ctx;
+        let eps = rules.iob_eps;
+        let high = bg > rules.bgt;
+        let low = bg < rules.bgt;
+        let rising = dbg > rules.bg_trend_eps;
+        let falling = dbg < -rules.bg_trend_eps;
+        let iob_up = diob > eps;
+        let iob_down = diob < -eps;
+        let iob_flat = diob.abs() <= eps;
+        let rule = match command {
+            Command::DecreaseInsulin => {
+                if high && rising && iob_down {
+                    Some(1)
+                } else if high && rising && iob_flat {
+                    Some(2)
+                } else if high && falling && iob_up {
+                    Some(3)
+                } else if high && falling && iob_down {
+                    Some(4)
+                } else if high && falling && iob_flat {
+                    Some(5)
+                } else {
+                    None
+                }
+            }
+            Command::IncreaseInsulin => {
+                if low && falling && iob_up {
+                    Some(6)
+                } else if low && falling && iob_down {
+                    Some(7)
+                } else if low && falling && iob_flat {
+                    Some(8)
+                } else {
+                    None
+                }
+            }
+            Command::StopInsulin => {
+                if high {
+                    Some(9)
+                } else {
+                    None
+                }
+            }
+            Command::KeepInsulin => {
+                if high && rising && diob <= eps {
+                    Some(11)
+                } else if low && falling && diob >= -eps {
+                    Some(12)
+                } else {
+                    None
+                }
+            }
+        };
+        // Rule 10 applies to any command other than stop.
+        if rule.is_none() && bg < rules.hypo && command != Command::StopInsulin {
+            return Some(10);
+        }
+        rule
+    }
+
+    /// The floats just below, at and just above each threshold, plus 0,
+    /// ±∞ and NaN.
+    fn straddle(thresholds: [f64; 2]) -> Vec<f64> {
+        let mut values = vec![0.0, f64::INFINITY, f64::NEG_INFINITY, f64::NAN];
+        for t in thresholds {
+            values.extend([t.next_down(), t, t.next_up()]);
+        }
+        values
+    }
+
     #[test]
-    fn direct_and_stl_forms_agree() {
-        // Exhaustive grid over context space × commands.
-        let rules = ApsRules::default();
-        let formulas = rules.formulas();
-        for &bg in &[50.0, 69.9, 70.1, 119.9, 120.0, 120.1, 200.0] {
-            for &dbg in &[-2.0, -1e-9, 0.0, 1e-9, 2.0] {
-                for &diob in &[-0.5, -1e-3, -1e-4, 0.0, 1e-4, 1e-3, 0.5] {
-                    for command in Command::ALL {
-                        let c = ApsContext {
-                            bg,
-                            dbg,
-                            diob,
-                            command,
-                        };
-                        let direct = rules.violated(&c);
-                        let trace = ApsRules::context_trace(&c);
-                        let stl = formulas.iter().any(|r| r.formula.satisfied(&trace, 0));
-                        assert_eq!(
-                            direct, stl,
-                            "mismatch at bg={bg} dbg={dbg} diob={diob} cmd={command}"
-                        );
+    fn evaluator_matches_reference_on_threshold_grid() {
+        // With `hypo > bgt`, rule 10 overlaps rules 1–5, 9 and 11, so the
+        // grid also pins the precedence of the command rules over rule 10.
+        let overlapping = ApsRules {
+            hypo: 130.0,
+            ..ApsRules::default()
+        };
+        for rules in [ApsRules::default(), overlapping] {
+            let mut fired = [0usize; 13];
+            let mut shadowed = 0;
+            for bg in straddle([rules.bgt, rules.hypo]) {
+                for dbg in straddle([rules.bg_trend_eps, -rules.bg_trend_eps]) {
+                    for diob in straddle([rules.iob_eps, -rules.iob_eps]) {
+                        for command in Command::ALL {
+                            let c = ctx(bg, dbg, diob, command);
+                            let want = reference(&rules, &c);
+                            assert_eq!(rules.violated_rule(&c), want, "{rules:?} at {c:?}");
+                            assert_eq!(rules.violated(&c), want.is_some(), "{rules:?} at {c:?}");
+                            fired[want.unwrap_or(0)] += 1;
+                            if bg < rules.hypo && command != Command::StopInsulin {
+                                shadowed += usize::from(want != Some(10));
+                            }
+                        }
                     }
                 }
             }
+            assert!(fired[1..].iter().all(|&n| n > 0), "{rules:?}: {fired:?}");
+            assert!(shadowed > 0, "{rules:?}: no rule shadows rule 10");
         }
     }
 
     #[test]
-    fn formulas_have_all_twelve_ids() {
-        let ids: Vec<usize> = ApsRules::default()
-            .formulas()
-            .iter()
-            .map(|r| r.id)
-            .collect();
+    fn table_lists_the_twelve_ids_in_order() {
+        let ids: Vec<usize> = TABLE_I.iter().map(|r| r.id).collect();
         assert_eq!(ids, (1..=12).collect::<Vec<_>>());
     }
 
@@ -507,15 +654,51 @@ mod tests {
 
     #[test]
     fn hazard_types_match_table() {
-        let rules = ApsRules::default().formulas();
-        let h1: Vec<usize> = rules
+        let h1: Vec<usize> = TABLE_I
             .iter()
             .filter(|r| r.hazard == HazardType::H1)
             .map(|r| r.id)
             .collect();
         assert_eq!(h1, vec![6, 7, 8, 10, 12]);
-        for r in &rules {
+        for r in &TABLE_I {
             assert_eq!(ApsRules::hazard_of(r.id), r.hazard, "rule {}", r.id);
+        }
+    }
+
+    #[test]
+    fn formulas_print_in_table_i_notation() {
+        let expected = [
+            "((bg > 120) ∧ (dbg > 1.5) ∧ (diob < -0.001) ∧ (u1 > 0.5))",
+            "((bg > 120) ∧ (dbg > 1.5) ∧ ((diob <= 0.001) ∧ (diob >= -0.001)) ∧ (u1 > 0.5))",
+            "((bg > 120) ∧ (dbg < -1.5) ∧ (diob > 0.001) ∧ (u1 > 0.5))",
+            "((bg > 120) ∧ (dbg < -1.5) ∧ (diob < -0.001) ∧ (u1 > 0.5))",
+            "((bg > 120) ∧ (dbg < -1.5) ∧ ((diob <= 0.001) ∧ (diob >= -0.001)) ∧ (u1 > 0.5))",
+            "((bg < 120) ∧ (dbg < -1.5) ∧ (diob > 0.001) ∧ (u2 > 0.5))",
+            "((bg < 120) ∧ (dbg < -1.5) ∧ (diob < -0.001) ∧ (u2 > 0.5))",
+            "((bg < 120) ∧ (dbg < -1.5) ∧ ((diob <= 0.001) ∧ (diob >= -0.001)) ∧ (u2 > 0.5))",
+            "((bg > 120) ∧ (u3 > 0.5))",
+            "((bg < 70) ∧ ¬(u3 > 0.5))",
+            "((bg > 120) ∧ (dbg > 1.5) ∧ (diob <= 0.001) ∧ (u4 > 0.5))",
+            "((bg < 120) ∧ (dbg < -1.5) ∧ (diob >= -0.001) ∧ (u4 > 0.5))",
+        ];
+        let rules = ApsRules::default();
+        for (rule, want) in TABLE_I.iter().zip(expected) {
+            assert_eq!(rules.formula(rule).to_string(), want, "rule {}", rule.id);
+        }
+    }
+
+    fn context() -> impl Strategy<Value = ApsContext> {
+        (20.0f64..400.0, -10.0f64..10.0, -1.0f64..1.0, 0usize..4)
+            .prop_map(|(bg, dbg, diob, cmd)| ctx(bg, dbg, diob, Command::ALL[cmd]))
+    }
+
+    proptest! {
+        #[test]
+        fn table1_evaluator_matches_reference(c in context()) {
+            let rules = ApsRules::default();
+            let want = reference(&rules, &c);
+            prop_assert_eq!(rules.violated_rule(&c), want, "context {:?}", c);
+            prop_assert_eq!(rules.violated(&c), want.is_some(), "context {:?}", c);
         }
     }
 }

@@ -1,4 +1,4 @@
-//! Knowledge-only monitoring: evaluate the Table I STL safety rules on a
+//! Knowledge-only monitoring: evaluate the Table I safety rules on a
 //! live simulation trace, step by step, with rule-level explanations.
 //!
 //! ```sh
@@ -12,7 +12,7 @@ use cpsmon::sim::openaps::OpenApsController;
 use cpsmon::sim::pump::InsulinPump;
 use cpsmon::sim::sensor::Cgm;
 use cpsmon::sim::{ClosedLoop, HazardConfig};
-use cpsmon::stl::{ApsContext, Command, RuleMonitor};
+use cpsmon::stl::{ApsContext, Command, RuleMonitor, TABLE_I};
 use cpsmon_nn::rng::SmallRng;
 
 fn main() {
@@ -34,11 +34,12 @@ fn main() {
     )
     .run(144, "glucosym", 0, 0);
 
-    // Print the STL rule set, then monitor the trace with it.
+    // Print the rule table in STL notation, then monitor the trace with it.
     let monitor = RuleMonitor::default();
     println!("Table I safety rules:");
-    for rule in monitor.rules().formulas() {
-        println!("  rule {:>2} ({}): {}", rule.id, rule.hazard, rule.formula);
+    for rule in &TABLE_I {
+        let formula = monitor.rules().formula(rule);
+        println!("  rule {:>2} ({}): {formula}", rule.id, rule.hazard);
     }
 
     let hazards = HazardConfig::default();

@@ -12,8 +12,8 @@
 //!
 //! - [`nn`] — a small, deterministic neural-network library (dense + LSTM
 //!   layers, Adam, softmax/cross-entropy, exact input gradients for FGSM).
-//! - [`stl`] — a Signal Temporal Logic engine plus the paper's Table I
-//!   context-dependent safety rules and a rule-based monitor.
+//! - [`stl`] — the paper's Table I context-dependent safety rules, written
+//!   once as a table, and a rule-based monitor.
 //! - [`sim`] — two closed-loop APS simulators (Glucosym-like minimal model
 //!   and a reduced UVA-Padova-style model), two controllers (OpenAPS-like
 //!   and Basal-Bolus), sensor/pump models, and fault injection.
