@@ -445,7 +445,6 @@ fn cohort_fleet() -> Vec<(T1dsPatient, CohortMember)> {
                     cgm,
                     pump: InsulinPump::healthy(),
                     meals,
-                    steps: COHORT_STEPS,
                 },
             )
         })
@@ -472,14 +471,19 @@ fn bench_cohort(c: &mut Criterion) {
                             m.cgm,
                             m.meals,
                         )
-                        .run(m.steps, "t1ds2013", m.patient_id, m.run_id)
+                        .run(
+                            COHORT_STEPS,
+                            "t1ds2013",
+                            m.patient_id,
+                            m.run_id,
+                        )
                     })
                     .collect::<Vec<_>>()
             },
             BatchSize::LargeInput,
         );
     });
-    let mut engine = CohortEngine::new(SimulatorKind::T1ds2013);
+    let mut engine = CohortEngine::new(SimulatorKind::T1ds2013, COHORT_STEPS);
     for (patient, member) in fleet {
         engine.push(patient, member);
     }

@@ -4,10 +4,9 @@
 use crate::error::BenchError;
 use crate::scale::Scale;
 use cpsmon_core::{
-    dataset_fingerprint, train_config_hash, ArtifactError, DatasetBuilder, LabeledDataset,
-    MonitorBundle, MonitorKind, TrainConfig, TrainedMonitor,
+    dataset_fingerprint, train_config_hash, DatasetBuilder, LabeledDataset, MonitorBundle,
+    MonitorKind, TrainConfig, TrainedMonitor,
 };
-use cpsmon_nn::WeightPrecision;
 use cpsmon_sim::{SimTrace, SimulatorKind};
 use std::path::{Path, PathBuf};
 
@@ -26,8 +25,8 @@ pub struct SimContext {
     pub ds: LabeledDataset,
     /// All five monitors of Table III, trained on `ds.train`.
     pub monitors: Vec<TrainedMonitor>,
-    /// Hyper-parameters the monitors were trained with (needed to key
-    /// derived bundles, e.g. quantized variants).
+    /// Hyper-parameters the monitors were trained with (needed to build
+    /// bundles from them).
     pub train_config: TrainConfig,
 }
 
@@ -49,36 +48,6 @@ impl SimContext {
     pub fn expect_monitor(&self, kind: MonitorKind) -> &TrainedMonitor {
         self.monitor(kind)
             .unwrap_or_else(|| panic!("monitor {kind} not trained in this context"))
-    }
-
-    /// Derives a quantized bundle from this context's trained LSTM monitor.
-    ///
-    /// The bundle is round-tripped through the serialized form, so the
-    /// returned monitor carries the *realized* precision loss — the exact
-    /// weights an edge deployment would load from disk — and it is passed
-    /// through the accuracy-delta gate against the exact monitor on the
-    /// held-out test split before being handed back.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BenchError::Artifact`] if the roundtrip fails or the
-    /// quantized monitor's F1 drifts past the documented tolerance.
-    pub fn quantized_lstm_bundle(
-        &self,
-        precision: WeightPrecision,
-    ) -> Result<MonitorBundle, BenchError> {
-        let exact = self.expect_monitor(MonitorKind::Lstm);
-        let bundle = MonitorBundle::new(exact.clone(), &self.ds, &self.train_config)
-            .with_precision(precision);
-        let mut buf = Vec::new();
-        bundle.save(&mut buf).map_err(ArtifactError::from)?;
-        let loaded =
-            MonitorBundle::load_validated(&mut buf.as_slice(), dataset_fingerprint(&self.ds))
-                .map_err(BenchError::Artifact)?;
-        loaded
-            .validate_accuracy(exact, &self.ds.test)
-            .map_err(BenchError::Artifact)?;
-        Ok(loaded)
     }
 }
 
@@ -107,25 +76,16 @@ pub fn default_cache_dir() -> PathBuf {
 }
 
 /// Cache file for one monitor bundle, keyed by
-/// `(simulator, scale, seed, train-config hash)` plus the monitor kind and
-/// weight precision. Exact (f64) bundles keep the historical filename so
-/// caches written before quantization existed stay valid; quantized
-/// variants get a `-f16` / `-int8` suffix.
+/// `(simulator, scale, seed, train-config hash)` plus the monitor kind.
 fn bundle_path(
     dir: &Path,
     sim: SimulatorKind,
     scale: Scale,
     cfg_hash: u64,
     kind: MonitorKind,
-    precision: WeightPrecision,
 ) -> PathBuf {
-    let suffix = match precision {
-        WeightPrecision::F64 => "",
-        WeightPrecision::F16 => "-f16",
-        WeightPrecision::Int8 => "-int8",
-    };
     dir.join(format!(
-        "{}-{}-seed{}-{:016x}-{}{suffix}.bundle",
+        "{}-{}-seed{}-{:016x}-{}.bundle",
         sim.label().to_lowercase(),
         scale.label(),
         CONTEXT_SEED,
@@ -216,8 +176,7 @@ fn build_sim(
     let cfg_hash = train_config_hash(&cfg);
     let mut monitors = Vec::with_capacity(MonitorKind::ALL.len());
     for mk in MonitorKind::ALL {
-        let path =
-            cache.map(|dir| bundle_path(dir, kind, scale, cfg_hash, mk, WeightPrecision::F64));
+        let path = cache.map(|dir| bundle_path(dir, kind, scale, cfg_hash, mk));
         if let Some(monitor) = path.as_deref().and_then(|p| try_load(p, fingerprint, mk)) {
             monitors.push(monitor);
             continue;
@@ -338,19 +297,6 @@ mod tests {
         let fresh = Context::load_or_build_in(Scale::Quick, None).unwrap();
         assert_eq!(predict_all(&fresh), predict_all(&warm));
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn quantized_lstm_bundle_roundtrips_and_serves_f32_engine() {
-        let ctx = Context::build(Scale::Quick).unwrap();
-        let sim = &ctx.sims[0];
-        for precision in [WeightPrecision::F16, WeightPrecision::Int8] {
-            let bundle = sim.quantized_lstm_bundle(precision).unwrap();
-            assert_eq!(bundle.precision, precision);
-            assert_eq!(bundle.monitor.kind, MonitorKind::Lstm);
-            let engine = bundle.lstm_engine().expect("LSTM bundle has an engine");
-            assert_eq!(engine.label(), "f32");
-        }
     }
 
     #[test]

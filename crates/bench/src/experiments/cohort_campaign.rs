@@ -26,6 +26,7 @@ use crate::scale::Scale;
 use cpsmon_core::monitor::MonitorModel;
 use cpsmon_core::{CohortLstmBridge, LstmEngine, LstmSessionPool, MonitorKind};
 use cpsmon_nn::simd::Backend;
+use cpsmon_sim::trace::traces_bit_identical;
 use cpsmon_sim::{Cohort, SimTrace, SimulatorKind};
 use std::time::Instant;
 
@@ -80,26 +81,6 @@ fn outcomes(traces: &[SimTrace]) -> Outcomes {
     }
 }
 
-/// Bitwise trace equality — stricter than `PartialEq` (`-0.0 != 0.0`).
-fn bit_identical(a: &[SimTrace], b: &[SimTrace]) -> bool {
-    a.len() == b.len()
-        && a.iter().zip(b).all(|(x, y)| {
-            x.len() == y.len()
-                && x.records().iter().zip(y.records()).all(|(r, s)| {
-                    [
-                        (r.bg_true, s.bg_true),
-                        (r.bg_sensor, s.bg_sensor),
-                        (r.iob, s.iob),
-                        (r.commanded_rate, s.commanded_rate),
-                        (r.delivered_rate, s.delivered_rate),
-                        (r.carbs, s.carbs),
-                    ]
-                    .iter()
-                    .all(|(v, w)| v.to_bits() == w.to_bits())
-                })
-        })
-}
-
 /// Runs the campaign: one population-outcome table. Wall-clock throughput
 /// is reported on stderr so stdout stays byte-identical across runs.
 pub fn run(ctx: &Context) -> Table {
@@ -144,7 +125,7 @@ pub fn run(ctx: &Context) -> Table {
             .engine(steps, COHORT_SEED, FAULT_RATIO)
             .with_backend(Backend::Scalar)
             .run();
-        let parity = if bit_identical(&traces, &reference) {
+        let parity = if traces_bit_identical(&traces, &reference).is_ok() {
             "yes"
         } else {
             "NO"

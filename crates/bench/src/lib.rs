@@ -1,14 +1,17 @@
 //! # cpsmon-bench — the experiment harness
 //!
 //! One registry entry per table/figure of the paper. Each experiment is
-//! exposed three ways:
+//! exposed two ways:
 //!
 //! - a library function in [`experiments`] returning formatted tables;
 //! - the `cpsmon` CLI (`cargo run --release --bin cpsmon -- run table3`),
 //!   which resolves names against the [`registry`] and runs at the scale
-//!   selected by `--scale`/`CPSMON_SCALE` (`quick` or `full`);
-//! - a bench target (`cargo bench -p cpsmon-bench --bench table3`) that
-//!   regenerates the same rows at quick scale.
+//!   selected by `--scale`/`CPSMON_SCALE` (`quick` or `full`). A quick run
+//!   writes `<name>_quick[_i].csv`, and `cpsmon run-all --scale quick`
+//!   regenerates every committed quick table.
+//!
+//! The one bench target, `perf`, times the library's hot paths
+//! (`cargo bench -p cpsmon-bench --bench perf`).
 //!
 //! Experiment context (campaigns, datasets, trained monitors) is built by
 //! [`context::Context::load_or_build`], which serves trained monitors from
@@ -67,27 +70,4 @@ pub fn run_registered_on(ctx: &Context, name: &str, csv_stem: &str) -> Result<()
         started.elapsed()
     );
     Ok(())
-}
-
-/// Builds (or loads) a context at `scale` and runs one registered
-/// experiment, writing CSVs under `csv_stem` — the driver behind the bench
-/// targets.
-///
-/// # Errors
-///
-/// Propagates context-construction failures and unknown experiment names.
-pub fn run_registered_as(csv_stem: &str, name: &str, scale: Scale) -> Result<(), BenchError> {
-    // Fail fast on unknown names before paying for the context.
-    registry::find(name).ok_or_else(|| BenchError::UnknownExperiment(name.to_string()))?;
-    let ctx = Context::load_or_build(scale)?;
-    run_registered_on(&ctx, name, csv_stem)
-}
-
-/// Bench-target entry point: runs a registered experiment at quick scale,
-/// writing CSVs under `<name>_quick`, and exits non-zero on failure.
-pub fn bench_main(name: &str) {
-    if let Err(e) = run_registered_as(&Scale::Quick.csv_stem(name), name, Scale::Quick) {
-        eprintln!("[cpsmon-bench] error: {e}");
-        std::process::exit(1);
-    }
 }

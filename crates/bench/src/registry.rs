@@ -3,12 +3,11 @@
 //!
 //! The registry replaces the former 15 per-figure binaries: the single
 //! `cpsmon` CLI resolves names against [`REGISTRY`] (`cpsmon list`,
-//! `cpsmon run <name…>`, `cpsmon run-all`), and the bench targets reuse the
-//! same entries. Experiments receive a pre-built
-//! [`Context`] — trained monitors come from the artifact
+//! `cpsmon run <name…>`, `cpsmon run-all`). Experiments receive a
+//! pre-built [`Context`] — trained monitors come from the artifact
 //! cache when warm — and return [`Artifacts`]: tables (printed and written
-//! to `results/<name>[_i].csv`, preserving the former binaries' CSV
-//! naming) plus free-form notes (ASCII sketches) that are printed only.
+//! to `results/<name>[_i].csv`, or `<name>_quick[_i].csv` at quick scale)
+//! plus free-form notes (ASCII sketches) that are printed only.
 
 use crate::context::Context;
 use crate::experiments as exp;

@@ -1,4 +1,5 @@
-//! Experiment scales: quick (CI / `cargo bench`) and full (paper-style).
+//! Experiment scales: quick (CI, committed `_quick` tables) and full
+//! (paper-style).
 
 use cpsmon_core::TrainConfig;
 use cpsmon_sim::{CampaignConfig, SimulatorKind};
@@ -9,7 +10,7 @@ use cpsmon_sim::{CampaignConfig, SimulatorKind};
 /// are out of reach for a single-core reproduction; `Full` is sized to
 /// preserve the statistics (20 patient profiles, 24-hour scenarios,
 /// O(10⁴) samples) while finishing in minutes, `Quick` is a smoke-test
-/// scale for CI and `cargo bench`.
+/// scale for CI.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Scale {
     /// Small smoke-test scale (seconds per experiment).

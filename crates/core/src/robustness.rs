@@ -10,7 +10,7 @@
 //! perturbation is applied. It needs no ground truth — it measures
 //! prediction stability, not correctness.
 
-use cpsmon_nn::{par, GradModel, Matrix};
+use cpsmon_nn::par;
 
 /// Fraction of rows whose predictions differ between two label vectors.
 ///
@@ -32,20 +32,6 @@ pub fn robustness_error(clean_preds: &[usize], perturbed_preds: &[usize]) -> f64
         .filter(|(a, b)| a != b)
         .count();
     flips as f64 / clean_preds.len() as f64
-}
-
-/// Convenience: evaluates a model on clean and perturbed batches and
-/// returns its robustness error.
-///
-/// # Panics
-///
-/// Panics if the two batches differ in shape.
-pub fn model_robustness_error(model: &dyn GradModel, clean: &Matrix, perturbed: &Matrix) -> f64 {
-    assert_eq!(clean.shape(), perturbed.shape(), "batch shape mismatch");
-    robustness_error(
-        &model.predict_labels(clean),
-        &model.predict_labels(perturbed),
-    )
 }
 
 /// Evaluates every sweep item — one grid cell of a robustness sweep —

@@ -247,12 +247,6 @@ impl WindowStream {
         }
     }
 
-    /// The latest complete window in raw units (valid after
-    /// [`push`](Self::push) returned `Some`).
-    pub fn window_raw(&self) -> &[f64] {
-        &self.raw
-    }
-
     /// The latest complete window, normalized — the monitor-input row.
     pub fn window_x(&self) -> &[f64] {
         &self.x

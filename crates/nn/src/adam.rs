@@ -43,26 +43,6 @@ impl AdamTrainer {
         }
     }
 
-    /// Overrides the exponential-decay coefficients.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `0 <= β < 1` for both.
-    pub fn with_betas(mut self, beta1: f64, beta2: f64) -> Self {
-        assert!(
-            (0.0..1.0).contains(&beta1) && (0.0..1.0).contains(&beta2),
-            "betas must be in [0,1)"
-        );
-        self.beta1 = beta1;
-        self.beta2 = beta2;
-        self
-    }
-
-    /// The learning rate.
-    pub fn learning_rate(&self) -> f64 {
-        self.lr
-    }
-
     /// Number of scalars this trainer manages.
     pub fn param_count(&self) -> usize {
         self.m.len()

@@ -476,22 +476,6 @@ pub fn gemm_acc_fma(a: &[f64], m: usize, k: usize, b: &[f64], n: usize, out: &mu
     unsafe { gemm_acc_avx2::<true>(a, m, k, b, n, out) }
 }
 
-/// AVX-512 GEMM through the safe entry used by tests and benches. Bit-
-/// identical to [`gemm_acc_fma`]: both apply one fused multiply-add per
-/// `k` step in strictly ascending order per output element, and identical
-/// FMA chains round identically regardless of register width.
-///
-/// # Panics
-///
-/// Panics if the CPU does not support AVX-512F (plus AVX2+FMA) or a buffer
-/// length disagrees with the stated shape.
-#[cfg(target_arch = "x86_64")]
-pub fn gemm_acc_avx512(a: &[f64], m: usize, k: usize, b: &[f64], n: usize, out: &mut [f64]) {
-    assert!(detect_avx512(), "AVX-512F not supported on this CPU");
-    check_gemm_shapes(a, m, k, b, n, out);
-    unsafe { avx512::gemm_acc::<true>(a, m, k, b, n, out) }
-}
-
 /// One multiply-add step `acc + a·b` of a GEMM chain: [`f64::mul_add`]
 /// (one rounding, like a `vfmadd` lane) when `FUSED`, else a rounded
 /// multiply then a rounded add (like the split vector form).

@@ -115,7 +115,8 @@ struct Inner {
     shards: Vec<Mutex<Shard>>,
     /// Outbound frame channel per live connection.
     writers: Mutex<HashMap<u64, SyncSender<Vec<u8>>>>,
-    log: Mutex<Vec<LogRow>>,
+    /// Verdict-log rows, kept only when a log path is configured.
+    log: Option<Mutex<Vec<LogRow>>>,
     shutdown: AtomicBool,
     next_conn: AtomicU64,
     /// Verdict frames dropped because a client's outbound channel was
@@ -159,14 +160,16 @@ impl Inner {
                     health,
                     shed,
                 } => {
-                    self.log.lock().expect("log lock").push(LogRow {
-                        patient,
-                        step,
-                        label,
-                        proba,
-                        health,
-                        shed,
-                    });
+                    if let Some(log) = &self.log {
+                        log.lock().expect("log lock").push(LogRow {
+                            patient,
+                            step,
+                            label,
+                            proba,
+                            health,
+                            shed,
+                        });
+                    }
                     let frame = Frame::Verdict {
                         patient,
                         step,
@@ -226,7 +229,7 @@ impl Daemon {
                 .map(|_| Mutex::new(Shard::new(config.shard, bundle.clone())))
                 .collect(),
             writers: Mutex::new(HashMap::new()),
-            log: Mutex::new(Vec::new()),
+            log: config.verdict_log.as_ref().map(|_| Mutex::new(Vec::new())),
             shutdown: AtomicBool::new(false),
             next_conn: AtomicU64::new(1),
             dropped_frames: AtomicU64::new(0),
@@ -369,8 +372,8 @@ impl Daemon {
                 self.inner.dispatch(events);
             }
         }
-        if let Some(path) = &self.verdict_log {
-            let mut rows = self.inner.log.lock().expect("log lock").clone();
+        if let (Some(path), Some(log)) = (&self.verdict_log, &self.inner.log) {
+            let mut rows = log.lock().expect("log lock").clone();
             rows.sort_by_key(|r| (r.patient, r.step));
             let mut out = String::with_capacity(rows.len() * 32 + 64);
             out.push_str("patient,step,label,proba,health,shed\n");
@@ -753,6 +756,61 @@ fn respond(mut stream: TcpStream, status: u16, body: &str) -> io::Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::client::{replay, ReplayConfig};
+    use cpsmon_core::{DatasetBuilder, MonitorKind, TrainConfig};
+    use cpsmon_sim::{CampaignConfig, SimulatorKind};
+
+    /// Rows the daemon holds for its shutdown verdict log.
+    fn retained_rows(daemon: &Daemon) -> usize {
+        daemon
+            .inner
+            .log
+            .as_ref()
+            .map_or(0, |log| log.lock().expect("log lock").len())
+    }
+
+    #[test]
+    fn verdict_rows_are_kept_only_for_a_configured_log() {
+        let traces = CampaignConfig::new(SimulatorKind::Glucosym)
+            .patients(2)
+            .runs_per_patient(2)
+            .steps(120)
+            .seed(13)
+            .run();
+        let ds = DatasetBuilder::new().seed(13).build(&traces).unwrap();
+        let cfg = TrainConfig::quick_test();
+        let monitor = MonitorKind::RuleBased.train(&ds, &cfg).unwrap();
+        let bundle = ServingBundle::new(MonitorBundle::new(monitor, &ds, &cfg));
+        let path = std::env::temp_dir().join(format!(
+            "cpsmon-serve-unit-{}-verdict-log.csv",
+            std::process::id()
+        ));
+        for verdict_log in [None, Some(path.clone())] {
+            let logged = verdict_log.is_some();
+            let config = ServeConfig {
+                verdict_log,
+                ..ServeConfig::default()
+            };
+            let daemon = Daemon::start(config, bundle.clone()).unwrap();
+            let report = replay(&ReplayConfig {
+                addr: daemon.addr().to_string(),
+                patients: 2,
+                steps: 24,
+                seed: 3,
+                chaos: None,
+                pacing: Duration::ZERO,
+            })
+            .unwrap();
+            assert!(report.clean_close);
+            assert!(report.verdicts > 0);
+            let expected = if logged { report.verdicts } else { 0 };
+            assert_eq!(retained_rows(&daemon), expected, "log configured: {logged}");
+            daemon.shutdown().unwrap();
+        }
+        let rows = std::fs::read_to_string(&path).unwrap().lines().count() - 1;
+        let _ = std::fs::remove_file(&path);
+        assert!(rows > 0, "the configured log is written at shutdown");
+    }
 
     #[test]
     fn timed_out_and_interrupted_reads_are_retried() {

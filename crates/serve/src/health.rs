@@ -38,16 +38,6 @@ impl ServiceHealth {
             ServiceHealth::Shedding => "shedding",
         }
     }
-
-    /// Wire byte for [`crate::protocol::Frame::Verdict`]-adjacent
-    /// reporting (0 healthy / 1 degraded / 2 shedding).
-    pub fn as_u8(self) -> u8 {
-        match self {
-            ServiceHealth::Healthy => 0,
-            ServiceHealth::Degraded => 1,
-            ServiceHealth::Shedding => 2,
-        }
-    }
 }
 
 impl fmt::Display for ServiceHealth {

@@ -4,24 +4,78 @@
 //! patient profile, a configurable fraction of them with injected pump
 //! faults, using the simulator/controller pairing of the paper
 //! (Glucosym + OpenAPS, T1DS2013 + Basal-Bolus).
+//!
+//! [`CampaignConfig::run`] simulates every member at once on the
+//! [`CohortEngine`]. [`CampaignConfig::member`] rebuilds one member as a
+//! [`ClosedLoop`]: the per-member reference the engine is tested against,
+//! and the loop a mitigating observer drives. Both equip their members
+//! through one recipe, as do sampled cohorts ([`crate::Cohort::engine`]):
+//! each member's RNG stream is forked off the seed in member order, then
+//! draws the meal schedule, the CGM stream and the pump fault, in that
+//! order.
 
 use crate::basal_bolus::BasalBolusController;
+use crate::cohort::{CohortEngine, CohortMember, CohortPatient};
 use crate::engine::{ClosedLoop, StepObserver};
 use crate::faults::PumpFault;
 use crate::glucosym::GlucosymPatient;
 use crate::meal::MealSchedule;
 use crate::openaps::OpenApsController;
-use crate::patient::PatientModel;
 use crate::pump::InsulinPump;
 use crate::sensor::Cgm;
 use crate::t1ds::T1dsPatient;
 use crate::trace::SimTrace;
 use cpsmon_nn::rng::SmallRng;
 
-/// Salt mixed into the campaign seed before forking per-run RNG streams.
-/// Shared with the cohort engine so `CohortEngine::from_campaign` and
-/// `Cohort::engine` fork the exact same streams as [`CampaignConfig::run`].
-pub(crate) const CAMPAIGN_SALT: u64 = 0x6361_6d70_6169_676e;
+/// Salt mixed into the seed before forking per-member RNG streams.
+const CAMPAIGN_SALT: u64 = 0x6361_6d70_6169_676e;
+
+/// The per-member RNG streams of a campaign or cohort: one root stream
+/// per seed, forked once per member in member order.
+pub(crate) struct MemberStreams(SmallRng);
+
+impl MemberStreams {
+    pub(crate) fn new(seed: u64) -> Self {
+        Self(SmallRng::new(seed ^ CAMPAIGN_SALT))
+    }
+
+    /// Forks the stream of run `run` of patient `pid`. Forking advances
+    /// the root, so a member's stream depends on every earlier fork.
+    pub(crate) fn fork(&mut self, pid: usize, run: usize) -> SmallRng {
+        self.0.fork((pid * 10_007 + run) as u64)
+    }
+
+    /// Forks member `(pid, run)`'s stream and equips the member from it:
+    /// the meal schedule, then the CGM stream, then the pump-fault draw
+    /// (with probability `fault_ratio`, sized against the patient's basal
+    /// rate).
+    pub(crate) fn equip(
+        &mut self,
+        pid: usize,
+        run: usize,
+        steps: usize,
+        basal_rate: f64,
+        fault_ratio: f64,
+    ) -> CohortMember {
+        let mut rng = self.fork(pid, run);
+        let meals = MealSchedule::generate(steps, &mut rng);
+        let cgm = Cgm::typical(rng.fork(1));
+        let pump = match rng
+            .bernoulli(fault_ratio)
+            .then(|| PumpFault::sample(steps, basal_rate, &mut rng))
+        {
+            Some(f) => InsulinPump::with_fault(f),
+            None => InsulinPump::healthy(),
+        };
+        CohortMember {
+            patient_id: pid,
+            run_id: run,
+            cgm,
+            pump,
+            meals,
+        }
+    }
+}
 
 /// The two APS simulation environments of the paper (§IV).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -139,26 +193,26 @@ impl CampaignConfig {
         self.patients * self.runs_per_patient
     }
 
-    /// Executes the campaign through the batched cohort engine.
-    ///
-    /// Bit-identical to [`run`](Self::run) — every run's RNG streams are
-    /// forked the same way and every patient's floating-point op sequence
-    /// is preserved by the structure-of-arrays integrators — but all runs
-    /// advance together, one fused SIMD pass per Euler substep.
-    pub fn run_batched(&self) -> Vec<SimTrace> {
-        crate::cohort::CohortEngine::from_campaign(self).run()
+    /// Executes the campaign on the [`CohortEngine`], returning one trace
+    /// per run, patient-major.
+    pub fn run(&self) -> Vec<SimTrace> {
+        CohortEngine::from_campaign(self).run()
     }
 
-    /// Reassembles one campaign member in isolation: the exact patient,
-    /// pump (with any drawn fault), CGM stream, and meal schedule that
-    /// [`run`](Self::run) gives run `run` of patient `pid` — so a single
-    /// member can be re-simulated under an observer (e.g. a mitigating
-    /// monitor) and, with a no-op observer, reproduce the campaign trace
-    /// bit for bit.
-    ///
-    /// The campaign root RNG is advanced through every earlier member's
-    /// fork in campaign order, because forking mutates the root stream;
-    /// this mirrors the loop structure of [`run`](Self::run) exactly.
+    /// Patient profile `pid` of this campaign's simulator.
+    pub(crate) fn patient(&self, pid: usize) -> CohortPatient {
+        match self.kind {
+            SimulatorKind::Glucosym => GlucosymPatient::from_profile(pid, self.seed).into(),
+            SimulatorKind::T1ds2013 => T1dsPatient::calibrated(pid, self.seed).into(),
+        }
+    }
+
+    /// Reassembles one campaign member in isolation as a [`ClosedLoop`]:
+    /// the exact patient, pump (with any drawn fault), CGM stream, and meal
+    /// schedule that [`run`](Self::run) gives run `run` of patient `pid` —
+    /// so a single member can be re-simulated under an observer (e.g. a
+    /// mitigating monitor) and, with a no-op observer, reproduce the
+    /// campaign trace bit for bit.
     ///
     /// # Panics
     ///
@@ -166,61 +220,28 @@ impl CampaignConfig {
     pub fn member(&self, pid: usize, run: usize) -> MemberLoop {
         assert!(pid < self.patients, "pid {pid} out of range");
         assert!(run < self.runs_per_patient, "run {run} out of range");
-        let mut root = SmallRng::new(self.seed ^ CAMPAIGN_SALT);
-        let mut rng = None;
-        'replay: for p in 0..self.patients {
-            for r in 0..self.runs_per_patient {
-                let forked = root.fork((p * 10_007 + r) as u64);
-                if p == pid && r == run {
-                    rng = Some(forked);
-                    break 'replay;
-                }
-            }
+        // Forking advances the root stream: replay every earlier fork.
+        let mut streams = MemberStreams::new(self.seed);
+        let runs = self.runs_per_patient;
+        let earlier = (0..self.patients).flat_map(|p| (0..runs).map(move |r| (p, r)));
+        for (p, r) in earlier.take(pid * runs + run) {
+            streams.fork(p, r);
         }
-        let mut rng = rng.expect("member indices validated above");
-        let meals = MealSchedule::generate(self.steps, &mut rng);
-        let cgm = Cgm::typical(rng.fork(1));
-        let glucosym_proto = match self.kind {
-            SimulatorKind::Glucosym => Some(GlucosymPatient::from_profile(pid, self.seed)),
-            SimulatorKind::T1ds2013 => None,
-        };
-        let t1ds_proto = match self.kind {
-            SimulatorKind::Glucosym => None,
-            SimulatorKind::T1ds2013 => Some(T1dsPatient::calibrated(pid, self.seed)),
-        };
-        let basal = match self.kind {
-            SimulatorKind::Glucosym => {
-                glucosym_proto
-                    .as_ref()
-                    .expect("proto built above")
-                    .therapy()
-                    .basal_rate
-            }
-            SimulatorKind::T1ds2013 => {
-                t1ds_proto
-                    .as_ref()
-                    .expect("proto built above")
-                    .therapy()
-                    .basal_rate
-            }
-        };
-        let fault = rng
-            .bernoulli(self.fault_ratio)
-            .then(|| PumpFault::sample(self.steps, basal, &mut rng));
-        let pump = match fault {
-            Some(f) => InsulinPump::with_fault(f),
-            None => InsulinPump::healthy(),
-        };
-        let inner = match self.kind {
-            SimulatorKind::Glucosym => MemberLoopInner::Glucosym(Box::new(ClosedLoop::new(
-                glucosym_proto.expect("proto built above"),
+        let patient = self.patient(pid);
+        let basal = patient.therapy().basal_rate;
+        let CohortMember {
+            cgm, pump, meals, ..
+        } = streams.equip(pid, run, self.steps, basal, self.fault_ratio);
+        let inner = match patient {
+            CohortPatient::Glucosym(p) => MemberLoopInner::Glucosym(Box::new(ClosedLoop::new(
+                p,
                 OpenApsController::new(),
                 pump,
                 cgm,
                 meals,
             ))),
-            SimulatorKind::T1ds2013 => MemberLoopInner::T1ds(Box::new(ClosedLoop::new(
-                t1ds_proto.expect("proto built above"),
+            CohortPatient::T1ds(p) => MemberLoopInner::T1ds(Box::new(ClosedLoop::new(
+                p,
                 BasalBolusController::new(),
                 pump,
                 cgm,
@@ -234,66 +255,6 @@ impl CampaignConfig {
             pid,
             run,
         }
-    }
-
-    /// Executes the campaign, returning one trace per run.
-    pub fn run(&self) -> Vec<SimTrace> {
-        let mut traces = Vec::with_capacity(self.total_runs());
-        let mut root = SmallRng::new(self.seed ^ CAMPAIGN_SALT);
-        for pid in 0..self.patients {
-            // Patient construction is per-profile; runs share the profile.
-            let glucosym_proto = match self.kind {
-                SimulatorKind::Glucosym => Some(GlucosymPatient::from_profile(pid, self.seed)),
-                SimulatorKind::T1ds2013 => None,
-            };
-            let t1ds_proto = match self.kind {
-                SimulatorKind::Glucosym => None,
-                SimulatorKind::T1ds2013 => Some(T1dsPatient::calibrated(pid, self.seed)),
-            };
-            for run in 0..self.runs_per_patient {
-                let mut rng = root.fork((pid * 10_007 + run) as u64);
-                let meals = MealSchedule::generate(self.steps, &mut rng);
-                let cgm = Cgm::typical(rng.fork(1));
-                let basal = match self.kind {
-                    SimulatorKind::Glucosym => {
-                        glucosym_proto
-                            .as_ref()
-                            .expect("proto built above")
-                            .therapy()
-                            .basal_rate
-                    }
-                    SimulatorKind::T1ds2013 => {
-                        t1ds_proto
-                            .as_ref()
-                            .expect("proto built above")
-                            .therapy()
-                            .basal_rate
-                    }
-                };
-                let fault = rng
-                    .bernoulli(self.fault_ratio)
-                    .then(|| PumpFault::sample(self.steps, basal, &mut rng));
-                let pump = match fault {
-                    Some(f) => InsulinPump::with_fault(f),
-                    None => InsulinPump::healthy(),
-                };
-                let label = self.kind.label();
-                let trace = match self.kind {
-                    SimulatorKind::Glucosym => {
-                        let patient = glucosym_proto.clone().expect("proto built above");
-                        ClosedLoop::new(patient, OpenApsController::new(), pump, cgm, meals)
-                            .run(self.steps, label, pid, run)
-                    }
-                    SimulatorKind::T1ds2013 => {
-                        let patient = t1ds_proto.clone().expect("proto built above");
-                        ClosedLoop::new(patient, BasalBolusController::new(), pump, cgm, meals)
-                            .run(self.steps, label, pid, run)
-                    }
-                };
-                traces.push(trace);
-            }
-        }
-        traces
     }
 }
 

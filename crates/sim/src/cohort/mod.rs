@@ -12,15 +12,16 @@
 //! draws member-specific RNG streams; only the ODE integration and
 //! pump-IOB bookkeeping — where virtually all the time goes — are batched.
 //!
-//! The engine is *transparent*: batched trajectories are bit-identical to
+//! The engine is *transparent*: its trajectories are bit-identical to
 //! running each member through [`crate::engine::ClosedLoop`] on its own,
 //! because the loop interchange (patients inside substeps instead of
 //! substeps inside patients) preserves every member's floating-point
 //! operation sequence, and the vector kernels replicate the scalar
 //! expression trees with IEEE-exact element-wise arithmetic (the `soa`
 //! and `kernels` modules document the discipline).
-//! `CampaignConfig::run_batched` relies on this to be a drop-in, faster
-//! `run`.
+//! [`CampaignConfig::run`] runs on this engine, and
+//! [`CampaignConfig::member`] rebuilds any one member as the `ClosedLoop`
+//! reference:
 //!
 //! ```
 //! use cpsmon_sim::{CampaignConfig, SimulatorKind};
@@ -30,17 +31,20 @@
 //!     .runs_per_patient(2)
 //!     .steps(24)
 //!     .seed(7);
-//! assert_eq!(cfg.run_batched(), cfg.run());
+//! let traces = cfg.run();
+//! for (run, trace) in traces.iter().enumerate() {
+//!     assert_eq!(*trace, cfg.member(0, run).run());
+//! }
 //! ```
 
 mod kernels;
 mod soa;
 
 use crate::basal_bolus::BasalBolusController;
-use crate::campaign::{CampaignConfig, SimulatorKind, CAMPAIGN_SALT};
+use crate::campaign::{CampaignConfig, MemberStreams, SimulatorKind};
 use crate::controller::{Controller, Observation};
 use crate::engine::PUMP_IOB_TAU_MIN;
-use crate::faults::{FaultInjector, FaultPlan, PumpFault};
+use crate::faults::PumpFault;
 use crate::glucosym::{GlucosymParams, GlucosymPatient};
 use crate::meal::MealSchedule;
 use crate::openaps::OpenApsController;
@@ -118,10 +122,6 @@ pub struct CohortMember {
     pub pump: InsulinPump,
     /// The member's meal schedule.
     pub meals: MealSchedule,
-    /// This member's horizon in 5-minute steps. Members may have different
-    /// horizons (ragged dropout); a member past its horizon stops producing
-    /// records while the rest of the cohort keeps running.
-    pub steps: usize,
 }
 
 /// Observer invoked by [`CohortEngine`] as the cohort advances —
@@ -130,11 +130,11 @@ pub struct CohortMember {
 /// Any `FnMut(usize, usize, &StepRecord)` closure works via the blanket
 /// impl (with a no-op `on_step_end`).
 pub trait CohortObserver {
-    /// Called once per *active* member per step, in member order, with the
-    /// record that member's trace will contain.
+    /// Called once per member per step, in member order, with the record
+    /// that member's trace will contain.
     fn on_step(&mut self, member: usize, step: usize, record: &StepRecord);
 
-    /// Called once per step after every active member's `on_step`. Batch
+    /// Called once per step after every member's `on_step`. Batch
     /// consumers (e.g. pooled monitor sessions) drain their verdicts here.
     fn on_step_end(&mut self, step: usize) {
         let _ = step;
@@ -144,53 +144,6 @@ pub trait CohortObserver {
 impl<F: FnMut(usize, usize, &StepRecord)> CohortObserver for F {
     fn on_step(&mut self, member: usize, step: usize, record: &StepRecord) {
         self(member, step, record)
-    }
-}
-
-/// Applies per-member sensor-fault injectors in front of another cohort
-/// observer — the population analogue of [`crate::faults::FaultedObserver`].
-///
-/// Each member's injector sees exactly the record sequence that member's
-/// per-trace [`FaultInjector`] would see, so a monitor behind this observer
-/// receives bit-identical faulted records in batched and scalar runs.
-pub struct FaultedCohortObserver<'a> {
-    injectors: Vec<FaultInjector>,
-    inner: &'a mut dyn CohortObserver,
-}
-
-impl<'a> FaultedCohortObserver<'a> {
-    /// Wraps `inner` with one injector per cohort member (index-aligned).
-    pub fn new(injectors: Vec<FaultInjector>, inner: &'a mut dyn CohortObserver) -> Self {
-        Self { injectors, inner }
-    }
-
-    /// Builds the injectors from `plan`, keyed to each member's trace
-    /// identity exactly like [`FaultPlan::injector_for`], so injected noise
-    /// matches a scalar per-trace run of the same plan.
-    pub fn for_engine(
-        plan: &FaultPlan,
-        engine: &CohortEngine,
-        inner: &'a mut dyn CohortObserver,
-    ) -> Self {
-        let label = engine.kind().label();
-        let injectors = (0..engine.len())
-            .map(|j| {
-                let (pid, run) = engine.identity(j);
-                plan.injector_for(label, pid, run)
-            })
-            .collect();
-        Self::new(injectors, inner)
-    }
-}
-
-impl CohortObserver for FaultedCohortObserver<'_> {
-    fn on_step(&mut self, member: usize, step: usize, record: &StepRecord) {
-        let faulted = self.injectors[member].apply(record);
-        self.inner.on_step(member, step, &faulted);
-    }
-
-    fn on_step_end(&mut self, step: usize) {
-        self.inner.on_step_end(step);
     }
 }
 
@@ -231,7 +184,6 @@ impl MemberController {
 struct MemberState {
     patient_id: usize,
     run_id: usize,
-    horizon: usize,
     fault: Option<PumpFault>,
 }
 
@@ -244,8 +196,8 @@ struct CgmFaultLane {
     member: usize,
     fault: CgmFault,
     /// The member's CGM internal step counter at push time; its counter at
-    /// engine step `t` is `step0 + t` because active members measure at
-    /// every step of their (prefix) lifetime.
+    /// engine step `t` is `step0 + t` because every member measures at
+    /// every step.
     step0: usize,
     stuck: Option<f64>,
 }
@@ -336,13 +288,15 @@ fn backend_available(backend: Backend) -> bool {
 /// campaign via [`from_campaign`](Self::from_campaign), or from a sampled
 /// population via [`Cohort::engine`]; then either [`run`](Self::run) it to
 /// completion or drive it step by step with [`advance`](Self::advance).
+/// Every member runs for the engine's one step count.
 #[derive(Debug, Clone)]
 pub struct CohortEngine {
     kind: SimulatorKind,
     backend: Backend,
     record: bool,
     step: usize,
-    max_horizon: usize,
+    /// Steps every member runs for.
+    steps: usize,
     members: Vec<MemberState>,
     /// Per-member recorded steps (`records[j]` parallels `members[j]`);
     /// kept out of [`MemberState`] so the recording hot path indexes a
@@ -352,8 +306,6 @@ pub struct CohortEngine {
     // Dense front-end columns (one lane per member): everything the scalar
     // per-step loop needs, packed contiguously so a step streams a few
     // flat arrays instead of a thousand scattered structs.
-    /// Member horizon in steps.
-    horizon: Vec<usize>,
     /// The member's therapy profile (controller input).
     therapy: Vec<TherapyProfile>,
     /// `basal_rate / 60 * PUMP_IOB_TAU_MIN`, hoisted out of the step loop
@@ -378,12 +330,11 @@ pub struct CohortEngine {
     pump_max_rate: Vec<f64>,
     /// Whether `pumps[j]` carries a fault plan (the slow `deliver` path).
     pump_has_fault: Vec<bool>,
-    /// Start of member `j`'s rows in `carbs_flat` / `noise_flat`.
-    front_off: Vec<usize>,
-    /// `meals.carbs_at(t)` for `t < horizon`, tabulated at push time so the
-    /// hot loop indexes instead of re-scanning the schedule.
+    /// `meals.carbs_at(t)` for `t < steps`, tabulated at push time so the
+    /// hot loop indexes instead of re-scanning the schedule; member `j`'s
+    /// row starts at `j * steps`, as in `noise_flat`.
     carbs_flat: Vec<f64>,
-    /// CGM noise samples for `t < horizon`, prerolled from the member's
+    /// CGM noise samples for `t < steps`, prerolled from the member's
     /// sensor stream at push time (the draw is position-dependent only, so
     /// replaying them through the lag filter is bit-identical to drawing
     /// inline — see [`Cgm::draw_noise`]).
@@ -403,19 +354,19 @@ pub struct CohortEngine {
 }
 
 impl CohortEngine {
-    /// Creates an empty engine for one simulator family, using the
-    /// process-wide SIMD backend (the `CPSMON_SIMD` policy).
-    pub fn new(kind: SimulatorKind) -> Self {
+    /// Creates an empty engine for one simulator family whose members run
+    /// for `steps` 5-minute steps, using the process-wide SIMD backend (the
+    /// `CPSMON_SIMD` policy).
+    pub fn new(kind: SimulatorKind, steps: usize) -> Self {
         Self {
             kind,
             backend: cpsmon_nn::simd::backend(),
             record: true,
             step: 0,
-            max_horizon: 0,
+            steps,
             members: Vec::new(),
             records: Vec::new(),
             state: SoaState::new(kind),
-            horizon: Vec::new(),
             therapy: Vec::new(),
             basal_iob: Vec::new(),
             cgm_lag: Vec::new(),
@@ -427,7 +378,6 @@ impl CohortEngine {
             pumps: Vec::new(),
             pump_max_rate: Vec::new(),
             pump_has_fault: Vec::new(),
-            front_off: Vec::new(),
             carbs_flat: Vec::new(),
             noise_flat: Vec::new(),
             cgm_faults: Vec::new(),
@@ -469,8 +419,7 @@ impl CohortEngine {
     ///
     /// Panics if the patient's simulator family does not match the
     /// engine's, or if the engine has already been stepped — the cohort
-    /// must be fully assembled before the first [`advance`](Self::advance)
-    /// (member lifetimes are horizon prefixes of the engine's step clock).
+    /// must be fully assembled before the first [`advance`](Self::advance).
     pub fn push(&mut self, patient: impl Into<CohortPatient>, member: CohortMember) {
         let patient = patient.into();
         assert_eq!(
@@ -486,17 +435,14 @@ impl CohortEngine {
         self.members.push(MemberState {
             patient_id: member.patient_id,
             run_id: member.run_id,
-            horizon: member.steps,
             fault,
         });
         self.records.push(Vec::new());
-        self.max_horizon = self.max_horizon.max(member.steps);
-        self.horizon.push(member.steps);
         self.therapy.push(therapy);
         self.basal_iob
             .push(therapy.basal_rate / 60.0 * PUMP_IOB_TAU_MIN);
         // Unpack the member's CGM into dense columns (+ a sparse fault
-        // lane), prerolling its noise stream over the whole horizon.
+        // lane), prerolling its noise stream over every step.
         let mut cgm = member.cgm;
         self.cgm_lag.push(cgm.lag());
         self.cgm_one_minus_lag.push(1.0 - cgm.lag());
@@ -510,10 +456,9 @@ impl CohortEngine {
                 stuck: cgm.stuck_reading(),
             });
         }
-        self.front_off.push(self.carbs_flat.len());
         self.carbs_flat
-            .extend((0..member.steps).map(|t| member.meals.carbs_at(t)));
-        self.noise_flat.extend(cgm.draw_noise(member.steps));
+            .extend((0..self.steps).map(|t| member.meals.carbs_at(t)));
+        self.noise_flat.extend(cgm.draw_noise(self.steps));
         self.prev_bg.push(0.0);
         self.controllers.push(MemberController::for_kind(self.kind));
         self.pump_max_rate.push(member.pump.max_rate);
@@ -536,36 +481,9 @@ impl CohortEngine {
         self.members.is_empty()
     }
 
-    /// The engine's simulator family.
-    pub fn kind(&self) -> SimulatorKind {
-        self.kind
-    }
-
-    /// The SIMD backend the integration kernels run on.
-    pub fn backend(&self) -> Backend {
-        self.backend
-    }
-
-    /// `(patient_id, run_id)` of member `j`.
-    pub fn identity(&self, member: usize) -> (usize, usize) {
-        let m = &self.members[member];
-        (m.patient_id, m.run_id)
-    }
-
-    /// Steps advanced so far.
-    pub fn steps_done(&self) -> usize {
-        self.step
-    }
-
-    /// The longest member horizon (the step count [`run`](Self::run) runs
-    /// to).
-    pub fn horizon(&self) -> usize {
-        self.members.iter().map(|m| m.horizon).max().unwrap_or(0)
-    }
-
     /// Advances the whole cohort by one 5-minute step, invoking `observer`
-    /// for every active member. Returns `false` once every member is past
-    /// its horizon (in which case no state moved).
+    /// for every member. Returns `false` once the engine has run its steps
+    /// (in which case no state moved).
     ///
     /// Per member the step performs exactly the
     /// [`crate::engine::ClosedLoop`] cycle — CGM → controller → pump →
@@ -581,9 +499,8 @@ impl CohortEngine {
     /// concrete observers (e.g. [`run`](Self::run)'s no-op) so the observer
     /// call disappears instead of costing an indirect call per member-step.
     fn advance_inner<O: CohortObserver + ?Sized>(&mut self, observer: &mut O) -> bool {
-        let step = self.step;
-        if step >= self.max_horizon {
-            // Every member is past its horizon: no state moves.
+        let (step, steps) = (self.step, self.steps);
+        if step >= steps {
             return false;
         }
         let n = self.members.len();
@@ -591,8 +508,8 @@ impl CohortEngine {
             // One exact allocation per member up front instead of a
             // realloc ladder per push (`Vec::clone` does not carry spare
             // capacity, so cloned engines re-reserve here, not in `push`).
-            for (r, &h) in self.records.iter_mut().zip(&self.horizon) {
-                r.reserve_exact(h);
+            for r in &mut self.records {
+                r.reserve_exact(steps);
             }
         }
         // Pass 1: true BG of every lane, densely.
@@ -604,20 +521,15 @@ impl CohortEngine {
         // All columns are re-sliced to length `n` so the loops index
         // without bounds checks.
         {
-            let horizon = &self.horizon[..n];
             let bg_true = &self.bg_true[..n];
             let cgm_lag = &self.cgm_lag[..n];
             let oml = &self.cgm_one_minus_lag[..n];
             let cgm_filt = &mut self.cgm_filt[..n];
             let bg_sensor = &mut self.bg_sensor[..n];
-            let front_off = &self.front_off[..n];
             let noise = self.noise_flat.as_slice();
             if step == 0 {
                 let primed = &self.cgm_primed[..n];
                 for j in 0..n {
-                    if horizon[j] == 0 {
-                        continue;
-                    }
                     let bt = bg_true[j];
                     let filtered = if primed[j] {
                         cgm_lag[j] * cgm_filt[j] + oml[j] * bt
@@ -625,17 +537,14 @@ impl CohortEngine {
                         bt
                     };
                     cgm_filt[j] = filtered;
-                    bg_sensor[j] = (filtered + noise[front_off[j]]).max(1.0);
+                    bg_sensor[j] = (filtered + noise[j * steps]).max(1.0);
                 }
             } else {
                 for j in 0..n {
-                    if step >= horizon[j] {
-                        continue;
-                    }
                     let bt = bg_true[j];
                     let filtered = cgm_lag[j] * cgm_filt[j] + oml[j] * bt;
                     cgm_filt[j] = filtered;
-                    bg_sensor[j] = (filtered + noise[front_off[j] + step]).max(1.0);
+                    bg_sensor[j] = (filtered + noise[j * steps + step]).max(1.0);
                 }
             }
         }
@@ -644,9 +553,6 @@ impl CohortEngine {
         // window; `cstep` is the sensor's own reading counter).
         for lane in &mut self.cgm_faults {
             let j = lane.member;
-            if step >= self.horizon[j] {
-                continue;
-            }
             let honest = self.bg_sensor[j];
             let cstep = lane.step0 + step;
             if !lane.fault.active_at(cstep) {
@@ -664,11 +570,9 @@ impl CohortEngine {
         // Pass 3: trend → controller → pump → record → observer, scalar
         // and in member order — exactly the `ClosedLoop` cycle.
         {
-            let horizon = &self.horizon[..n];
             let bg_true = &self.bg_true[..n];
             let bg_sensor_col = &self.bg_sensor[..n];
             let prev_bg = &mut self.prev_bg[..n];
-            let front_off = &self.front_off[..n];
             let carbs_flat = self.carbs_flat.as_slice();
             let pump_iob = &self.pump_iob[..n];
             let basal_iob = &self.basal_iob[..n];
@@ -682,14 +586,6 @@ impl CohortEngine {
             let records = &mut self.records[..n];
             let record_on = self.record;
             for j in 0..n {
-                if step >= horizon[j] {
-                    // Drop-out lane: keep integrating with zero
-                    // insulin/carbs contributions suppressed by delivering
-                    // nothing new.
-                    delivered_col[j] = 0.0;
-                    carbs_col[j] = 0.0;
-                    continue;
-                }
                 let bg_sensor = bg_sensor_col[j];
                 let bg_trend = if step == 0 {
                     0.0
@@ -697,7 +593,7 @@ impl CohortEngine {
                     bg_sensor - prev_bg[j]
                 };
                 prev_bg[j] = bg_sensor;
-                let carbs = carbs_flat[front_off[j] + step];
+                let carbs = carbs_flat[j * steps + step];
                 let iob_estimate = pump_iob[j];
                 let obs = Observation {
                     bg: bg_sensor,
@@ -753,15 +649,15 @@ impl CohortEngine {
         true
     }
 
-    /// Runs every member to its horizon and returns the traces, invoking
-    /// `observer` throughout (monitor-in-the-loop over the whole cohort).
+    /// Runs every member for the engine's steps and returns the traces,
+    /// invoking `observer` throughout (monitor-in-the-loop over the whole cohort).
     pub fn run_observed(mut self, observer: &mut dyn CohortObserver) -> Vec<SimTrace> {
         while self.advance_inner(observer) {}
         self.into_traces()
     }
 
-    /// Runs every member to its horizon and returns the traces, in push
-    /// order.
+    /// Runs every member for the engine's steps and returns the traces, in
+    /// push order.
     pub fn run(mut self) -> Vec<SimTrace> {
         struct Noop;
         impl CohortObserver for Noop {
@@ -786,41 +682,19 @@ impl CohortEngine {
             .collect()
     }
 
-    /// Builds the batched equivalent of [`CampaignConfig::run`]: same
-    /// patients, meal schedules, CGM streams, and fault draws, forked from
-    /// the campaign seed in the identical order, so
-    /// [`run`](Self::run) reproduces `cfg.run()` bit for bit.
+    /// Builds the engine behind [`CampaignConfig::run`]: every run of
+    /// every patient, patient-major, equipped by the campaign's member
+    /// recipe (see [`CampaignConfig::member`]).
     pub fn from_campaign(cfg: &CampaignConfig) -> Self {
-        let mut engine = Self::new(cfg.kind);
-        let mut root = SmallRng::new(cfg.seed ^ CAMPAIGN_SALT);
+        let mut engine = Self::new(cfg.kind, cfg.steps);
+        let mut streams = MemberStreams::new(cfg.seed);
         for pid in 0..cfg.patients {
-            let proto: CohortPatient = match cfg.kind {
-                SimulatorKind::Glucosym => GlucosymPatient::from_profile(pid, cfg.seed).into(),
-                SimulatorKind::T1ds2013 => T1dsPatient::calibrated(pid, cfg.seed).into(),
-            };
+            // Runs share the profile: build it once per patient.
+            let patient = cfg.patient(pid);
+            let basal = patient.therapy().basal_rate;
             for run in 0..cfg.runs_per_patient {
-                let mut rng = root.fork((pid * 10_007 + run) as u64);
-                let meals = MealSchedule::generate(cfg.steps, &mut rng);
-                let cgm = Cgm::typical(rng.fork(1));
-                let basal = proto.therapy().basal_rate;
-                let fault = rng
-                    .bernoulli(cfg.fault_ratio)
-                    .then(|| PumpFault::sample(cfg.steps, basal, &mut rng));
-                let pump = match fault {
-                    Some(f) => InsulinPump::with_fault(f),
-                    None => InsulinPump::healthy(),
-                };
-                engine.push(
-                    proto.clone(),
-                    CohortMember {
-                        patient_id: pid,
-                        run_id: run,
-                        cgm,
-                        pump,
-                        meals,
-                        steps: cfg.steps,
-                    },
-                );
+                let member = streams.equip(pid, run, cfg.steps, basal, cfg.fault_ratio);
+                engine.push(patient.clone(), member);
             }
         }
         engine
@@ -1027,39 +901,23 @@ impl Cohort {
         &self.patients
     }
 
-    /// Equips the cohort for a closed-loop run — meals, CGM streams, and
-    /// pump-fault draws forked per member like a campaign's — and returns
-    /// the ready engine. Member `j` gets `patient_id = j`, `run_id = 0`.
+    /// Equips the cohort for a closed-loop run of `steps` steps — meals,
+    /// CGM streams, and pump-fault draws by the campaign's member recipe,
+    /// with member `j` as run 0 of patient `j` — and returns the ready
+    /// engine. Member `j` gets `patient_id = j`, `run_id = 0`.
     pub fn engine(&self, steps: usize, seed: u64, fault_ratio: f64) -> CohortEngine {
         assert!(steps > 0, "steps must be positive");
         assert!(
             (0.0..=1.0).contains(&fault_ratio),
             "fault_ratio must be in [0,1]"
         );
-        let mut engine = CohortEngine::new(self.kind);
-        let mut root = SmallRng::new(seed ^ CAMPAIGN_SALT);
+        let mut engine = CohortEngine::new(self.kind, steps);
+        let mut streams = MemberStreams::new(seed);
         for (j, patient) in self.patients.iter().enumerate() {
-            let mut rng = root.fork((j * 10_007) as u64);
-            let meals = MealSchedule::generate(steps, &mut rng);
-            let cgm = Cgm::typical(rng.fork(1));
             let basal = patient.therapy().basal_rate;
-            let fault = rng
-                .bernoulli(fault_ratio)
-                .then(|| PumpFault::sample(steps, basal, &mut rng));
-            let pump = match fault {
-                Some(f) => InsulinPump::with_fault(f),
-                None => InsulinPump::healthy(),
-            };
             engine.push(
                 patient.clone(),
-                CohortMember {
-                    patient_id: j,
-                    run_id: 0,
-                    cgm,
-                    pump,
-                    meals,
-                    steps,
-                },
+                streams.equip(j, 0, steps, basal, fault_ratio),
             );
         }
         engine
@@ -1070,36 +928,13 @@ impl Cohort {
 mod tests {
     use super::*;
 
-    /// Asserts two traces are equal *bitwise* on every recorded float —
-    /// stricter than `PartialEq` (which would treat `-0.0 == 0.0`).
-    fn assert_traces_bit_identical(batched: &[SimTrace], scalar: &[SimTrace]) {
-        assert_eq!(batched.len(), scalar.len());
-        for (b, s) in batched.iter().zip(scalar) {
-            assert_eq!(b.simulator, s.simulator);
-            assert_eq!(b.controller, s.controller);
-            assert_eq!(b.patient_id, s.patient_id);
-            assert_eq!(b.run_id, s.run_id);
-            assert_eq!(b.fault, s.fault);
-            assert_eq!(b.len(), s.len());
-            for (t, (rb, rs)) in b.records().iter().zip(s.records()).enumerate() {
-                for (name, vb, vs) in [
-                    ("bg_true", rb.bg_true, rs.bg_true),
-                    ("bg_sensor", rb.bg_sensor, rs.bg_sensor),
-                    ("iob", rb.iob, rs.iob),
-                    ("commanded_rate", rb.commanded_rate, rs.commanded_rate),
-                    ("delivered_rate", rb.delivered_rate, rs.delivered_rate),
-                    ("carbs", rb.carbs, rs.carbs),
-                ] {
-                    assert_eq!(
-                        vb.to_bits(),
-                        vs.to_bits(),
-                        "patient {} run {} step {t} field {name}: {vb} != {vs}",
-                        b.patient_id,
-                        b.run_id,
-                    );
-                }
-            }
-        }
+    use crate::trace::traces_bit_identical;
+
+    /// Every member of `cfg`, rebuilt as its own `ClosedLoop` reference.
+    fn member_runs(cfg: &CampaignConfig) -> Vec<SimTrace> {
+        (0..cfg.patients)
+            .flat_map(|p| (0..cfg.runs_per_patient).map(move |r| cfg.member(p, r).run()))
+            .collect()
     }
 
     #[test]
@@ -1109,7 +944,7 @@ mod tests {
             .runs_per_patient(3)
             .steps(48)
             .seed(11);
-        assert_traces_bit_identical(&cfg.run_batched(), &cfg.run());
+        traces_bit_identical(&cfg.run(), &member_runs(&cfg)).unwrap();
     }
 
     #[test]
@@ -1119,7 +954,7 @@ mod tests {
             .runs_per_patient(3)
             .steps(48)
             .seed(13);
-        assert_traces_bit_identical(&cfg.run_batched(), &cfg.run());
+        traces_bit_identical(&cfg.run(), &member_runs(&cfg)).unwrap();
     }
 
     #[test]
@@ -1136,46 +971,8 @@ mod tests {
             let traces = CohortEngine::from_campaign(&cfg)
                 .with_backend(backend)
                 .run();
-            assert_traces_bit_identical(&traces, &reference);
+            traces_bit_identical(&traces, &reference).unwrap();
         }
-    }
-
-    #[test]
-    fn ragged_horizons_match_separate_scalar_runs() {
-        // Three members with different horizons; each must reproduce its
-        // own standalone ClosedLoop run exactly even though the cohort
-        // keeps stepping after the short members finish.
-        let horizons = [10usize, 31, 24];
-        let mut engine = CohortEngine::new(SimulatorKind::Glucosym);
-        let mut scalar = Vec::new();
-        for (i, &h) in horizons.iter().enumerate() {
-            let patient = GlucosymPatient::from_profile(i, 5);
-            let mut rng = SmallRng::new(99).fork(i as u64);
-            let meals = MealSchedule::generate(h, &mut rng);
-            let cgm = Cgm::typical(rng.fork(1));
-            engine.push(
-                patient.clone(),
-                CohortMember {
-                    patient_id: i,
-                    run_id: 0,
-                    cgm: cgm.clone(),
-                    pump: InsulinPump::healthy(),
-                    meals: meals.clone(),
-                    steps: h,
-                },
-            );
-            scalar.push(
-                crate::engine::ClosedLoop::new(
-                    patient,
-                    OpenApsController::new(),
-                    InsulinPump::healthy(),
-                    cgm,
-                    meals,
-                )
-                .run(h, "glucosym", i, 0),
-            );
-        }
-        assert_traces_bit_identical(&engine.run(), &scalar);
     }
 
     #[test]
@@ -1295,35 +1092,6 @@ mod tests {
                 p.bg(),
                 p.params().gb
             );
-        }
-    }
-
-    #[test]
-    fn faulted_cohort_observer_matches_scalar_injectors() {
-        use crate::faults::{FaultModel, SensorChannel};
-        let cfg = CampaignConfig::new(SimulatorKind::Glucosym)
-            .patients(2)
-            .runs_per_patient(2)
-            .steps(24)
-            .seed(31);
-        let plan = FaultPlan::new(77).with(crate::faults::ChannelFault::new(
-            SensorChannel::BgSensor,
-            FaultModel::Spike { magnitude: 25.0 },
-            4,
-            12,
-        ));
-        // Batched: collect faulted records per member.
-        let engine = CohortEngine::from_campaign(&cfg);
-        let mut batched: Vec<Vec<StepRecord>> = vec![Vec::new(); engine.len()];
-        {
-            let mut sink = |m: usize, _s: usize, r: &StepRecord| batched[m].push(*r);
-            let mut faulted = FaultedCohortObserver::for_engine(&plan, &engine, &mut sink);
-            engine.run_observed(&mut faulted);
-        }
-        // Scalar: inject each trace post-hoc with the same plan.
-        for (m, trace) in cfg.run().iter().enumerate() {
-            let injected = plan.inject(trace);
-            assert_eq!(&batched[m], injected.records(), "member {m}");
         }
     }
 }

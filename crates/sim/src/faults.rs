@@ -6,9 +6,8 @@
 //! sensor faults: dropped CGM samples, stuck-at readings, spikes from
 //! calibration events, slow drift, quantization, and transport delay. This
 //! module provides a seeded, deterministic injector for those fault
-//! classes, applied to a recorded [`SimTrace`] (offline rewriting) or to a
-//! live [`crate::engine::ClosedLoop`] run through the
-//! [`StepObserver`] hook ([`FaultedObserver`]).
+//! classes, applied to a recorded [`SimTrace`] ([`FaultPlan::inject`]) or
+//! record by record as a run streams ([`FaultPlan::injector_for`]).
 //!
 //! Two fault families live here:
 //!
@@ -52,7 +51,6 @@
 
 use std::collections::VecDeque;
 
-use crate::engine::StepObserver;
 use crate::trace::{SimTrace, StepRecord};
 use cpsmon_nn::rng::SmallRng;
 
@@ -412,29 +410,6 @@ impl FaultInjector {
     }
 }
 
-/// A [`StepObserver`] adapter corrupting the record stream *before* the
-/// inner observer (typically a monitor session) sees it — live
-/// fault injection for monitor-in-the-loop runs, bit-identical to
-/// [`FaultPlan::inject`] on the recorded trace when keyed the same way.
-pub struct FaultedObserver<'a> {
-    injector: FaultInjector,
-    inner: &'a mut dyn StepObserver,
-}
-
-impl<'a> FaultedObserver<'a> {
-    /// Wraps `inner` behind `injector`.
-    pub fn new(injector: FaultInjector, inner: &'a mut dyn StepObserver) -> Self {
-        Self { injector, inner }
-    }
-}
-
-impl StepObserver for FaultedObserver<'_> {
-    fn on_step(&mut self, step: usize, record: &StepRecord) {
-        let faulted = self.injector.apply(record);
-        self.inner.on_step(step, &faulted);
-    }
-}
-
 /// The kinds of pump-command corruption we can inject.
 ///
 /// The paper's threat model (§III) includes an attacker who "can remotely
@@ -733,24 +708,14 @@ mod tests {
 
     #[test]
     fn observer_matches_offline_injection() {
-        // Re-run the same campaign with a FaultedObserver and check that the
-        // observed (live-faulted) records equal the offline inject() of the
-        // recorded trace, when keyed identically.
+        // An injector keyed like the trace, applied record by record as a
+        // run streams them (the way a mitigating observer perturbs its
+        // input), must equal the offline inject() of the recorded trace.
         let plan = bg_fault(FaultModel::StuckAt { duration: 8 });
         let clean = trace();
         let offline = plan.inject(&clean);
-
-        let mut live: Vec<StepRecord> = Vec::new();
-        {
-            let mut sink = |_step: usize, rec: &StepRecord| live.push(*rec);
-            let mut obs = FaultedObserver::new(
-                plan.injector_for(clean.simulator, clean.patient_id, clean.run_id),
-                &mut sink,
-            );
-            for (i, rec) in clean.records().iter().enumerate() {
-                obs.on_step(i, rec);
-            }
-        }
+        let mut injector = plan.injector_for(clean.simulator, clean.patient_id, clean.run_id);
+        let live: Vec<StepRecord> = clean.records().iter().map(|r| injector.apply(r)).collect();
         assert_eq!(live, offline.records());
     }
 

@@ -23,8 +23,13 @@
 //!   testing of monitors.
 //! - [`engine::ClosedLoop`] — wires everything together and records a
 //!   [`trace::SimTrace`].
+//! - [`cohort::CohortEngine`] — a structure-of-arrays engine that steps a
+//!   whole population of closed loops together, bit-identical to running
+//!   each member through `ClosedLoop` alone; [`cohort::Cohort`] samples
+//!   such populations.
 //! - [`campaign::CampaignConfig`] — seeded multi-patient simulation
-//!   campaigns producing labeled trace sets.
+//!   campaigns producing labeled trace sets, run on the cohort engine;
+//!   `CampaignConfig::member` rebuilds any one member as a `ClosedLoop`.
 //!
 //! Time base: one simulation step is **5 minutes** (matching the paper's
 //! "each simulation step equals 5 minutes"); the ODE integrators internally
@@ -66,13 +71,11 @@ pub mod trace;
 pub use campaign::{CampaignConfig, MemberLoop, SimulatorKind};
 pub use cohort::{
     available_backends, Cohort, CohortEngine, CohortMember, CohortObserver, CohortPatient,
-    FaultedCohortObserver,
 };
 pub use controller::{Controller, Observation};
 pub use engine::{ClosedLoop, StepObserver};
 pub use faults::{
-    ChannelFault, FaultInjector, FaultModel, FaultPlan, FaultedObserver, PumpFault, PumpFaultKind,
-    SensorChannel,
+    ChannelFault, FaultInjector, FaultModel, FaultPlan, PumpFault, PumpFaultKind, SensorChannel,
 };
 pub use hazard::{HazardConfig, HazardEpisode};
 pub use patient::{PatientModel, TherapyProfile};

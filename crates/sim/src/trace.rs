@@ -108,6 +108,46 @@ impl SimTrace {
     }
 }
 
+/// Compares two trace sets bit for bit: the same identities, faults and
+/// lengths, and every recorded float with the same bits — stricter than
+/// `PartialEq`, which takes `-0.0` for `0.0`.
+///
+/// # Errors
+///
+/// A description of the first trace and step that differ.
+pub fn traces_bit_identical(a: &[SimTrace], b: &[SimTrace]) -> Result<(), String> {
+    if a.len() != b.len() {
+        return Err(format!("{} vs {} traces", a.len(), b.len()));
+    }
+    let bits = |r: &StepRecord| {
+        [
+            r.bg_true,
+            r.bg_sensor,
+            r.iob,
+            r.commanded_rate,
+            r.delivered_rate,
+            r.carbs,
+        ]
+        .map(f64::to_bits)
+    };
+    for (x, y) in a.iter().zip(b) {
+        let who = || format!("patient {} run {}", y.patient_id, y.run_id);
+        if (x.simulator, x.controller, x.patient_id, x.run_id, x.fault)
+            != (y.simulator, y.controller, y.patient_id, y.run_id, y.fault)
+        {
+            return Err(format!("{}: metadata differs", who()));
+        }
+        if x.len() != y.len() {
+            return Err(format!("{}: {} vs {} records", who(), x.len(), y.len()));
+        }
+        let records = x.records().iter().zip(y.records());
+        if let Some((t, (r, s))) = records.enumerate().find(|(_, (r, s))| bits(r) != bits(s)) {
+            return Err(format!("{} step {t}: {r:?} != {s:?}", who()));
+        }
+    }
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -161,5 +201,33 @@ mod tests {
         assert!(lines[0].starts_with("step,bg_true"));
         assert!(lines[1].starts_with("0,100"));
         assert!(lines[2].starts_with("1,110"));
+    }
+
+    #[test]
+    fn bit_identity_tells_signed_zeros_and_identities_apart() {
+        let t = [SimTrace::new(
+            "glucosym",
+            "openaps",
+            0,
+            0,
+            None,
+            vec![rec(100.0)],
+        )];
+        assert!(traces_bit_identical(&t, &t).is_ok());
+        let mut r = rec(100.0);
+        r.carbs = -0.0;
+        let z = [SimTrace::new("glucosym", "openaps", 0, 0, None, vec![r])];
+        assert_eq!(z, t, "PartialEq takes -0.0 for 0.0");
+        assert!(traces_bit_identical(&z, &t).is_err());
+        let other_run = [SimTrace::new(
+            "glucosym",
+            "openaps",
+            0,
+            1,
+            None,
+            vec![rec(100.0)],
+        )];
+        assert!(traces_bit_identical(&other_run, &t).is_err());
+        assert!(traces_bit_identical(&[], &t).is_err());
     }
 }

@@ -1,76 +1,28 @@
 //! Property-based bit-identity tests for the structure-of-arrays cohort
-//! engine: batched runs must reproduce per-patient [`ClosedLoop`] runs
-//! *to the bit* — for both simulators, arbitrary campaign shapes, ragged
-//! dropout horizons, live sensor-fault injection, and every SIMD backend
-//! this machine can run. The CI matrix additionally re-runs this suite
-//! under `CPSMON_SIMD=0` and `CPSMON_SIMD=max`, which drives the engine's
-//! *default* backend through the same properties.
+//! engine: campaigns run on it must reproduce every member's own
+//! [`ClosedLoop`](cpsmon_sim::ClosedLoop) run (`CampaignConfig::member`)
+//! *to the bit* — for both simulators, arbitrary campaign shapes, and
+//! every SIMD backend this machine can run. The CI matrix additionally
+//! re-runs this suite under `CPSMON_SIMD=0` and `CPSMON_SIMD=max`, which
+//! drives the engine's *default* backend through the same properties.
 
-use cpsmon_nn::rng::SmallRng;
-use cpsmon_sim::engine::ClosedLoop;
-use cpsmon_sim::faults::{ChannelFault, FaultModel, FaultPlan, SensorChannel};
-use cpsmon_sim::glucosym::GlucosymPatient;
-use cpsmon_sim::meal::MealSchedule;
-use cpsmon_sim::openaps::OpenApsController;
-use cpsmon_sim::patient::PatientModel;
-use cpsmon_sim::pump::InsulinPump;
-use cpsmon_sim::sensor::Cgm;
-use cpsmon_sim::trace::{SimTrace, StepRecord};
-use cpsmon_sim::{
-    available_backends, CampaignConfig, Cohort, CohortEngine, CohortMember, FaultedCohortObserver,
-    SimulatorKind,
-};
+use cpsmon_sim::trace::{traces_bit_identical, SimTrace};
+use cpsmon_sim::{available_backends, CampaignConfig, Cohort, PatientModel, SimulatorKind};
 use proptest::prelude::*;
 
-/// Bitwise trace comparison — stricter than `PartialEq` (`-0.0 != 0.0`).
-fn traces_bit_identical(batched: &[SimTrace], scalar: &[SimTrace]) -> Result<(), String> {
-    if batched.len() != scalar.len() {
-        return Err(format!("{} vs {} traces", batched.len(), scalar.len()));
-    }
-    for (b, s) in batched.iter().zip(scalar) {
-        if (b.simulator, b.controller, b.patient_id, b.run_id, b.fault)
-            != (s.simulator, s.controller, s.patient_id, s.run_id, s.fault)
-        {
-            return Err(format!(
-                "metadata mismatch: patient {} run {}",
-                s.patient_id, s.run_id
-            ));
-        }
-        if b.len() != s.len() {
-            return Err(format!(
-                "patient {} run {}: {} vs {} records",
-                s.patient_id,
-                s.run_id,
-                b.len(),
-                s.len()
-            ));
-        }
-        for (t, (rb, rs)) in b.records().iter().zip(s.records()).enumerate() {
-            let pairs = [
-                ("bg_true", rb.bg_true, rs.bg_true),
-                ("bg_sensor", rb.bg_sensor, rs.bg_sensor),
-                ("iob", rb.iob, rs.iob),
-                ("commanded_rate", rb.commanded_rate, rs.commanded_rate),
-                ("delivered_rate", rb.delivered_rate, rs.delivered_rate),
-                ("carbs", rb.carbs, rs.carbs),
-            ];
-            for (name, vb, vs) in pairs {
-                if vb.to_bits() != vs.to_bits() {
-                    return Err(format!(
-                        "patient {} run {} step {t} field {name}: {vb} != {vs}",
-                        s.patient_id, s.run_id
-                    ));
-                }
-            }
-        }
-    }
-    Ok(())
+/// Every member of a `patients × runs` campaign, rebuilt as its own
+/// closed loop, in campaign order.
+fn member_runs(cfg: &CampaignConfig, patients: usize, runs: usize) -> Vec<SimTrace> {
+    (0..patients)
+        .flat_map(|p| (0..runs).map(move |r| cfg.member(p, r).run()))
+        .collect()
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Any Glucosym campaign shape: batched == scalar, bit for bit.
+    /// Any Glucosym campaign shape: the cohort engine == each member's
+    /// closed loop, bit for bit.
     #[test]
     fn glucosym_campaign_batched_is_bit_identical(
         patients in 1usize..4,
@@ -85,10 +37,12 @@ proptest! {
             .steps(steps)
             .fault_ratio(f64::from(fault_pct) / 10.0)
             .seed(seed);
-        prop_assert!(traces_bit_identical(&cfg.run_batched(), &cfg.run()).is_ok());
+        let members = member_runs(&cfg, patients, runs);
+        prop_assert!(traces_bit_identical(&cfg.run(), &members).is_ok());
     }
 
-    /// Any T1DS2013 campaign shape: batched == scalar, bit for bit.
+    /// Any T1DS2013 campaign shape: the cohort engine == each member's
+    /// closed loop, bit for bit.
     /// (Smaller shapes — per-patient basal calibration dominates.)
     #[test]
     fn t1ds_campaign_batched_is_bit_identical(
@@ -104,7 +58,8 @@ proptest! {
             .steps(steps)
             .fault_ratio(f64::from(fault_pct) / 10.0)
             .seed(seed);
-        prop_assert!(traces_bit_identical(&cfg.run_batched(), &cfg.run()).is_ok());
+        let members = member_runs(&cfg, patients, runs);
+        prop_assert!(traces_bit_identical(&cfg.run(), &members).is_ok());
     }
 
     /// Every available SIMD backend agrees with the batched-scalar kernel
@@ -134,99 +89,6 @@ proptest! {
                 backend.label(),
                 traces_bit_identical(&traces, &reference)
             );
-        }
-    }
-
-    /// Ragged dropout: members with different horizons each reproduce
-    /// their own standalone closed-loop run exactly, under every backend.
-    #[test]
-    fn ragged_horizons_are_bit_identical(
-        horizons in proptest::collection::vec(1usize..40, 1..10),
-        seed in 0u64..1000,
-    ) {
-        let mut scalar = Vec::new();
-        let make_engine = || {
-            let mut engine = CohortEngine::new(SimulatorKind::Glucosym);
-            for (i, &h) in horizons.iter().enumerate() {
-                let patient = GlucosymPatient::from_profile(i % 20, seed);
-                let mut rng = SmallRng::new(seed).fork(i as u64);
-                let meals = MealSchedule::generate(h, &mut rng);
-                let cgm = Cgm::typical(rng.fork(1));
-                engine.push(
-                    patient,
-                    CohortMember {
-                        patient_id: i,
-                        run_id: 0,
-                        cgm,
-                        pump: InsulinPump::healthy(),
-                        meals,
-                        steps: h,
-                    },
-                );
-            }
-            engine
-        };
-        for (i, &h) in horizons.iter().enumerate() {
-            let patient = GlucosymPatient::from_profile(i % 20, seed);
-            let mut rng = SmallRng::new(seed).fork(i as u64);
-            let meals = MealSchedule::generate(h, &mut rng);
-            let cgm = Cgm::typical(rng.fork(1));
-            scalar.push(
-                ClosedLoop::new(patient, OpenApsController::new(), InsulinPump::healthy(), cgm, meals)
-                    .run(h, "glucosym", i, 0),
-            );
-        }
-        for backend in available_backends() {
-            let traces = make_engine().with_backend(backend).run();
-            prop_assert!(
-                traces_bit_identical(&traces, &scalar).is_ok(),
-                "backend {} diverged: {:?}",
-                backend.label(),
-                traces_bit_identical(&traces, &scalar)
-            );
-        }
-    }
-
-    /// Live sensor-fault injection: a monitor behind
-    /// [`FaultedCohortObserver`] sees, per member, exactly the records a
-    /// per-trace injector would produce over the scalar run.
-    #[test]
-    fn live_fault_injection_matches_scalar(
-        steps in 8usize..32,
-        seed in 0u64..1000,
-        plan_seed in 0u64..1000,
-        bias in -20.0f64..20.0,
-        drift in 0.0f64..2.0,
-    ) {
-        let cfg = CampaignConfig::new(SimulatorKind::Glucosym)
-            .patients(2)
-            .runs_per_patient(2)
-            .steps(steps)
-            .fault_ratio(0.5)
-            .seed(seed);
-        let plan = FaultPlan::new(plan_seed)
-            .with(ChannelFault::new(
-                SensorChannel::BgSensor,
-                FaultModel::Bias { offset: bias },
-                1,
-                steps / 2,
-            ))
-            .with(ChannelFault::new(
-                SensorChannel::Iob,
-                FaultModel::Drift { rate: drift },
-                2,
-                steps,
-            ));
-        let engine = CohortEngine::from_campaign(&cfg);
-        let mut batched: Vec<Vec<StepRecord>> = vec![Vec::new(); engine.len()];
-        {
-            let mut sink = |m: usize, _s: usize, r: &StepRecord| batched[m].push(*r);
-            let mut faulted = FaultedCohortObserver::for_engine(&plan, &engine, &mut sink);
-            engine.run_observed(&mut faulted);
-        }
-        for (m, trace) in cfg.run().iter().enumerate() {
-            let injected = plan.inject(trace);
-            prop_assert_eq!(&batched[m], injected.records(), "member {}", m);
         }
     }
 
