@@ -112,6 +112,9 @@ fn bench_inference(c: &mut Criterion) {
     let lstm = paper_lstm();
     c.bench_function("mlp_predict_128", |b| b.iter(|| mlp.predict_labels(&x)));
     c.bench_function("lstm_predict_128", |b| b.iter(|| lstm.predict_labels(&x)));
+    // One serve tick's batch: about 246 ready windows per shard tick.
+    let (tick, _) = batch(256, 6);
+    c.bench_function("mlp_predict_256", |b| b.iter(|| mlp.predict_proba(&tick)));
 }
 
 fn bench_attacks(c: &mut Criterion) {
@@ -184,6 +187,14 @@ fn bench_kernels(c: &mut Criterion) {
             b.iter(|| h.matmul_acc(&wh, &mut z))
         });
     }
+    // The MLP's 2-class head on a tick-sized batch: only two output
+    // columns, so the whole product runs in the GEMM's column tail.
+    let head = paper_mlp().layers()[2].clone();
+    let h = random_normal(256, 128, 1.0, &mut rng);
+    let mut logits = Matrix::zeros(256, 2);
+    c.bench_function("dense_head_256x128_128x2", |b| {
+        b.iter(|| head.forward_into(&h, &mut logits))
+    });
 }
 
 fn bench_sweep(c: &mut Criterion) {

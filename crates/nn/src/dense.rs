@@ -1,14 +1,16 @@
 //! Fully connected (dense) layers.
 
 use crate::init::he_uniform;
-use crate::matrix::Matrix;
+use crate::matrix::{seed_rows, Matrix};
 use crate::rng::SmallRng;
+use crate::weights::Weights;
 
 /// A fully connected layer computing `z = x·W + b` (no activation — the
 /// caller applies ReLU/softmax so that backward passes can compose cleanly).
+/// `W` keeps its GEMM panel layout once a product has needed it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Dense {
-    w: Matrix,
+    w: Weights,
     b: Matrix,
 }
 
@@ -16,7 +18,7 @@ impl Dense {
     /// Creates a layer with He-uniform weights and zero bias.
     pub fn new(input_dim: usize, output_dim: usize, rng: &mut SmallRng) -> Self {
         Self {
-            w: he_uniform(input_dim, output_dim, rng),
+            w: Weights::new(he_uniform(input_dim, output_dim, rng)),
             b: Matrix::zeros(1, output_dim),
         }
     }
@@ -35,27 +37,30 @@ impl Dense {
                 w.cols()
             ));
         }
-        Ok(Self { w, b })
+        Ok(Self {
+            w: Weights::new(w),
+            b,
+        })
     }
 
     /// Input width.
     pub fn input_dim(&self) -> usize {
-        self.w.rows()
+        self.weights().rows()
     }
 
     /// Output width.
     pub fn output_dim(&self) -> usize {
-        self.w.cols()
+        self.weights().cols()
     }
 
     /// Number of trainable scalars.
     pub fn param_count(&self) -> usize {
-        self.w.len() + self.b.len()
+        self.weights().len() + self.b.len()
     }
 
     /// Borrow of the weight matrix.
     pub fn weights(&self) -> &Matrix {
-        &self.w
+        self.w.matrix()
     }
 
     /// Borrow of the bias row.
@@ -63,14 +68,17 @@ impl Dense {
         &self.b
     }
 
-    /// Forward pass: `z = x·W + b`, computed by the fused
-    /// [`Matrix::matmul_add_bias`] kernel (one pass over `z`).
+    /// Forward pass: `z = x·W + b` in one pass over `z`, each element the
+    /// bias followed by the ascending-`k` multiply-adds of `x·W` (the bits
+    /// of [`Matrix::matmul_add_bias`]).
     ///
     /// # Panics
     ///
     /// Panics if `x.cols() != input_dim`.
     pub fn forward(&self, x: &Matrix) -> Matrix {
-        x.matmul_add_bias(&self.w, &self.b)
+        let mut out = Matrix::zeros(x.rows(), self.output_dim());
+        self.forward_into(x, &mut out);
+        out
     }
 
     /// [`forward`](Self::forward) writing into a caller-owned scratch buffer
@@ -80,7 +88,16 @@ impl Dense {
     ///
     /// Panics on any shape mismatch.
     pub fn forward_into(&self, x: &Matrix, out: &mut Matrix) {
-        x.matmul_add_bias_into(&self.w, &self.b, out);
+        assert_eq!(x.cols(), self.input_dim(), "dense input width mismatch");
+        assert_eq!(out.shape(), (x.rows(), self.output_dim()), "output shape");
+        self.forward_rows(x.as_slice(), x.rows(), out.as_mut_slice());
+    }
+
+    /// [`forward_into`](Self::forward_into) on row-major slices: `x` is
+    /// `rows × input_dim`, `out` is `rows × output_dim`.
+    pub(crate) fn forward_rows(&self, x: &[f64], rows: usize, out: &mut [f64]) {
+        seed_rows(out, self.b.as_slice());
+        self.w.gemm_acc(x, rows, out);
     }
 
     /// Backward pass given the upstream gradient `dz` and the cached input
@@ -101,14 +118,14 @@ impl Dense {
         assert_eq!(x.rows(), dz.rows(), "batch size mismatch");
         let dw = x.transpose_matmul(dz);
         let db = dz.sum_rows();
-        let dx = input_grad.then(|| dz.matmul_tb(&self.w));
+        let dx = input_grad.then(|| dz.matmul_tb(self.weights()));
         ([dw, db], dx)
     }
 
     /// The trainable tensors `[W, b]`, in the order of the gradients
     /// [`backward`](Self::backward) returns.
     pub(crate) fn params_mut(&mut self) -> [&mut Matrix; 2] {
-        [&mut self.w, &mut self.b]
+        [self.w.get_mut(), &mut self.b]
     }
 }
 
@@ -153,9 +170,9 @@ mod tests {
         let h = 1e-5;
         for r in 0..3 {
             for c in 0..2 {
-                let mut wp = layer.w.clone();
+                let mut wp = layer.weights().clone();
                 wp.set(r, c, wp.get(r, c) + h);
-                let mut wm = layer.w.clone();
+                let mut wm = layer.weights().clone();
                 wm.set(r, c, wm.get(r, c) - h);
                 let lp = Dense::from_params(wp, layer.b.clone()).unwrap();
                 let lm = Dense::from_params(wm, layer.b.clone()).unwrap();

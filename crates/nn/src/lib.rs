@@ -72,6 +72,7 @@ pub mod rng;
 pub mod serialize;
 pub mod simd;
 mod spare;
+mod weights;
 
 pub use adam::AdamTrainer;
 pub use dense::Dense;

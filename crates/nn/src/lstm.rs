@@ -11,6 +11,7 @@ use crate::recurrent_net::RecurrentCell;
 use crate::rng::SmallRng;
 use crate::simd::{self, PackedB};
 use crate::spare;
+use crate::weights::Weights;
 
 /// Reusable buffers for [`Lstm::forward_only_into`]: the fused-gate
 /// pre-activation `z`, the running cell state `c`, and the zero initial
@@ -54,11 +55,12 @@ pub(crate) fn step_state(z: &[f64], c: &mut [f64], h: &mut [f64], h_dim: usize) 
     }
 }
 
-/// One LSTM layer (`input_dim → hidden_dim`).
+/// One LSTM layer (`input_dim → hidden_dim`). `Wx` and `Wh` keep their
+/// GEMM panel layout once a product has needed it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Lstm {
-    wx: Matrix,
-    wh: Matrix,
+    wx: Weights,
+    wh: Weights,
     b: Matrix,
     input_dim: usize,
     hidden_dim: usize,
@@ -203,55 +205,21 @@ impl Lstm {
         self.hidden_dim
     }
 
-    /// `Wx` and `Wh` packed once for a pass of `rows`-row products, or
-    /// `None` when the pass reads them in place (it does not
-    /// [`simd::packs`]).
-    pub(crate) fn packed_weights(&self, rows: usize) -> Option<[PackedB; 2]> {
-        if !simd::packs(rows) {
-            return None;
-        }
-        let g4 = 4 * self.hidden_dim;
-        let mut wx = PackedB::default();
-        wx.pack(self.wx.as_slice(), self.input_dim, g4, rows);
-        let mut wh = PackedB::default();
-        wh.pack(self.wh.as_slice(), self.hidden_dim, g4, rows);
-        Some([wx, wh])
-    }
-
     /// The gate pre-activation `z = b + x·Wx + h·Wh` of `rows` rows (`x` is
-    /// `rows × input`, `h` is `rows × hidden`, `z` is `rows × 4·hidden`),
-    /// through the pass's packed weights when it has them. Either way each
-    /// element is the bias followed by the ascending-`k` multiply-adds of
-    /// `x·Wx`, then those of `h·Wh`.
-    fn gates(
-        &self,
-        x: &[f64],
-        h: &[f64],
-        rows: usize,
-        packed: Option<&[PackedB; 2]>,
-        z: &mut [f64],
-    ) {
+    /// `rows × input`, `h` is `rows × hidden`, `z` is `rows × 4·hidden`):
+    /// each element is the bias followed by the ascending-`k` multiply-adds
+    /// of `x·Wx`, then those of `h·Wh` (see [`Weights::gemm_acc`]).
+    fn gates(&self, x: &[f64], h: &[f64], rows: usize, z: &mut [f64]) {
         seed_rows(z, self.b.as_slice());
-        match packed {
-            Some([wx, wh]) => {
-                simd::gemm_acc_packed(x, rows, wx, z);
-                simd::gemm_acc_packed(h, rows, wh, z);
-            }
-            None => {
-                let g4 = 4 * self.hidden_dim;
-                simd::gemm_acc(x, rows, self.input_dim, self.wx.as_slice(), g4, z);
-                simd::gemm_acc(h, rows, self.hidden_dim, self.wh.as_slice(), g4, z);
-            }
-        }
+        self.wx.gemm_acc(x, rows, z);
+        self.wh.gemm_acc(h, rows, z);
     }
 
     /// [`RecurrentCell::forward_only`] writing the per-step hidden
     /// states into caller-owned buffers. `hs` is resized to `xs.len()`
     /// matrices of shape `N × hidden`; with a warm `scratch` and correctly
     /// sized `hs` no allocation occurs — the per-step latency path for
-    /// streaming monitor sessions. A pass of at least
-    /// [`simd::PACK_MIN_M`] rows packs `Wx` and `Wh` once for all its
-    /// timesteps.
+    /// streaming monitor sessions.
     ///
     /// # Panics
     ///
@@ -271,14 +239,13 @@ impl Lstm {
         scratch.c.map_inplace(|_| 0.0);
         scratch.h0.reset_shape(n, h_dim);
         scratch.h0.map_inplace(|_| 0.0);
-        let weights = self.packed_weights(n);
         for (t, x) in xs.iter().enumerate() {
             assert_eq!(x.cols(), self.input_dim, "timestep width mismatch");
             assert_eq!(x.rows(), n, "timestep batch-size mismatch");
             let (done, todo) = hs.split_at_mut(t);
             let h_prev = if t == 0 { &scratch.h0 } else { &done[t - 1] };
             let z = scratch.z.as_mut_slice();
-            self.gates(x.as_slice(), h_prev.as_slice(), n, weights.as_ref(), z);
+            self.gates(x.as_slice(), h_prev.as_slice(), n, z);
             let h_t = &mut todo[0];
             h_t.reset_shape(n, h_dim);
             step_state(
@@ -311,34 +278,21 @@ impl Lstm {
         assert_eq!(h.shape(), (n, self.hidden_dim), "hidden state shape");
         assert_eq!(c.shape(), (n, self.hidden_dim), "cell state shape");
         z.reset_shape(n, 4 * self.hidden_dim);
-        self.step_slices(
-            x.as_slice(),
-            h.as_mut_slice(),
-            c.as_mut_slice(),
-            z.as_mut_slice(),
-            None,
-        );
+        let z = z.as_mut_slice();
+        self.step_slices(x.as_slice(), h.as_mut_slice(), c.as_mut_slice(), z);
     }
 
     /// [`step_rows`](Self::step_rows) on row-major slices, the form each
     /// row chunk of the pooled stateful step takes: `x` is
     /// `rows × input_dim`, `h` and `c` are `rows × hidden`, and `z` is a
-    /// `rows × 4·hidden` scratch fully overwritten here. `packed` holds
-    /// the weights when the tick packed them for all its chunks.
+    /// `rows × 4·hidden` scratch fully overwritten here.
     ///
     /// # Panics
     ///
     /// Panics on any shape mismatch.
-    pub(crate) fn step_slices(
-        &self,
-        x: &[f64],
-        h: &mut [f64],
-        c: &mut [f64],
-        z: &mut [f64],
-        packed: Option<&[PackedB; 2]>,
-    ) {
+    pub(crate) fn step_slices(&self, x: &[f64], h: &mut [f64], c: &mut [f64], z: &mut [f64]) {
         let rows = h.len() / self.hidden_dim;
-        self.gates(x, h, rows, packed, z);
+        self.gates(x, h, rows, z);
         step_state(z, c, h, self.hidden_dim);
     }
 
@@ -365,8 +319,8 @@ impl Lstm {
         let (i_dim, h_dim) = (self.input_dim, self.hidden_dim);
         let g4 = 4 * h_dim;
         let (nx, nh) = (n * i_dim, n * h_dim);
-        let wx_t = input_grads.then(|| packed_transpose(&self.wx, n));
-        let wh_t = packed_transpose(&self.wh, n);
+        let wx_t = input_grads.then(|| packed_transpose(self.wx(), n));
+        let wh_t = packed_transpose(self.wh(), n);
         let mut grads = weight_grads.then(|| {
             [
                 Matrix::zeros(i_dim, g4),
@@ -430,12 +384,12 @@ impl Lstm {
 
     /// Input-to-hidden weights (`input_dim × 4·hidden`).
     pub fn wx(&self) -> &Matrix {
-        &self.wx
+        self.wx.matrix()
     }
 
     /// Hidden-to-hidden weights (`hidden × 4·hidden`).
     pub fn wh(&self) -> &Matrix {
-        &self.wh
+        self.wh.matrix()
     }
 
     /// Fused gate bias (`1 × 4·hidden`).
@@ -446,13 +400,15 @@ impl Lstm {
     /// Test-only access to mutate a weight (used by finite-difference checks).
     #[doc(hidden)]
     pub fn perturb_wx(&mut self, r: usize, c: usize, delta: f64) {
-        self.wx.set(r, c, self.wx.get(r, c) + delta);
+        let wx = self.wx.get_mut();
+        wx.set(r, c, wx.get(r, c) + delta);
     }
 
     /// Test-only access to mutate a recurrent weight.
     #[doc(hidden)]
     pub fn perturb_wh(&mut self, r: usize, c: usize, delta: f64) {
-        self.wh.set(r, c, self.wh.get(r, c) + delta);
+        let wh = self.wh.get_mut();
+        wh.set(r, c, wh.get(r, c) + delta);
     }
 }
 
@@ -469,8 +425,8 @@ impl RecurrentCell for Lstm {
             b.set(0, c, 1.0);
         }
         Self {
-            wx: xavier_uniform(input_dim, 4 * hidden_dim, rng),
-            wh: xavier_uniform(hidden_dim, 4 * hidden_dim, rng),
+            wx: Weights::new(xavier_uniform(input_dim, 4 * hidden_dim, rng)),
+            wh: Weights::new(xavier_uniform(hidden_dim, 4 * hidden_dim, rng)),
             b,
             input_dim,
             hidden_dim,
@@ -500,8 +456,8 @@ impl RecurrentCell for Lstm {
             ));
         }
         Ok(Self {
-            wx,
-            wh,
+            wx: Weights::new(wx),
+            wh: Weights::new(wh),
             b,
             input_dim,
             hidden_dim,
@@ -517,8 +473,8 @@ impl RecurrentCell for Lstm {
     }
 
     /// Per timestep: the gate pre-activation `z = x·Wx + b + h·Wh` (the
-    /// same GEMMs as [`Lstm::forward_only_into`], against weights packed
-    /// once for the pass), then one gate pass per row
+    /// same GEMMs as [`Lstm::forward_only_into`]), then one gate pass per
+    /// row
     /// (`simd::lstm_step_row_cached`) that advances `c` and `h` with
     /// [`simd::lstm_step_row`]'s per-element operations and writes the
     /// gates and `tanh(c)` into the cache.
@@ -543,13 +499,12 @@ impl RecurrentCell for Lstm {
         cache.cs[..nh].fill(0.0);
         // One fused-gate scratch buffer reused across all timesteps.
         let mut z = spare::take(ng);
-        let weights = self.packed_weights(n);
         for (t, x) in xs.iter().enumerate() {
             assert_eq!(x.cols(), i_dim, "timestep width mismatch");
             assert_eq!(x.rows(), n, "timestep batch-size mismatch");
             cache.xs[t * nx..(t + 1) * nx].copy_from_slice(x.as_slice());
             let (h_prev, h) = cache.hs[t * nh..(t + 2) * nh].split_at_mut(nh);
-            self.gates(x.as_slice(), h_prev, n, weights.as_ref(), &mut z);
+            self.gates(x.as_slice(), h_prev, n, &mut z);
             let (c_prev, c) = cache.cs[t * nh..(t + 2) * nh].split_at_mut(nh);
             c.copy_from_slice(c_prev);
             let rows = z
@@ -596,11 +551,11 @@ impl RecurrentCell for Lstm {
     }
 
     fn params(&self) -> Vec<&Matrix> {
-        vec![&self.wx, &self.wh, &self.b]
+        vec![self.wx.matrix(), self.wh.matrix(), &self.b]
     }
 
     fn params_mut(&mut self) -> Vec<&mut Matrix> {
-        vec![&mut self.wx, &mut self.wh, &mut self.b]
+        vec![self.wx.get_mut(), self.wh.get_mut(), &mut self.b]
     }
 }
 

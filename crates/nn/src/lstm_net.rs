@@ -14,7 +14,7 @@ use crate::lstm::{step_state, Lstm, LstmScratch};
 use crate::matrix::{seed_rows, Matrix};
 use crate::par;
 use crate::recurrent_net::{RecurrentConfig, RecurrentNet};
-use crate::simd::{self, PackedB};
+use crate::simd;
 
 /// The stacked-LSTM softmax classifier over fixed-length windows.
 pub type LstmNet = RecurrentNet<Lstm>;
@@ -117,14 +117,11 @@ impl LstmNet {
 /// each step. A step cuts `h`, `c`, `z`, `probs` and the f32 scratch into
 /// [`par::STEP_CHUNK`]-row views and runs each chunk's whole layer stack as
 /// one [`par::for_each_part`] work item, so the buffers stay here and are
-/// split, not reallocated. A step of at least [`simd::PACK_MIN_M`] rows
-/// first packs every layer's `Wx` and `Wh` once into the calling thread's
-/// pack buffers, and every chunk reads those read-only panels. After the
-/// first tick at a given row count a step allocates only what the fan-out
-/// itself needs: the list of per-chunk views (plus one small vector of
-/// layer views per chunk, and the list of per-layer packed weights) and,
-/// when there are several chunks and several threads, the scoped worker
-/// spawn.
+/// split, not reallocated. Every chunk reads each layer's `Wx` and `Wh` as
+/// the panels the layer caches. After the first tick at a given row count
+/// a step allocates only what the fan-out itself needs: the list of
+/// per-chunk views (plus one small vector of layer views per chunk) and,
+/// when there are several chunks and several threads, the fan-out's job.
 #[derive(Debug, Clone)]
 pub struct LstmStreamState {
     h: Vec<Matrix>,
@@ -319,12 +316,11 @@ impl LstmNet {
     /// emitted from the very first record (zero initial state).
     ///
     /// The batch runs in [`par::STEP_CHUNK`]-row chunks, each chunk's whole
-    /// layer stack one `par` work item. A batch of at least
-    /// [`simd::PACK_MIN_M`] rows first packs each layer's weights once,
-    /// and every chunk reads those panels. Every kernel invoked here is
-    /// row-wise with a fixed per-element operation sequence, so row `r`'s
-    /// outputs are bit-identical whether stepped alone or batched with any
-    /// other sessions, on any number of threads — the pooled engine's core
+    /// layer stack one `par` work item reading the layers' cached weight
+    /// panels. Every kernel invoked here is row-wise with a fixed
+    /// per-element operation sequence, so row `r`'s outputs are
+    /// bit-identical whether stepped alone or batched with any other
+    /// sessions, on any number of threads — the pooled engine's core
     /// invariant.
     ///
     /// # Panics
@@ -337,21 +333,15 @@ impl LstmNet {
         assert_eq!(state.h.len(), self.cells.len(), "state layer mismatch");
         let widest = self.cells.iter().map(Lstm::hidden_dim).max();
         let gate_width = 4 * widest.expect("at least one layer");
-        let weights: Vec<_> = self
-            .cells
-            .iter()
-            .map(|lstm| lstm.packed_weights(x.rows()))
-            .collect();
         state.step_chunks(x, gate_width, self.head.output_dim(), 0, |chunk| {
-            self.step_chunk(chunk, &weights);
+            self.step_chunk(chunk);
         })
     }
 
     /// One row chunk of [`step_stream`](Self::step_stream): per layer the
-    /// fused gate GEMM pair (`x·Wx + b`, then `h·Wh` into the same `z`,
-    /// through the tick's packed weights when it has them) and
+    /// fused gate GEMM pair (`x·Wx + b`, then `h·Wh` into the same `z`) and
     /// `lstm_step_row`, then the head GEMM and softmax.
-    fn step_chunk(&self, chunk: StepChunk<'_>, weights: &[Option<[PackedB; 2]>]) {
+    fn step_chunk(&self, chunk: StepChunk<'_>) {
         let StepChunk {
             x,
             mut layers,
@@ -365,19 +355,11 @@ impl LstmNet {
             let input: &[f64] = done.last().map_or(x, |(h, _)| &**h);
             let (h, c) = &mut todo[0];
             let z = &mut z[..rows * 4 * lstm.hidden_dim()];
-            lstm.step_slices(input, h, c, z, weights[i].as_ref());
+            lstm.step_slices(input, h, c, z);
         }
         let (last_h, _) = layers.last().expect("at least one layer");
+        self.head.forward_rows(last_h, rows, probs);
         let classes = self.head.output_dim();
-        seed_rows(probs, self.head.bias().as_slice());
-        simd::gemm_acc(
-            last_h,
-            rows,
-            self.head.input_dim(),
-            self.head.weights().as_slice(),
-            classes,
-            probs,
-        );
         probs.chunks_exact_mut(classes).for_each(simd::softmax_row);
     }
 }

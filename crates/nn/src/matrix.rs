@@ -20,6 +20,12 @@ thread_local! {
     static PACK_SCRATCH: std::cell::RefCell<Vec<f64>> = const { std::cell::RefCell::new(Vec::new()) };
 }
 
+/// Frees this thread's transpose-pack buffer (see [`crate::par`]'s
+/// workers).
+pub(crate) fn free_pack_scratch() {
+    let _ = PACK_SCRATCH.try_with(|cell| std::mem::take(&mut *cell.borrow_mut()));
+}
+
 /// Writes the transpose of the row-major `rows × cols` matrix `src` into
 /// `dst` (`cols × rows`, row-major).
 ///

@@ -22,7 +22,7 @@ use crate::spare;
 ///
 /// `Sync` is a supertrait so that attack crafting and robustness sweeps can
 /// share one model across the data-parallel workers of [`crate::par`]
-/// (`&dyn GradModel` must cross scoped-thread boundaries).
+/// (`&dyn GradModel` must cross thread boundaries).
 pub trait GradModel: Sync {
     /// Number of output classes.
     fn classes(&self) -> usize;

@@ -1,5 +1,5 @@
-//! Data-parallel execution layer: deterministic row-chunked fan-out on
-//! `std::thread::scope`, with zero external dependencies.
+//! Data-parallel execution layer: deterministic row-chunked fan-out over a
+//! pool of persistent worker threads, with zero external dependencies.
 //!
 //! # Determinism contract
 //!
@@ -39,15 +39,36 @@
 //! (robustness sweeps) composes with batch-level parallelism (chunked
 //! prediction) without oversubscription.
 //!
-//! A fan-out over `t` threads spawns `t − 1` scoped workers and runs the
-//! remaining worker share on the calling thread, which counts as a worker
-//! (nested fan-outs inline) until its share returns or unwinds.
+//! # Workers
+//!
+//! A fan-out over `t` threads is one job of `t` shares. It runs on the
+//! calling thread and on up to `t − 1` of the pool's workers: threads
+//! spawned the first time a fan-out needs that many and parked between
+//! fan-outs, so a fan-out wakes threads instead of spawning them. The
+//! caller queues its job, wakes workers, and then itself runs every share
+//! that no worker has claimed, so it never waits for a worker that is busy
+//! elsewhere; it returns once every share a worker claimed has finished.
+//! Several threads may fan out at once: they share the workers, and none
+//! waits on another's job. While the caller runs a share it counts as a
+//! worker (nested fan-outs inline) until the share returns or unwinds. A
+//! panicking share re-raises on the caller, after every other claimed
+//! share has finished; the worker that ran it lives on.
+//!
+//! After each job a worker frees its thread-local GEMM scratch (pack
+//! buffers and transpose buffer), as the short-lived threads it replaced
+//! did on exit: kept across idle periods, those buffers pinned freed
+//! memory in the worker's malloc arena. Between fan-outs a worker holds
+//! its stack and whatever free memory its arena keeps.
 
 use crate::matrix::Matrix;
+use std::any::Any;
 use std::cell::Cell;
+use std::collections::VecDeque;
 use std::ops::Range;
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
+use std::thread::{self, Thread};
 
 /// Rows per chunk for parallel prediction (forward passes are
 /// row-independent, so this affects scheduling granularity only).
@@ -61,10 +82,10 @@ pub const GRAD_CHUNK: usize = 64;
 /// ([`LstmNet::step_stream`](crate::LstmNet::step_stream) and
 /// [`LstmNetF32::step_stream`](crate::LstmNetF32::step_stream)): each chunk
 /// runs its whole layer stack as one work item. The step is row-independent,
-/// so this affects scheduling granularity only. A tick packs each layer's
-/// weights once and every chunk reads the same panels, so the chunk size
-/// does not change how much packing a tick does; 256 rows gives a
-/// 1000-session tick four work items.
+/// so this affects scheduling granularity only. Every chunk reads the
+/// panels each layer caches, so the chunk size does not change how much
+/// packing a tick does; 256 rows gives a 1000-session tick four work
+/// items.
 pub const STEP_CHUNK: usize = 256;
 
 thread_local! {
@@ -111,25 +132,199 @@ impl Drop for WorkerMark {
     }
 }
 
-/// Runs `share` on `threads` threads at once — `threads − 1` scoped
-/// workers plus the calling thread — and returns every share's result,
-/// re-raising a worker's panic.
-fn fan_out<R: Send>(threads: usize, share: impl Fn() -> R + Sync) -> Vec<R> {
-    let share = &share;
-    let run = move || {
+/// A panic payload, as `catch_unwind` returns it.
+type Panic = Box<dyn Any + Send>;
+
+/// One fan-out as the workers see it: `shares` calls of `task`, each
+/// claimed once by index.
+struct Job {
+    /// The fan-out's share body, lent by [`Job::lend`].
+    task: *const (dyn Fn() + Sync),
+    shares: usize,
+    claimed: AtomicUsize,
+    finished: AtomicUsize,
+    /// The first panic of a share a worker ran.
+    panic: Mutex<Option<Panic>>,
+    /// The fan-out's calling thread, unparked when a worker finishes the
+    /// last share.
+    caller: Thread,
+}
+
+// SAFETY: `task` is the only field that is not `Send + Sync` by itself. It
+// points at a `Sync` closure, so calling it from any thread is sound while
+// the closure lives, and `Job::lend` states why it lives for every call.
+unsafe impl Send for Job {}
+unsafe impl Sync for Job {}
+
+impl Job {
+    /// A job of `shares` calls of `task`, posted by the calling thread.
+    ///
+    /// # Safety
+    ///
+    /// This erases `task`'s lifetime so that workers can hold the job, and
+    /// it is sound only as [`fan_out`] uses it. Workers call `task` only
+    /// for a share they claimed ([`Job::claim`]), and finish each such
+    /// share before the count `finished` includes it. `fan_out` claims
+    /// every share it finds unclaimed, so once its claim loop ends no share
+    /// is left to claim, and it then waits until `finished` counts all
+    /// `shares` before it returns or re-raises a panic, since every share
+    /// runs under `catch_unwind`. So no call of `task` starts after the
+    /// borrow ends. The job itself may outlive the borrow, in the queue or
+    /// in a worker's hands, but then only its counters are read.
+    unsafe fn lend<'a>(task: &'a (dyn Fn() + Sync + 'a), shares: usize) -> Arc<Self> {
+        type Lent<'a> = *const (dyn Fn() + Sync + 'a);
+        Arc::new(Self {
+            task: std::mem::transmute::<Lent<'a>, Lent<'static>>(task),
+            shares,
+            claimed: AtomicUsize::new(0),
+            finished: AtomicUsize::new(0),
+            panic: Mutex::new(None),
+            caller: thread::current(),
+        })
+    }
+
+    /// Claims the next share, if one is left.
+    fn claim(&self) -> bool {
+        self.claimed.fetch_add(1, Ordering::Relaxed) < self.shares
+    }
+
+    /// Whether every share has been claimed.
+    fn exhausted(&self) -> bool {
+        self.claimed.load(Ordering::Relaxed) >= self.shares
+    }
+
+    /// A worker's part: runs shares while one is left to claim, keeping
+    /// the first panic for the caller.
+    fn run_shares(&self) {
+        while self.claim() {
+            // SAFETY: the share is claimed and not yet counted finished, so
+            // the task is alive (see `Job::lend`).
+            let task = unsafe { &*self.task };
+            if let Err(p) = panic::catch_unwind(AssertUnwindSafe(task)) {
+                let mut first = self.panic.lock().unwrap_or_else(PoisonError::into_inner);
+                first.get_or_insert(p);
+            }
+            if self.finished.fetch_add(1, Ordering::AcqRel) + 1 == self.shares {
+                self.caller.unpark();
+            }
+        }
+    }
+}
+
+/// The shared worker pool: a queue of jobs with unclaimed shares and the
+/// number of workers spawned so far.
+struct Pool {
+    queue: Mutex<Queue>,
+    /// Signalled when a job is queued; idle workers wait on it.
+    posted: Condvar,
+}
+
+struct Queue {
+    jobs: VecDeque<Arc<Job>>,
+    workers: usize,
+}
+
+static POOL: Pool = Pool {
+    queue: Mutex::new(Queue {
+        jobs: VecDeque::new(),
+        workers: 0,
+    }),
+    posted: Condvar::new(),
+};
+
+impl Pool {
+    fn lock(&self) -> MutexGuard<'_, Queue> {
+        // Nothing panics while the lock is held, but a poisoned queue is
+        // still consistent.
+        self.queue.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Queues `job` and wakes up to `helpers` workers, first spawning
+    /// workers until the pool has `helpers` of them. A worker that cannot
+    /// be spawned is not waited for: the caller runs its shares.
+    fn post(&self, job: &Arc<Job>, helpers: usize) {
+        let mut queue = self.lock();
+        while queue.workers < helpers {
+            let name = format!("cpsmon-par-{}", queue.workers);
+            if thread::Builder::new()
+                .name(name)
+                .spawn(|| POOL.work())
+                .is_err()
+            {
+                break;
+            }
+            queue.workers += 1;
+        }
+        queue.jobs.push_back(Arc::clone(job));
+        drop(queue);
+        for _ in 0..helpers {
+            self.posted.notify_one();
+        }
+    }
+
+    /// A worker's life: take the oldest job with a share left, run what it
+    /// can claim of it, free its thread-local GEMM scratch, and park while
+    /// the queue is empty.
+    fn work(&self) {
+        IN_WORKER.with(|w| w.set(true));
+        loop {
+            let job = {
+                let mut queue = self.lock();
+                loop {
+                    while queue.jobs.front().is_some_and(|job| job.exhausted()) {
+                        queue.jobs.pop_front();
+                    }
+                    if let Some(job) = queue.jobs.front() {
+                        break Arc::clone(job);
+                    }
+                    queue = self
+                        .posted
+                        .wait(queue)
+                        .unwrap_or_else(PoisonError::into_inner);
+                }
+            };
+            job.run_shares();
+            crate::simd::free_pack_bufs();
+            crate::matrix::free_pack_scratch();
+        }
+    }
+}
+
+/// Runs `share` `threads` times at once, on the calling thread and on up
+/// to `threads − 1` pool workers (see the module docs). Once every share
+/// has finished it re-raises the caller's first panic, else a worker's.
+fn fan_out(threads: usize, share: &(dyn Fn() + Sync)) {
+    // SAFETY: the claim loop below leaves no share unclaimed, and the wait
+    // after it outlasts every share a worker claimed — the contract of
+    // `Job::lend`.
+    let job = unsafe { Job::lend(share, threads) };
+    // The caller claims a share before the job is queued, so it always
+    // runs one itself.
+    let mut claimed = job.claim();
+    POOL.post(&job, threads - 1);
+    let mut panicked = None;
+    {
         let _mark = WorkerMark::enter();
-        share()
+        while claimed {
+            if panicked.is_none() {
+                panicked = panic::catch_unwind(AssertUnwindSafe(share)).err();
+            }
+            job.finished.fetch_add(1, Ordering::Release);
+            claimed = job.claim();
+        }
+    }
+    while job.finished.load(Ordering::Acquire) < threads {
+        thread::park();
+    }
+    let worker_panic = || {
+        job.panic
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .take()
     };
-    std::thread::scope(|s| {
-        let handles: Vec<_> = (1..threads).map(|_| s.spawn(run)).collect();
-        let mut results = vec![run()];
-        results.extend(
-            handles
-                .into_iter()
-                .map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e))),
-        );
-        results
-    })
+    if let Some(p) = panicked.or_else(worker_panic) {
+        panic::resume_unwind(p);
+    }
 }
 
 /// Splits `0..n` into ranges of `chunk` items (the last may be shorter).
@@ -169,25 +364,21 @@ where
         return ranges.into_iter().map(worker).collect();
     }
     let next = AtomicUsize::new(0);
-    let per_thread = fan_out(threads, || {
+    let done = Mutex::new(Vec::with_capacity(ranges.len()));
+    fan_out(threads, &|| {
         let mut local = Vec::new();
-        loop {
-            let i = next.fetch_add(1, Ordering::Relaxed);
-            let Some(range) = ranges.get(i) else {
-                break;
-            };
-            local.push((i, worker(range.clone())));
+        while let Some(range) = ranges.get(next.fetch_add(1, Ordering::Relaxed)) {
+            local.push((range.start, worker(range.clone())));
         }
-        local
+        // A share that panicked never gets here, and `fan_out` re-raises.
+        done.lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .append(&mut local);
     });
-    let mut slots: Vec<Option<T>> = std::iter::repeat_with(|| None).take(ranges.len()).collect();
-    for (i, value) in per_thread.into_iter().flatten() {
-        slots[i] = Some(value);
-    }
-    slots
-        .into_iter()
-        .map(|s| s.expect("every chunk index was claimed exactly once"))
-        .collect()
+    let mut done = done.into_inner().unwrap_or_else(PoisonError::into_inner);
+    done.sort_unstable_by_key(|&(start, _)| start);
+    assert_eq!(done.len(), ranges.len(), "every chunk ran exactly once");
+    done.into_iter().map(|(_, value)| value).collect()
 }
 
 /// Runs `worker` once on each of `parts`, spread over up to
@@ -222,7 +413,7 @@ where
             .expect("part queue lock held only across IntoIter::next")
             .next()
     };
-    fan_out(threads, || {
+    fan_out(threads, &|| {
         while let Some(part) = claim() {
             worker(part);
         }
@@ -362,9 +553,25 @@ mod tests {
         let _guard = ThreadsGuard::set(4);
         let out = run_chunks(4, 1, |outer| {
             // Inside a worker, max_threads() must report 1 so that nested
-            // run_chunks calls execute inline.
+            // fan-outs execute inline, on the thread running the share.
             assert_eq!(max_threads(), 1);
-            run_chunks(3, 1, move |inner| outer.start * 10 + inner.start)
+            let me = thread::current().id();
+            let mut seen = vec![None; 2];
+            let parts: Vec<_> = seen.iter_mut().collect();
+            for_each_part(parts, |slot| *slot = Some(thread::current().id()));
+            assert_eq!(
+                seen,
+                vec![Some(me); 2],
+                "nested for_each_part ran elsewhere"
+            );
+            run_chunks(3, 1, move |inner| {
+                assert_eq!(
+                    thread::current().id(),
+                    me,
+                    "nested run_chunks ran elsewhere"
+                );
+                outer.start * 10 + inner.start
+            })
         });
         assert_eq!(
             out,
@@ -423,7 +630,9 @@ mod tests {
 
     #[test]
     fn caller_is_not_left_pinned_after_fanout() {
+        use std::sync::atomic::AtomicBool;
         use std::sync::Barrier;
+        use std::time::Duration;
         let _guard = ThreadsGuard::set(2);
         // The barrier makes each of the two threads run exactly one chunk,
         // so the calling thread's own worker share always runs.
@@ -435,7 +644,7 @@ mod tests {
         assert_eq!(out, vec![0, 1]);
         assert_eq!(max_threads(), 2);
         let barrier = Barrier::new(2);
-        let caught = std::panic::catch_unwind(|| {
+        let caught = panic::catch_unwind(|| {
             run_chunks(2, 1, |_| -> usize {
                 barrier.wait();
                 panic!("share exploded")
@@ -443,6 +652,67 @@ mod tests {
         });
         assert!(caught.is_err());
         assert_eq!(max_threads(), 2);
+        // A panic in the caller's chunk, then in the worker's: either way
+        // it re-raises on the caller only after the other chunk finished,
+        // and leaves the caller unpinned.
+        let caller = thread::current().id();
+        for caller_panics in [true, false] {
+            let barrier = Barrier::new(2);
+            let other_finished = AtomicBool::new(false);
+            let caught = panic::catch_unwind(AssertUnwindSafe(|| {
+                run_chunks(2, 1, |_| {
+                    barrier.wait();
+                    if (thread::current().id() == caller) == caller_panics {
+                        panic!("share exploded");
+                    }
+                    thread::sleep(Duration::from_millis(50));
+                    other_finished.store(true, Ordering::SeqCst);
+                })
+            }));
+            let case = format!("caller panics: {caller_panics}");
+            let payload = caught.expect_err(&case);
+            assert_eq!(payload.downcast_ref(), Some(&"share exploded"), "{case}");
+            assert!(
+                other_finished.load(Ordering::SeqCst),
+                "re-raised early, {case}"
+            );
+            assert_eq!(max_threads(), 2, "{case}");
+        }
+    }
+
+    #[test]
+    fn concurrent_fanouts_share_the_workers() {
+        // Eight threads fan out at once, many times over; each fan-out
+        // gets all its results in order, and the pool spawns no worker
+        // beyond the `t − 1` a fan-out asks for.
+        for threads in [2usize, 3] {
+            let _guard = ThreadsGuard::set(threads);
+            run_chunks(threads, 1, |r| r.start);
+            let workers = POOL.lock().workers;
+            assert!(workers >= threads - 1);
+            thread::scope(|s| {
+                for t in 0..8usize {
+                    s.spawn(move || {
+                        for i in 0..200usize {
+                            let n = 1 + (7 * t + i) % 40;
+                            let f = |r: Range<usize>| r.map(|v| v * v + t).collect::<Vec<_>>();
+                            let want: Vec<_> = chunk_ranges(n, 3).into_iter().map(f).collect();
+                            assert_eq!(run_chunks(n, 3, f), want, "run_chunks {t}/{i}");
+                            let mut data = vec![0usize; n];
+                            let parts: Vec<_> = data.chunks_mut(4).enumerate().collect();
+                            for_each_part(parts, |(j, part)| {
+                                for (q, v) in part.iter_mut().enumerate() {
+                                    *v = 4 * j + q + i;
+                                }
+                            });
+                            let want: Vec<_> = (0..n).map(|v| v + i).collect();
+                            assert_eq!(data, want, "for_each_part {t}/{i}");
+                        }
+                    });
+                }
+            });
+            assert_eq!(POOL.lock().workers, workers, "{threads} threads");
+        }
     }
 
     #[test]

@@ -237,25 +237,72 @@ pub fn gemm_acc_unfused(a: &[f64], m: usize, k: usize, b: &[f64], n: usize, out:
     }
 }
 
-/// Row count from which a GEMM packs its right operand into the AVX-512
-/// kernel's panels: below it the pack costs more than the contiguous,
-/// L1-resident panel loads save. Both the per-call pack inside
-/// [`gemm_acc`] and the once-per-pass [`PackedB`] use this threshold.
+/// Row count from which a GEMM lays its right operand out as the AVX-512
+/// kernel's panels for one call or pass: below it laying B out costs more
+/// than the contiguous, L1-resident panel loads save. The per-call pack
+/// inside [`gemm_acc`] and the backward passes' transposed [`PackedB`] use
+/// this threshold; a layer's cached weight panels, laid out once, serve
+/// every row count.
 pub const PACK_MIN_M: usize = 64;
 
 /// Column width of one packed B panel. `GEMM_KC` rows of a panel are
 /// 32 KiB, which fits in L1 next to the rows streaming past it.
 const PANEL: usize = 32;
 
-/// Whether a pass of `rows`-row products lays its right operand out as
-/// panels: the AVX-512 backend and at least [`PACK_MIN_M`] rows.
-pub fn packs(rows: usize) -> bool {
-    rows >= PACK_MIN_M && backend() == Backend::Avx512
+/// Whether a right operand `n` columns wide has a panel layout: the
+/// AVX-512 backend and at least one full panel of columns. A weight
+/// matrix that has one keeps it ([`panels_of`]).
+pub(crate) fn panels_fit(n: usize) -> bool {
+    n >= PANEL && backend() == Backend::Avx512
 }
 
-/// Idle pack buffers a thread keeps: enough for a two-layer LSTM tick's
-/// four packed weights.
-const MAX_PACK_BUFS: usize = 4;
+/// Whether an `m`-row product by a right operand `n` columns wide lays it
+/// out as panels for the one pass: at least [`PACK_MIN_M`] rows and
+/// [`panels_fit`].
+pub(crate) fn packs(m: usize, n: usize) -> bool {
+    m >= PACK_MIN_M && panels_fit(n)
+}
+
+/// Row-major `b` (`k × n`) laid out as the AVX-512 kernel's panels in a
+/// buffer of its own: the form a weight matrix keeps when
+/// [`panels_fit`] (see [`gemm_acc_panels`]).
+pub(crate) fn panels_of(b: &[f64], k: usize, n: usize) -> Vec<f64> {
+    assert_eq!(b.len(), k * n, "packed operand length mismatch");
+    let mut panels = vec![0.0; k * n];
+    pack_panels(b, k, n, &mut panels);
+    panels
+}
+
+/// `out += a · B` for B (`k × n`) laid out by [`panels_of`]: `a` is
+/// `m × k`, `out` is `m × n`. Bit-identical per element to [`gemm_acc`]
+/// on the row-major B.
+///
+/// # Panics
+///
+/// Panics if a buffer length disagrees with the stated shape, or if the
+/// backend is not AVX-512 (panels are laid out only under it).
+pub(crate) fn gemm_acc_panels(
+    a: &[f64],
+    m: usize,
+    k: usize,
+    n: usize,
+    panels: &[f64],
+    out: &mut [f64],
+) {
+    check_gemm_shapes(a, m, k, panels, n, out);
+    assert_eq!(backend(), Backend::Avx512, "panels need the AVX-512 kernel");
+    // SAFETY: the backend resolved to AVX-512, so the CPU has AVX-512F,
+    // AVX2 and FMA, and the shapes were checked above.
+    #[cfg(target_arch = "x86_64")]
+    unsafe {
+        avx512::gemm_panels::<true>(a, m, k, n, panels, out)
+    }
+}
+
+/// Idle pack buffers a thread keeps: enough for an LSTM backward pass's
+/// two transposed weights and the per-call pack of its weight-gradient
+/// products.
+const MAX_PACK_BUFS: usize = 3;
 
 thread_local! {
     /// This thread's idle pack buffers. The per-call pack inside
@@ -296,6 +343,11 @@ fn give_pack_buf(buf: Vec<f64>) {
     });
 }
 
+/// Frees this thread's idle pack buffers (see [`crate::par`]'s workers).
+pub(crate) fn free_pack_bufs() {
+    let _ = PACK_BUFS.try_with(|bufs| std::mem::take(&mut *bufs.borrow_mut()));
+}
+
 /// Writes B (`k × n`) in the panel layout into `dst` (`k · n` long):
 /// first each full `PANEL`-column panel as `k` contiguous `PANEL`-wide rows
 /// (kk-major), then the `n % PANEL` tail columns as a row-major
@@ -334,17 +386,18 @@ fn pack_panels_transposed(w: &[f64], k: usize, n: usize, dst: &mut [f64]) {
     });
 }
 
-/// A GEMM right operand `B` (`k × n`) laid out once for every product of a
-/// pass that multiplies by it, such as an LSTM weight matrix across the
-/// timesteps of a forward pass or the row chunks of a stateful tick. When
-/// the pass [`packs`], B is stored as the AVX-512 kernel's panels, so the
-/// products skip [`gemm_acc`]'s per-call pack; otherwise B is stored
-/// row-major for the active backend's kernel. The storage comes from the
-/// packing thread's pack buffers and goes back to the dropping thread's,
-/// so a pass that packs allocates nothing once its threads are warm.
+/// A backward pass's right operand `Wᵀ` (`k × n`, from a weight `w` that
+/// is `n × k`) transposed and laid out once for every `dz·Wᵀ` product of
+/// the pass. When the pass has at least [`PACK_MIN_M`] rows and `Wᵀ` one
+/// full panel of columns under the AVX-512 backend, it is stored as the
+/// kernel's panels, so the products skip [`gemm_acc`]'s per-call pack;
+/// otherwise row-major for the active backend's kernel. The storage comes
+/// from the packing thread's pack buffers and goes back to the dropping
+/// thread's, so a pass that packs allocates nothing once its threads are
+/// warm.
 ///
 /// Layout never changes results: [`gemm_acc_packed`] gives every element
-/// the bits [`gemm_acc`] gives it on the row-major B.
+/// the bits [`gemm_acc`] gives it on the row-major `Wᵀ`.
 #[derive(Debug, Clone, Default)]
 pub struct PackedB {
     k: usize,
@@ -360,47 +413,27 @@ impl Drop for PackedB {
 }
 
 impl PackedB {
-    /// Stores `b` (row-major `k × n`) for a pass of `rows`-row products.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `b.len() != k · n`.
-    pub fn pack(&mut self, b: &[f64], k: usize, n: usize, rows: usize) {
-        assert_eq!(b.len(), k * n, "packed operand length mismatch");
-        self.reset(k, n, rows);
-        if self.panels {
-            pack_panels(b, k, n, &mut self.buf);
-        } else {
-            self.buf.copy_from_slice(b);
-        }
-    }
-
     /// Stores `wᵀ`, where `w` is row-major `n × k`, for a pass of
-    /// `rows`-row products: the `dz·Wᵀ` operand of a backward pass,
-    /// transposed as it is packed.
+    /// `rows`-row products.
     ///
     /// # Panics
     ///
     /// Panics if `w.len() != k · n`.
     pub fn pack_transposed(&mut self, w: &[f64], k: usize, n: usize, rows: usize) {
         assert_eq!(w.len(), k * n, "packed operand length mismatch");
-        self.reset(k, n, rows);
-        if self.panels {
-            pack_panels_transposed(w, k, n, &mut self.buf);
-        } else {
-            crate::matrix::transpose_into(w, n, k, &mut self.buf);
-        }
-    }
-
-    fn reset(&mut self, k: usize, n: usize, rows: usize) {
         self.k = k;
         self.n = n;
-        self.panels = packs(rows);
+        self.panels = packs(rows, n);
         if self.buf.capacity() < k * n {
             give_pack_buf(std::mem::take(&mut self.buf));
             self.buf = take_pack_buf(k * n);
         }
         self.buf.resize(k * n, 0.0);
+        if self.panels {
+            pack_panels_transposed(w, k, n, &mut self.buf);
+        } else {
+            crate::matrix::transpose_into(w, n, k, &mut self.buf);
+        }
     }
 }
 
@@ -412,14 +445,11 @@ impl PackedB {
 ///
 /// Panics if any buffer length disagrees with the stated shape.
 pub fn gemm_acc_packed(a: &[f64], m: usize, b: &PackedB, out: &mut [f64]) {
-    check_gemm_shapes(a, m, b.k, &b.buf, b.n, out);
-    #[cfg(target_arch = "x86_64")]
     if b.panels {
-        // SAFETY: panels are laid out only under the AVX-512 backend
-        // (`packs`), and the shapes were checked above.
-        return unsafe { avx512::gemm_panels::<true>(a, m, b.k, b.n, &b.buf, out) };
+        gemm_acc_panels(a, m, b.k, b.n, &b.buf, out);
+    } else {
+        gemm_acc(a, m, b.k, &b.buf, b.n, out);
     }
-    gemm_acc(a, m, b.k, &b.buf, b.n, out);
 }
 
 /// The portable blocked `ikj` GEMM with a 4-wide unroll over `k` —
@@ -506,11 +536,73 @@ unsafe fn madd256<const FUSED: bool>(
     }
 }
 
+/// The last `w < 4` columns of a 4-row block, where B row `kk` starts at
+/// `b + kk · bs` and `a[r]`, `o[r]` point at row `r` of the left operand
+/// and at its first tail column of the output. Each column width gets its
+/// own tile ([`tail_4xw`]).
+#[cfg(target_arch = "x86_64")]
+#[inline]
+#[target_feature(enable = "avx2", enable = "fma")]
+unsafe fn tail_4<const FUSED: bool>(
+    a: [*const f64; 4],
+    ks: std::ops::Range<usize>,
+    (b, bs): (*const f64, usize),
+    w: usize,
+    o: [*mut f64; 4],
+) {
+    match w {
+        0 => {}
+        1 => tail_4xw::<FUSED, 1>(a, ks, b, bs, o),
+        2 => tail_4xw::<FUSED, 2>(a, ks, b, bs, o),
+        3 => tail_4xw::<FUSED, 3>(a, ks, b, bs, o),
+        _ => unreachable!("a column tail is narrower than four lanes"),
+    }
+}
+
+/// Four rows across `W` columns, the 4·`W` accumulator chains advancing
+/// together in one `k` loop: each element still takes its own
+/// ascending-`k` chain of [`madd`]s, so it gets the bits a vector lane
+/// gives it, while the other chains hide each multiply-add's latency. A
+/// 2-class head (`n = 2`) runs entirely here.
+#[cfg(target_arch = "x86_64")]
+#[inline]
+#[target_feature(enable = "avx2", enable = "fma")]
+unsafe fn tail_4xw<const FUSED: bool, const W: usize>(
+    a: [*const f64; 4],
+    ks: std::ops::Range<usize>,
+    b: *const f64,
+    bs: usize,
+    o: [*mut f64; 4],
+) {
+    let mut c = [[0.0; W]; 4];
+    for (row, &or) in c.iter_mut().zip(&o) {
+        for (q, acc) in row.iter_mut().enumerate() {
+            *acc = *or.add(q);
+        }
+    }
+    for kk in ks {
+        let bk = b.add(kk * bs);
+        let bv: [f64; W] = std::array::from_fn(|q| *bk.add(q));
+        for (row, &ar) in c.iter_mut().zip(&a) {
+            let av = *ar.add(kk);
+            for (acc, &bq) in row.iter_mut().zip(&bv) {
+                *acc = madd::<FUSED>(av, bq, *acc);
+            }
+        }
+    }
+    for (row, &or) in c.iter().zip(&o) {
+        for (q, &acc) in row.iter().enumerate() {
+            *or.add(q) = acc;
+        }
+    }
+}
+
 /// Vectorized GEMM with a 4-row × 8-column register microkernel: four `a`
 /// rows share every load of a `b` panel line (¼ the L2 traffic of a
 /// row-at-a-time loop), and each of the eight accumulator chains takes one
 /// multiply-add ([`madd256`]) per `k` step. Row remainders fall back to a
-/// single-row vector loop; column tails mirror the lanes with [`madd`].
+/// single-row vector loop; the last `n % 4` columns of a 4-row block run
+/// through [`tail_4`], whose [`madd`] chains mirror the lanes.
 /// Per element the chain is strictly `k`-ascending regardless of which
 /// micro-tile computed it, so results are independent of blocking, batch
 /// slicing, and lane/tail position. `FUSED` picks fused multiply-adds
@@ -600,20 +692,10 @@ unsafe fn gemm_acc_avx2<const FUSED: bool>(
                 _mm256_storeu_pd(o3.add(j), c3);
                 j += 4;
             }
-            while j < n {
-                // Scalar tail: `madd` rounds exactly like the vector
-                // lanes, so column position cannot change bits.
-                for row in 0..4 {
-                    let ar = ap.add((i + row) * k);
-                    let or = op.add((i + row) * n + j);
-                    let mut acc = *or;
-                    for kk in k0..k1 {
-                        acc = madd::<FUSED>(*ar.add(kk), *bp.add(kk * n + j), acc);
-                    }
-                    *or = acc;
-                }
-                j += 1;
-            }
+            // Scalar tail: `madd` rounds exactly like the vector lanes, so
+            // column position cannot change bits.
+            let o = [o0, o1, o2, o3].map(|or| or.add(j));
+            tail_4::<FUSED>([a0, a1, a2, a3], k0..k1, (bp.add(j), n), n - j, o);
             i += 4;
         }
         while i < m {
@@ -1187,8 +1269,9 @@ mod avx512 {
     }
 
     /// Four rows across `w` columns of B, where B row `kk` starts at
-    /// `b.0 + kk · b.1`: 4 × 16 tiles (8 zmm accumulators), then 8-, 4-
-    /// (ymm) and scalar column tails. `a` and `o` are as for [`tile_4x32`].
+    /// `b.0 + kk · b.1`: 4 × 16 tiles (8 zmm accumulators), then 8- and 4-
+    /// (ymm) column tiles and the interleaved scalar tail
+    /// ([`tail_4`](super::tail_4)). `a` and `o` are as for [`tile_4x32`].
     #[inline]
     #[target_feature(enable = "avx512f", enable = "avx2", enable = "fma")]
     unsafe fn cols_4<const FUSED: bool>(
@@ -1274,17 +1357,8 @@ mod avx512 {
             _mm256_storeu_pd(o3.add(j), c3);
             j += 4;
         }
-        while j < w {
-            for (ar, or) in [(a0, o0), (a1, o1), (a2, o2), (a3, o3)] {
-                let or = or.add(j);
-                let mut acc = *or;
-                for kk in ks.clone() {
-                    acc = madd::<FUSED>(*ar.add(kk), *bp.add(kk * bs + j), acc);
-                }
-                *or = acc;
-            }
-            j += 1;
-        }
+        let o = [o0, o1, o2, o3].map(|or| or.add(j));
+        tail_4::<FUSED>([a0, a1, a2, a3], ks, (bp.add(j), bs), w - j, o);
     }
 
     /// One row across `w` columns of B (laid out as for [`cols_4`]): an
@@ -2065,6 +2139,39 @@ mod tests {
         (a, b)
     }
 
+    /// The narrow shapes: every column tail width (`n % 4` of 1 to 3, alone
+    /// and after a 4-wide tile, the 2-class heads among them) at row
+    /// counts around the 4-row tile and `PACK_MIN_M`, and depths from one
+    /// step to past the KC panel.
+    fn narrow_shapes() -> impl Iterator<Item = (usize, usize, usize)> {
+        let ms = [1, 3, 4, 5, 63, 64, 65, 256];
+        let ks = [1, 64, 128, 130];
+        let ns = [1, 2, 3, 5, 6, 7];
+        ms.into_iter()
+            .flat_map(move |m| ks.into_iter().map(move |k| (m, k)))
+            .flat_map(move |(m, k)| ns.into_iter().map(move |n| (m, k, n)))
+    }
+
+    /// The AVX2 kernel against the naive ascending-`k` loop of [`madd`]
+    /// steps, compared by bits.
+    #[cfg(target_arch = "x86_64")]
+    fn check_avx2_gemm<const FUSED: bool>(m: usize, k: usize, n: usize) {
+        let (a, b) = operands(m, k, n);
+        let mut out = vec![0.25; m * n];
+        let mut want = out.clone();
+        unsafe { gemm_acc_avx2::<FUSED>(&a, m, k, &b, n, &mut out) };
+        for i in 0..m {
+            for j in 0..n {
+                let mut acc = want[i * n + j];
+                for kk in 0..k {
+                    acc = madd::<FUSED>(a[i * k + kk], b[kk * n + j], acc);
+                }
+                want[i * n + j] = acc;
+            }
+        }
+        assert_eq!(bits(&out), bits(&want), "FUSED={FUSED} {m}x{k}·{k}x{n}");
+    }
+
     #[cfg(target_arch = "x86_64")]
     #[test]
     fn avx2_gemm_matches_mul_add_reference() {
@@ -2072,23 +2179,18 @@ mod tests {
             return;
         }
         // Shapes crossing the 16- and 4-column vector widths and the KC
-        // panel boundary.
-        for (m, k, n) in [(1, 1, 1), (3, 5, 18), (2, 130, 21), (4, 7, 3)] {
-            let (a, b) = operands(m, k, n);
-            let mut out = vec![0.25; m * n];
-            let mut want = out.clone();
-            gemm_acc_fma(&a, m, k, &b, n, &mut out);
-            for i in 0..m {
-                for j in 0..n {
-                    let mut acc = want[i * n + j];
-                    for kk in 0..k {
-                        acc = a[i * k + kk].mul_add(b[kk * n + j], acc);
-                    }
-                    want[i * n + j] = acc;
-                }
-            }
-            assert_eq!(bits(&out), bits(&want), "{m}x{k}·{k}x{n}");
+        // panel boundary, then the narrow shapes.
+        let wide = [(1, 1, 1), (3, 5, 18), (2, 130, 21), (4, 7, 3)];
+        for (m, k, n) in wide.into_iter().chain(narrow_shapes()) {
+            check_avx2_gemm::<true>(m, k, n);
+            check_avx2_gemm::<false>(m, k, n);
         }
+        let (a, b) = operands(4, 7, 3);
+        let mut out = vec![0.25; 12];
+        let mut want = out.clone();
+        gemm_acc_fma(&a, 4, 7, &b, 3, &mut out);
+        unsafe { gemm_acc_avx2::<true>(&a, 4, 7, &b, 3, &mut want) };
+        assert_eq!(bits(&out), bits(&want), "safe entry");
     }
 
     /// Runs every AVX-512 GEMM form on one shape against the AVX2 kernel,
@@ -2168,6 +2270,12 @@ mod tests {
         // The never-fused weight-gradient products `dW = xᵀ·dz` of the
         // paper LSTM's layers on a 64-row chunk, plus ragged rows.
         for (m, k, n) in [(128, 64, 512), (64, 64, 256), (65, 64, 520), (6, 64, 512)] {
+            check_avx512_gemm::<false>(m, k, n);
+        }
+        // The narrow column tails, the 2-class heads among them, under both
+        // multiply-add forms.
+        for (m, k, n) in narrow_shapes() {
+            check_avx512_gemm::<true>(m, k, n);
             check_avx512_gemm::<false>(m, k, n);
         }
         // Transcendental lanes mirror the scalar `_m` forms (and therefore

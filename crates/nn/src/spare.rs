@@ -7,7 +7,7 @@
 //! input-gradient call — [`give`] keeps returned buffers and [`take`] hands
 //! them out again; when the last scope closes they are freed, so nothing
 //! stays resident after the work that needed them. The spares are shared
-//! by all threads, because `par`'s workers live for one fan-out only.
+//! by all threads, because a chunk may run on any of `par`'s workers.
 //!
 //! A taken buffer's contents are unspecified: callers overwrite what they
 //! read, so which buffer a chunk gets never changes any result.
