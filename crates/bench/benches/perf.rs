@@ -22,7 +22,7 @@ use cpsmon_sim::meal::MealSchedule;
 use cpsmon_sim::pump::InsulinPump;
 use cpsmon_sim::sensor::Cgm;
 use cpsmon_sim::t1ds::T1dsPatient;
-use cpsmon_sim::{CohortEngine, CohortMember, SimulatorKind, StepRecord};
+use cpsmon_sim::{Cohort, CohortEngine, CohortMember, SimulatorKind, StepRecord};
 use cpsmon_stl::{ApsRules, RuleMonitor};
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 
@@ -463,6 +463,12 @@ fn cohort_fleet() -> Vec<(T1dsPatient, CohortMember)> {
 }
 
 fn bench_cohort(c: &mut Criterion) {
+    // Sampling a 1000-member T1DS cohort: the latin-hypercube draw, then
+    // every member's basal calibration (14 bisection rounds of a 24 h
+    // warm-up, plus the final warm-up), batched on the SoA kernels.
+    c.bench_function("cohort_sample_t1ds_1k", |b| {
+        b.iter(|| Cohort::sample(SimulatorKind::T1ds2013, 2022, COHORT_N))
+    });
     let fleet = cohort_fleet();
     // Per-patient baseline: the campaign's scalar path, one ClosedLoop per
     // member. `sim_cohort_1k` runs the same 1000 × 24-step workload through

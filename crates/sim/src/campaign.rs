@@ -15,7 +15,7 @@
 //! order.
 
 use crate::basal_bolus::BasalBolusController;
-use crate::cohort::{CohortEngine, CohortMember, CohortPatient};
+use crate::cohort::{calibrate_t1ds, CohortEngine, CohortMember, CohortPatient};
 use crate::engine::{ClosedLoop, StepObserver};
 use crate::faults::PumpFault;
 use crate::glucosym::GlucosymPatient;
@@ -23,9 +23,10 @@ use crate::meal::MealSchedule;
 use crate::openaps::OpenApsController;
 use crate::pump::InsulinPump;
 use crate::sensor::Cgm;
-use crate::t1ds::T1dsPatient;
+use crate::t1ds::{T1dsParams, T1dsPatient};
 use crate::trace::SimTrace;
 use cpsmon_nn::rng::SmallRng;
+use std::ops::Range;
 
 /// Salt mixed into the seed before forking per-member RNG streams.
 const CAMPAIGN_SALT: u64 = 0x6361_6d70_6169_676e;
@@ -199,11 +200,22 @@ impl CampaignConfig {
         CohortEngine::from_campaign(self).run()
     }
 
-    /// Patient profile `pid` of this campaign's simulator.
-    pub(crate) fn patient(&self, pid: usize) -> CohortPatient {
+    /// Patient profiles `pids` of this campaign's simulator, in order.
+    /// T1DS profiles calibrate together, in one batch.
+    pub(crate) fn profiles(&self, pids: Range<usize>) -> Vec<CohortPatient> {
         match self.kind {
-            SimulatorKind::Glucosym => GlucosymPatient::from_profile(pid, self.seed).into(),
-            SimulatorKind::T1ds2013 => T1dsPatient::calibrated(pid, self.seed).into(),
+            SimulatorKind::Glucosym => pids
+                .map(|pid| GlucosymPatient::from_profile(pid, self.seed).into())
+                .collect(),
+            SimulatorKind::T1ds2013 => {
+                let members: Vec<_> = pids
+                    .map(|pid| T1dsParams::profile(pid, self.seed))
+                    .collect();
+                calibrate_t1ds(&members, cpsmon_nn::simd::backend())
+                    .into_iter()
+                    .map(CohortPatient::from)
+                    .collect()
+            }
         }
     }
 
@@ -227,7 +239,7 @@ impl CampaignConfig {
         for (p, r) in earlier.take(pid * runs + run) {
             streams.fork(p, r);
         }
-        let patient = self.patient(pid);
+        let patient = self.profiles(pid..pid + 1).remove(0);
         let basal = patient.therapy().basal_rate;
         let CohortMember {
             cgm, pump, meals, ..

@@ -14,7 +14,11 @@
 //!   scheduler window, so instead state and parameters are hoisted into
 //!   registers (spilling the excess to one stack frame) across a fused
 //!   substep loop, and a const-generic `P` interleaves the dependency
-//!   chains of `P` blocks through that loop.
+//!   chains of `P` blocks through that loop. These kernels run a caller-
+//!   given number of control steps at the inputs the last `begin_step`
+//!   set (its meal lands once, before the first): the engine asks for
+//!   one, the basal calibrator for a whole 288-step warm-up, whose state
+//!   then never leaves registers.
 //!
 //! Either reordering is bit-transparent: patients are independent within
 //! a step, so each lane still sees exactly the per-patient integrator's
@@ -205,30 +209,31 @@ pub(super) unsafe fn glucosym_step_avx512(s: &mut GlucosymSoa, j0: usize, lanes:
     }
 }
 
-/// One full T1DS2013 control step (all substeps) for lanes
-/// `j0..j0 + lanes`.
+/// `steps` full T1DS2013 control steps (all substeps each) for lanes
+/// `j0..j0 + lanes`, at the inputs the last `begin_step` set.
 ///
 /// # Safety
 ///
 /// Requires AVX2, `lanes % 4 == 0`, and `j0 + lanes <= s.len()`.
 #[target_feature(enable = "avx2")]
-pub(super) unsafe fn t1ds_step_avx2(s: &mut T1dsSoa, j0: usize, lanes: usize) {
+pub(super) unsafe fn t1ds_step_avx2(s: &mut T1dsSoa, j0: usize, lanes: usize, steps: usize) {
     let mut j = j0;
     // 16 ymm registers cannot hold even one block's 13 state vectors, so
     // interleaving is counterproductive here: single blocks only.
     while j < j0 + lanes {
-        t1ds_blocks_avx2::<1>(s, j);
+        t1ds_blocks_avx2::<1>(s, j, steps);
         j += 4;
     }
 }
 
-/// `P` interleaved 4-lane T1DS2013 blocks through one fused control step.
+/// `P` interleaved 4-lane T1DS2013 blocks through `steps` fused control
+/// steps.
 ///
 /// # Safety
 ///
 /// Requires AVX2 and `j0 + 4 * P <= s.len()`.
 #[target_feature(enable = "avx2")]
-unsafe fn t1ds_blocks_avx2<const P: usize>(s: &mut T1dsSoa, j0: usize) {
+unsafe fn t1ds_blocks_avx2<const P: usize>(s: &mut T1dsSoa, j0: usize, steps: usize) {
     macro_rules! ld {
         ($f:ident) => {{
             let mut a = [_mm256_setzero_pd(); P];
@@ -305,7 +310,7 @@ unsafe fn t1ds_blocks_avx2<const P: usize>(s: &mut T1dsSoa, j0: usize) {
     let gp_floor = ld!(gp_floor);
     let iob_d = ld!(iob_d);
     let iob_decay = ld!(iob_decay);
-    for _ in 0..SUBSTEPS {
+    for _ in 0..steps * SUBSTEPS {
         for u in 0..P {
             // Oral absorption.
             let dqsto1 = _mm256_mul_pd(neg_kgri[u], qsto1[u]);
@@ -399,34 +404,35 @@ unsafe fn t1ds_blocks_avx2<const P: usize>(s: &mut T1dsSoa, j0: usize) {
     st!(iob, iob);
 }
 
-/// One full T1DS2013 control step (all substeps) for lanes
-/// `j0..j0 + lanes`.
+/// `steps` full T1DS2013 control steps (all substeps each) for lanes
+/// `j0..j0 + lanes`, at the inputs the last `begin_step` set.
 ///
 /// # Safety
 ///
 /// Requires AVX-512F, `lanes % 8 == 0`, and `j0 + lanes <= s.len()`.
 #[target_feature(enable = "avx512f")]
-pub(super) unsafe fn t1ds_step_avx512(s: &mut T1dsSoa, j0: usize, lanes: usize) {
+pub(super) unsafe fn t1ds_step_avx512(s: &mut T1dsSoa, j0: usize, lanes: usize, steps: usize) {
     let mut j = j0;
     // Pairs of interleaved blocks (two dependency chains in flight),
     // then lone blocks; per-lane op sequences are identical either way.
     while j + 16 <= j0 + lanes {
-        t1ds_blocks_avx512::<2>(s, j);
+        t1ds_blocks_avx512::<2>(s, j, steps);
         j += 16;
     }
     while j + 8 <= j0 + lanes {
-        t1ds_blocks_avx512::<1>(s, j);
+        t1ds_blocks_avx512::<1>(s, j, steps);
         j += 8;
     }
 }
 
-/// `P` interleaved 8-lane T1DS2013 blocks through one fused control step.
+/// `P` interleaved 8-lane T1DS2013 blocks through `steps` fused control
+/// steps.
 ///
 /// # Safety
 ///
 /// Requires AVX-512F and `j0 + 8 * P <= s.len()`.
 #[target_feature(enable = "avx512f")]
-unsafe fn t1ds_blocks_avx512<const P: usize>(s: &mut T1dsSoa, j0: usize) {
+unsafe fn t1ds_blocks_avx512<const P: usize>(s: &mut T1dsSoa, j0: usize, steps: usize) {
     macro_rules! ld {
         ($f:ident) => {{
             let mut a = [_mm512_setzero_pd(); P];
@@ -503,7 +509,7 @@ unsafe fn t1ds_blocks_avx512<const P: usize>(s: &mut T1dsSoa, j0: usize) {
     let gp_floor = ld!(gp_floor);
     let iob_d = ld!(iob_d);
     let iob_decay = ld!(iob_decay);
-    for _ in 0..SUBSTEPS {
+    for _ in 0..steps * SUBSTEPS {
         for u in 0..P {
             // Oral absorption.
             let dqsto1 = _mm512_mul_pd(neg_kgri[u], qsto1[u]);

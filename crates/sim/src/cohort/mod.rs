@@ -37,6 +37,7 @@
 //! }
 //! ```
 
+mod calibrate;
 mod kernels;
 mod soa;
 
@@ -53,6 +54,7 @@ use crate::pump::InsulinPump;
 use crate::sensor::{Cgm, CgmFault, CgmFaultKind};
 use crate::t1ds::{T1dsParams, T1dsPatient};
 use crate::trace::{SimTrace, StepRecord};
+pub(crate) use calibrate::calibrate_t1ds;
 use cpsmon_nn::rng::SmallRng;
 use cpsmon_nn::simd::Backend;
 use soa::{GlucosymSoa, T1dsSoa, DT};
@@ -688,9 +690,8 @@ impl CohortEngine {
     pub fn from_campaign(cfg: &CampaignConfig) -> Self {
         let mut engine = Self::new(cfg.kind, cfg.steps);
         let mut streams = MemberStreams::new(cfg.seed);
-        for pid in 0..cfg.patients {
-            // Runs share the profile: build it once per patient.
-            let patient = cfg.patient(pid);
+        // Runs share the profile: build every profile once, up front.
+        for (pid, patient) in cfg.profiles(0..cfg.patients).into_iter().enumerate() {
             let basal = patient.therapy().basal_rate;
             for run in 0..cfg.runs_per_patient {
                 let member = streams.equip(pid, run, cfg.steps, basal, cfg.fault_ratio);
@@ -745,9 +746,10 @@ impl Cohort {
     /// with uniform jitter inside each bin, over the ranges of
     /// [`GlucosymParams::profile`] / [`T1dsParams::profile`] — so the
     /// cohort covers the plausible physiological box instead of clustering
-    /// around it. T1DS basal rates are calibrated per member (bisection to
-    /// the member's `gb`), which makes T1DS sampling markedly slower than
-    /// Glucosym sampling.
+    /// around it. T1DS basal rates are then calibrated (bisection to each
+    /// member's `gb`), for the whole cohort at once on the engine's SoA
+    /// step kernels; a sampled member is bit-identical to
+    /// [`T1dsPatient::calibrated_from`] on its parameters.
     ///
     /// # Panics
     ///
@@ -801,84 +803,104 @@ impl Cohort {
     }
 
     fn sample_t1ds(seed: u64, n: usize) -> Vec<CohortPatient> {
-        let mut root = SmallRng::new(seed ^ COHORT_SALT);
-        // center * (1 ± spread), the ranges of `T1dsParams::profile`.
-        let c = |center: f64, spread: f64| (center * (1.0 - spread), center * (1.0 + spread));
-        let mut dim = 0u64;
-        let mut axis = |root: &mut SmallRng, (lo, hi): (f64, f64)| {
-            let a = lhs_axis(root, dim, n, lo, hi);
-            dim += 1;
-            a
-        };
-        let bw = axis(&mut root, (55.0, 95.0));
-        let vg = axis(&mut root, c(1.88, 0.10));
-        let k1 = axis(&mut root, c(0.065, 0.15));
-        let k2 = axis(&mut root, c(0.079, 0.15));
-        let kp1 = axis(&mut root, c(2.90, 0.10));
-        let kp2 = axis(&mut root, c(0.0021, 0.15));
-        let kp3 = axis(&mut root, c(0.012, 0.15));
-        let ki = axis(&mut root, c(0.0079, 0.15));
-        let vm0 = axis(&mut root, c(0.80, 0.15));
-        let vmx = axis(&mut root, c(0.060, 0.25));
-        let km0 = axis(&mut root, c(225.59, 0.10));
-        let p2u = axis(&mut root, c(0.0331, 0.15));
-        let m1 = axis(&mut root, c(0.190, 0.10));
-        let m2 = axis(&mut root, c(0.484, 0.10));
-        let m3 = axis(&mut root, c(0.277, 0.10));
-        let m4 = axis(&mut root, c(0.194, 0.10));
-        let kd = axis(&mut root, c(0.0164, 0.15));
-        let ka1 = axis(&mut root, c(0.0018, 0.15));
-        let ka2 = axis(&mut root, c(0.0182, 0.15));
-        let vi = axis(&mut root, c(0.05, 0.10));
-        let kgri = axis(&mut root, c(0.0558, 0.15));
-        let kempt = axis(&mut root, c(0.035, 0.20));
-        let kabs = axis(&mut root, c(0.057, 0.20));
-        let iob_tau = axis(&mut root, (100.0, 140.0));
-        let gb = axis(&mut root, (110.0, 145.0));
-        let isf = axis(&mut root, (35.0, 65.0));
-        let carb_ratio = axis(&mut root, (8.0, 15.0));
-        (0..n)
-            .map(|j| {
-                let params = T1dsParams {
-                    bw: bw[j],
-                    vg: vg[j],
-                    k1: k1[j],
-                    k2: k2[j],
-                    kp1: kp1[j],
-                    kp2: kp2[j],
-                    kp3: kp3[j],
-                    ki: ki[j],
-                    fsnc: 1.0,
-                    vm0: vm0[j],
-                    vmx: vmx[j],
-                    km0: km0[j],
-                    p2u: p2u[j],
-                    m1: m1[j],
-                    m2: m2[j],
-                    m3: m3[j],
-                    m4: m4[j],
-                    kd: kd[j],
-                    ka1: ka1[j],
-                    ka2: ka2[j],
-                    vi: vi[j],
-                    ke1: 0.0005,
-                    ke2: 339.0,
-                    kgri: kgri[j],
-                    kempt: kempt[j],
-                    kabs: kabs[j],
-                    f: 0.90,
-                    iob_tau: iob_tau[j],
-                    gb: gb[j],
-                };
-                let therapy = TherapyProfile {
-                    basal_rate: 1.0, // calibrated below
-                    isf: isf[j],
-                    carb_ratio: carb_ratio[j],
-                    target_bg: 120.0,
-                };
-                T1dsPatient::calibrated_from(params, therapy).into()
-            })
+        calibrate_t1ds(&Self::t1ds_lhs(seed, n), cpsmon_nn::simd::backend())
+            .into_iter()
+            .map(CohortPatient::from)
             .collect()
+    }
+
+    /// The T1DS latin-hypercube members of `seed`, before calibration.
+    fn t1ds_lhs(seed: u64, n: usize) -> Vec<(T1dsParams, TherapyProfile)> {
+        let mut root = SmallRng::new(seed ^ COHORT_SALT);
+        let axes: Vec<Vec<f64>> = Self::t1ds_axes()
+            .into_iter()
+            .enumerate()
+            .map(|(dim, (lo, hi))| lhs_axis(&mut root, dim as u64, n, lo, hi))
+            .collect();
+        (0..n)
+            .map(|j| Self::t1ds_member(std::array::from_fn(|dim| axes[dim][j])))
+            .collect()
+    }
+
+    /// The T1DS sampler's axes in draw order, as `(lo, hi)`: the ranges of
+    /// [`T1dsParams::profile`] (`center · (1 ± spread)`), then the
+    /// therapy's ISF and carb ratio.
+    fn t1ds_axes() -> [(f64, f64); 27] {
+        let c = |center: f64, spread: f64| (center * (1.0 - spread), center * (1.0 + spread));
+        [
+            (55.0, 95.0),    // bw
+            c(1.88, 0.10),   // vg
+            c(0.065, 0.15),  // k1
+            c(0.079, 0.15),  // k2
+            c(2.90, 0.10),   // kp1
+            c(0.0021, 0.15), // kp2
+            c(0.012, 0.15),  // kp3
+            c(0.0079, 0.15), // ki
+            c(0.80, 0.15),   // vm0
+            c(0.060, 0.25),  // vmx
+            c(225.59, 0.10), // km0
+            c(0.0331, 0.15), // p2u
+            c(0.190, 0.10),  // m1
+            c(0.484, 0.10),  // m2
+            c(0.277, 0.10),  // m3
+            c(0.194, 0.10),  // m4
+            c(0.0164, 0.15), // kd
+            c(0.0018, 0.15), // ka1
+            c(0.0182, 0.15), // ka2
+            c(0.05, 0.10),   // vi
+            c(0.0558, 0.15), // kgri
+            c(0.035, 0.20),  // kempt
+            c(0.057, 0.20),  // kabs
+            (100.0, 140.0),  // iob_tau
+            (110.0, 145.0),  // gb
+            (35.0, 65.0),    // isf
+            (8.0, 15.0),     // carb_ratio
+        ]
+    }
+
+    /// One T1DS member from a value per [`t1ds_axes`](Self::t1ds_axes)
+    /// axis; its basal rate is a placeholder until calibration.
+    fn t1ds_member(v: [f64; 27]) -> (T1dsParams, TherapyProfile) {
+        let [bw, vg, k1, k2, kp1, kp2, kp3, ki, vm0, vmx, km0, p2u, m1, m2, m3, m4, kd, ka1, ka2, vi, kgri, kempt, kabs, iob_tau, gb, isf, carb_ratio] =
+            v;
+        let params = T1dsParams {
+            bw,
+            vg,
+            k1,
+            k2,
+            kp1,
+            kp2,
+            kp3,
+            ki,
+            fsnc: 1.0,
+            vm0,
+            vmx,
+            km0,
+            p2u,
+            m1,
+            m2,
+            m3,
+            m4,
+            kd,
+            ka1,
+            ka2,
+            vi,
+            ke1: 0.0005,
+            ke2: 339.0,
+            kgri,
+            kempt,
+            kabs,
+            f: 0.90,
+            iob_tau,
+            gb,
+        };
+        let therapy = TherapyProfile {
+            basal_rate: 1.0,
+            isf,
+            carb_ratio,
+            target_bg: 120.0,
+        };
+        (params, therapy)
     }
 
     /// The simulator family of every member.
@@ -1080,7 +1102,7 @@ mod tests {
 
     #[test]
     fn t1ds_sampled_cohort_is_calibrated() {
-        let cohort = Cohort::sample(SimulatorKind::T1ds2013, 8, 4);
+        let cohort = Cohort::sample(SimulatorKind::T1ds2013, 8, 64);
         for p in cohort.patients() {
             let CohortPatient::T1ds(p) = p else {
                 panic!("wrong kind")

@@ -41,7 +41,7 @@ const TILE_LANES: usize = 64;
 /// the same vector-vs-scalar-tail partition and the same op sequence as
 /// the single-threaded sweep, which is what keeps parallel integration
 /// bit-identical for any `CPSMON_THREADS`.
-const PAR_BLOCK: usize = 256;
+pub(super) const PAR_BLOCK: usize = 256;
 
 /// Shares a raw SoA pointer with `par` workers. Sound only because
 /// [`run_chunks`](cpsmon_nn::par::run_chunks) hands every worker a
@@ -340,22 +340,36 @@ impl T1dsSoa {
         self.gp.len()
     }
 
+    /// The 12 dynamic-state columns, in `T1dsPatient::state` packing
+    /// order.
+    fn state_columns(&mut self) -> [&mut Vec<f64>; 12] {
+        [
+            &mut self.gp,
+            &mut self.gt,
+            &mut self.ip,
+            &mut self.il,
+            &mut self.isc1,
+            &mut self.isc2,
+            &mut self.i1,
+            &mut self.id,
+            &mut self.x,
+            &mut self.qsto1,
+            &mut self.qsto2,
+            &mut self.qgut,
+        ]
+    }
+
+    /// Lane `j`'s dynamic state, in `T1dsPatient::state` packing order.
+    pub(crate) fn lane_state(&mut self, j: usize) -> [f64; 12] {
+        self.state_columns().map(|col| col[j])
+    }
+
     /// Appends one patient's state and derived constants.
     pub(crate) fn push(&mut self, patient: &T1dsPatient) {
-        let [gp, gt, ip, il, isc1, isc2, i1, id, x, qsto1, qsto2, qgut] = patient.state();
+        for (col, v) in self.state_columns().into_iter().zip(patient.state()) {
+            col.push(v);
+        }
         let p = *patient.params();
-        self.gp.push(gp);
-        self.gt.push(gt);
-        self.ip.push(ip);
-        self.il.push(il);
-        self.isc1.push(isc1);
-        self.isc2.push(isc2);
-        self.i1.push(i1);
-        self.id.push(id);
-        self.x.push(x);
-        self.qsto1.push(qsto1);
-        self.qsto2.push(qsto2);
-        self.qgut.push(qgut);
         self.iob.push(patient.iob_tracker().value());
         self.kgri.push(p.kgri);
         self.neg_kgri.push(-p.kgri);
@@ -394,6 +408,17 @@ impl T1dsSoa {
         self.iob_d.push(0.0);
     }
 
+    /// Re-seeds lane `j` in place from `patient`: its dynamic state, its
+    /// IOB and `ib`, the one per-patient constant that depends on the
+    /// basal rate. The lane must hold a patient of the same parameters.
+    pub(crate) fn reseed(&mut self, j: usize, patient: &T1dsPatient) {
+        for (col, v) in self.state_columns().into_iter().zip(patient.state()) {
+            col[j] = v;
+        }
+        self.iob[j] = patient.iob_tracker().value();
+        self.ib[j] = patient.ib();
+    }
+
     /// Per-step precompute mirroring `T1dsPatient::step`'s prologue.
     pub(crate) fn begin_step(&mut self, delivered: &[f64], carbs: &[f64]) {
         // Branch-free over re-sliced columns so the loop autovectorizes
@@ -421,16 +446,20 @@ impl T1dsSoa {
     pub(crate) fn integrate(&mut self, backend: Backend) {
         let n = self.len();
         if n <= PAR_BLOCK {
-            self.integrate_range(backend, 0, n);
+            self.integrate_range(backend, 0, n, 1);
         } else {
-            integrate_chunked(self, n, |s, lo, hi| s.integrate_range(backend, lo, hi));
+            integrate_chunked(self, n, |s, lo, hi| s.integrate_range(backend, lo, hi, 1));
         }
     }
 
-    /// [`integrate`](Self::integrate) restricted to lanes `lo..hi`
-    /// (`lo` must be a multiple of the vector widths; chunk boundaries
-    /// are).
-    fn integrate_range(&mut self, backend: Backend, lo: usize, hi: usize) {
+    /// [`integrate`](Self::integrate) restricted to lanes `lo..hi` and
+    /// repeated for `steps` control steps (`lo` must be a multiple of the
+    /// vector widths; chunk boundaries are). The steps all run at the
+    /// inputs the last [`begin_step`](Self::begin_step) set: its meal
+    /// lands once, before the first, and its rate holds throughout. The
+    /// engine runs one step per call; calibration runs a whole open-loop
+    /// warm-up in one, with state and constants in registers throughout.
+    pub(super) fn integrate_range(&mut self, backend: Backend, lo: usize, hi: usize, steps: usize) {
         let mut j = lo;
         #[cfg(target_arch = "x86_64")]
         match backend {
@@ -441,7 +470,7 @@ impl T1dsSoa {
                     // SAFETY: Avx512 is only selected when avx512f is
                     // available (simd::backend() / with_backend both
                     // check); `lanes` is a multiple of 8 within bounds.
-                    unsafe { super::kernels::t1ds_step_avx512(self, j, lanes) };
+                    unsafe { super::kernels::t1ds_step_avx512(self, j, lanes, steps) };
                     j += lanes;
                 }
             }
@@ -451,21 +480,22 @@ impl T1dsSoa {
                     let lanes = (full - j).min(TILE_LANES);
                     // SAFETY: as above, for avx2; `lanes` is a multiple
                     // of 4 within bounds.
-                    unsafe { super::kernels::t1ds_step_avx2(self, j, lanes) };
+                    unsafe { super::kernels::t1ds_step_avx2(self, j, lanes, steps) };
                     j += lanes;
                 }
             }
             Backend::Scalar => {}
         }
         let _ = backend;
-        self.integrate_scalar(j, hi);
+        self.integrate_scalar(j, hi, steps);
     }
 
-    /// Batched scalar whole-step kernel for lanes `lo..hi`; the substep
-    /// expression trees copy `T1dsPatient::advance_minute` verbatim (all
-    /// derivatives read the pre-update state, updates and floors follow).
-    /// State lives in locals across the fused substep loop.
-    pub(crate) fn integrate_scalar(&mut self, lo: usize, hi: usize) {
+    /// Batched scalar kernel: `steps` whole control steps for lanes
+    /// `lo..hi`. The substep expression trees copy
+    /// `T1dsPatient::advance_minute` verbatim (all derivatives read the
+    /// pre-update state, updates and floors follow). State lives in
+    /// locals across the fused substep loop.
+    pub(crate) fn integrate_scalar(&mut self, lo: usize, hi: usize, steps: usize) {
         for j in lo..hi {
             let neg_kgri = self.neg_kgri[j];
             let kgri = self.kgri[j];
@@ -514,7 +544,7 @@ impl T1dsSoa {
             let mut qsto2 = self.qsto2[j];
             let mut qgut = self.qgut[j];
             let mut iob = self.iob[j];
-            for _ in 0..SUBSTEPS {
+            for _ in 0..steps * SUBSTEPS {
                 // Oral absorption.
                 let dqsto1 = neg_kgri * qsto1;
                 let dqsto2 = kgri * qsto1 - kempt * qsto2;

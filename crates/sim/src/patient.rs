@@ -114,6 +114,12 @@ impl IobTracker {
         self.decay_per_min
     }
 
+    /// Overwrites the current insulin on board (U); the batched T1DS
+    /// calibrator hands a warmed-up lane's IOB back through this.
+    pub(crate) fn set_value(&mut self, iob: f64) {
+        self.iob = iob;
+    }
+
     /// Advances one minute with `delivered` units infused during it.
     pub fn advance_minute(&mut self, delivered: f64) {
         self.iob += delivered;

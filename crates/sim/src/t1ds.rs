@@ -185,25 +185,13 @@ impl T1dsPatient {
     /// [`calibrated`](Self::calibrated) for explicit parameters: bisects
     /// the basal rate (`therapy.basal_rate` is overwritten) until the
     /// 24-hour open-loop steady state lands near `params.gb`, then warms
-    /// up to that equilibrium. Used by the latin-hypercube cohort sampler,
-    /// whose parameters do not come from [`T1dsParams::profile`].
-    pub fn calibrated_from(params: T1dsParams, mut therapy: TherapyProfile) -> Self {
-        let (mut lo, mut hi) = (0.1, 4.0);
-        for _ in 0..14 {
-            let mid = 0.5 * (lo + hi);
-            therapy.basal_rate = mid;
-            let mut p = Self::new(params, therapy);
-            p.warm_up(288); // 24 h settle
-            if p.bg() > params.gb {
-                lo = mid; // need more insulin
-            } else {
-                hi = mid;
-            }
-        }
-        therapy.basal_rate = 0.5 * (lo + hi);
-        let mut p = Self::new(params, therapy);
-        p.warm_up(288);
-        p
+    /// up to that equilibrium. The bisection runs as a one-member batch
+    /// of the cohort's calibrator, which [`crate::Cohort::sample`] runs
+    /// over a whole population at once.
+    pub fn calibrated_from(params: T1dsParams, therapy: TherapyProfile) -> Self {
+        crate::cohort::calibrate_t1ds(&[(params, therapy)], cpsmon_nn::simd::backend())
+            .pop()
+            .expect("one member in, one patient out")
     }
 
     /// The model parameters.
@@ -220,6 +208,17 @@ impl T1dsPatient {
             self.gp, self.gt, self.ip, self.il, self.isc1, self.isc2, self.i1, self.id, self.x,
             self.qsto1, self.qsto2, self.qgut,
         ]
+    }
+
+    /// Overwrites the dynamic state (packing order of
+    /// [`state`](Self::state)) and the insulin on board: how the batched
+    /// calibrator hands a warmed-up SoA lane back as a patient.
+    pub(crate) fn set_state(&mut self, state: [f64; 12], iob: f64) {
+        [
+            self.gp, self.gt, self.ip, self.il, self.isc1, self.isc2, self.i1, self.id, self.x,
+            self.qsto1, self.qsto2, self.qgut,
+        ] = state;
+        self.iob.set_value(iob);
     }
 
     /// Basal plasma insulin concentration (pmol/L), fixed at calibration.
