@@ -13,7 +13,7 @@ use cpsmon_nn::par::{self, ThreadsGuard};
 use cpsmon_nn::rng::SmallRng;
 use cpsmon_nn::{
     init::random_normal, AdamTrainer, GradModel, LstmConfig, LstmNet, Matrix, MlpConfig, MlpNet,
-    Network, WeightPrecision,
+    Network,
 };
 use cpsmon_serve::{IngestItem, IngestKind, OverloadPolicy, ServingBundle, Shard, ShardConfig};
 use cpsmon_sim::basal_bolus::BasalBolusController;
@@ -394,41 +394,26 @@ fn bench_lstm_pools(c: &mut Criterion) {
     let (cfg, norm) = session_featurization();
     let records = synthetic_records(512, 11);
     let lstm = paper_lstm();
-    // The int8 variant serves realized-precision weights: quantize through
-    // the on-disk format and dequantize back, exactly what a deployment
-    // loading a v2 int8 bundle would run.
-    let mut buf = Vec::new();
-    lstm.save_quantized(&mut buf, WeightPrecision::Int8)
-        .expect("in-memory save cannot fail");
-    let (qnet, precision) =
-        LstmNet::load_with_precision(&mut buf.as_slice()).expect("quantized roundtrip");
-    assert_eq!(precision, WeightPrecision::Int8);
-    let engines = [
-        ("session_step_pool1k_lstm", LstmEngine::F64(&lstm)),
-        ("session_step_pool1k_lstm_int8", LstmEngine::f32_from(&qnet)),
-    ];
-    for (name, engine) in engines {
-        let mut pool = LstmSessionPool::new(engine, cfg, &norm, 1000);
-        let mut step_records: Vec<StepRecord> = Vec::with_capacity(1000);
-        let mut next = 0usize;
-        // Warm one window's worth of ticks so ring buffers, recurrent
-        // state, and the arena are all in steady state.
-        for _ in 0..WINDOW {
+    let mut pool = LstmSessionPool::new(LstmEngine::F64(&lstm), cfg, &norm, 1000);
+    let mut step_records: Vec<StepRecord> = Vec::with_capacity(1000);
+    let mut next = 0usize;
+    // Warm one window's worth of ticks so ring buffers, recurrent state,
+    // and the arena are all in steady state.
+    for _ in 0..WINDOW {
+        step_records.clear();
+        step_records.extend((0..1000).map(|s| records[(next + s) % records.len()]));
+        pool.step(&step_records);
+        next += 1;
+    }
+    c.bench_function("session_step_pool1k_lstm", |b| {
+        b.iter(|| {
             step_records.clear();
             step_records.extend((0..1000).map(|s| records[(next + s) % records.len()]));
-            pool.step(&step_records);
+            let out = pool.step(&step_records);
             next += 1;
-        }
-        c.bench_function(name, |b| {
-            b.iter(|| {
-                step_records.clear();
-                step_records.extend((0..1000).map(|s| records[(next + s) % records.len()]));
-                let out = pool.step(&step_records);
-                next += 1;
-                out
-            })
-        });
-    }
+            out
+        })
+    });
 }
 
 const COHORT_N: usize = 1000;
@@ -541,7 +526,6 @@ fn serve_bundle(monitor: TrainedMonitor) -> ServingBundle {
         normalizer,
         train_config: TrainConfig::quick_test(),
         fingerprint: 1,
-        precision: WeightPrecision::F64,
     })
 }
 

@@ -35,32 +35,15 @@
 //! Loading validates the magic, the format version, and — through
 //! [`MonitorBundle::load_validated`] — the dataset fingerprint, so a stale
 //! bundle can never silently serve a monitor trained on a mismatched
-//! dataset.
-//!
-//! ## Quantized bundles (v2)
-//!
-//! Bundles saved with [`MonitorBundle::with_precision`] at
-//! [`WeightPrecision::F16`] or [`WeightPrecision::Int8`] use the
-//! `cpsmon-bundle v2` magic, add a `precision <f16|int8>` line after
-//! `kind`, and embed a v2 network document with `tensor16`/`tensor8`
-//! encodings (see [`cpsmon_nn::serialize`]). Exact-f64 bundles keep
-//! writing v1, so artifacts stay readable by older builds. Loading always
-//! dequantizes to f64; [`MonitorBundle::lstm_engine`] then picks the
-//! serving engine — f64 for exact bundles, the native f32 engine for
-//! quantized ones. Quantized bundles are additionally held to a
-//! documented accuracy contract ([`F16_F1_TOLERANCE`] /
-//! [`INT8_F1_TOLERANCE`]) enforced by
-//! [`MonitorBundle::validate_accuracy`] and the artifact test suite, and
-//! an int8 tensor with a corrupted scale fails at parse time rather than
-//! silently mispredicting.
+//! dataset. `v1` is the only format version: any other, including the
+//! retired quantized `v2`, fails with [`ArtifactError::UnsupportedVersion`].
 
-use crate::dataset::{Dataset, LabeledDataset};
+use crate::dataset::LabeledDataset;
 use crate::features::Normalizer;
 use crate::monitor::{MonitorKind, MonitorModel, TrainedMonitor};
-use crate::stream::LstmEngine;
 use crate::train::TrainConfig;
 use cpsmon_nn::serialize::LoadError;
-use cpsmon_nn::{LstmNet, MlpNet, WeightPrecision};
+use cpsmon_nn::{LstmNet, MlpNet};
 use cpsmon_stl::{ApsRules, RuleMonitor};
 use std::error::Error;
 use std::fmt;
@@ -70,25 +53,8 @@ use std::path::Path;
 /// Magic token opening every bundle file.
 const MAGIC: &str = "cpsmon-bundle";
 
-/// Format version written for exact-f64 bundles (and the only version
-/// older builds can read).
+/// The bundle format version this build reads and writes.
 const VERSION: &str = "v1";
-
-/// Format version written for quantized bundles: adds a `precision` line
-/// after `kind` and embeds a v2 network document.
-const VERSION_V2: &str = "v2";
-
-/// Maximum F1 drift (vs the exact-f64 monitor, on the bundle's test split)
-/// a **f16** bundle may exhibit before the accuracy gate rejects it.
-/// Binary16 keeps ~11 mantissa bits, which perturbs well-trained decision
-/// boundaries by far less than a thousandth of F1 in practice; anything
-/// larger indicates a broken tensor, not expected rounding.
-pub const F16_F1_TOLERANCE: f64 = 0.005;
-
-/// Maximum F1 drift for an **int8** bundle. Symmetric per-tensor
-/// quantization to 8 bits costs noticeably more than f16 — the documented
-/// serving contract is "within two F1 points of the exact monitor".
-pub const INT8_F1_TOLERANCE: f64 = 0.02;
 
 /// Errors arising while loading a monitor bundle.
 #[derive(Debug)]
@@ -118,14 +84,6 @@ pub enum ArtifactError {
     },
     /// The embedded network document failed to load.
     Net(LoadError),
-    /// A quantized bundle's monitor drifted further from its exact-f64
-    /// reference than the precision's documented tolerance allows.
-    AccuracyDrift {
-        /// Measured |ΔF1| between the bundle's monitor and the reference.
-        delta: f64,
-        /// The documented tolerance for the bundle's precision.
-        tolerance: f64,
-    },
 }
 
 impl fmt::Display for ArtifactError {
@@ -141,8 +99,7 @@ impl fmt::Display for ArtifactError {
             ArtifactError::UnsupportedVersion(v) => {
                 write!(
                     f,
-                    "unsupported bundle format version '{v}' \
-                     (expected {VERSION} or {VERSION_V2})"
+                    "unsupported bundle format version '{v}' (expected {VERSION})"
                 )
             }
             ArtifactError::FingerprintMismatch { expected, found } => write!(
@@ -151,11 +108,6 @@ impl fmt::Display for ArtifactError {
                  (fingerprint {found:016x}, expected {expected:016x})"
             ),
             ArtifactError::Net(e) => write!(f, "embedded network failed to load: {e}"),
-            ArtifactError::AccuracyDrift { delta, tolerance } => write!(
-                f,
-                "quantized bundle drifted {delta:.4} F1 from its exact reference \
-                 (tolerance {tolerance})"
-            ),
         }
     }
 }
@@ -257,9 +209,7 @@ pub fn train_config_hash(cfg: &TrainConfig) -> u64 {
 /// A trained monitor packaged with everything needed to redeploy it.
 #[derive(Debug, Clone)]
 pub struct MonitorBundle {
-    /// The trained monitor (kind + model weights). Always f64 in memory:
-    /// quantized bundles are dequantized at load; the native f32 serving
-    /// engine is obtained via [`lstm_engine`](Self::lstm_engine).
+    /// The trained monitor (kind + model weights).
     pub monitor: TrainedMonitor,
     /// Normalizer fitted on the training split the monitor was trained on.
     pub normalizer: Normalizer,
@@ -267,109 +217,28 @@ pub struct MonitorBundle {
     pub train_config: TrainConfig,
     /// [`dataset_fingerprint`] of the training dataset.
     pub fingerprint: u64,
-    /// Weight precision the bundle stores (or was loaded from). Only ML
-    /// monitors can be quantized; rule bundles are always
-    /// [`WeightPrecision::F64`].
-    pub precision: WeightPrecision,
 }
 
 impl MonitorBundle {
     /// Packages a freshly trained monitor with its dataset's normalizer and
-    /// fingerprint, at exact f64 precision.
+    /// fingerprint.
     pub fn new(monitor: TrainedMonitor, ds: &LabeledDataset, cfg: &TrainConfig) -> MonitorBundle {
         MonitorBundle {
             monitor,
             normalizer: ds.normalizer.clone(),
             train_config: cfg.clone(),
             fingerprint: dataset_fingerprint(ds),
-            precision: WeightPrecision::F64,
         }
     }
 
-    /// Switches the precision the bundle's weights will be *stored* at.
-    /// The in-memory monitor is unchanged — quantization happens in
-    /// [`save`](Self::save), so round-tripping a quantized bundle is what
-    /// realizes the precision loss.
-    ///
-    /// # Panics
-    ///
-    /// Panics when asked to quantize a rule-based monitor (it has no
-    /// weight tensors).
-    pub fn with_precision(mut self, precision: WeightPrecision) -> MonitorBundle {
-        assert!(
-            precision == WeightPrecision::F64
-                || !matches!(self.monitor.model, MonitorModel::Rule(_)),
-            "rule-based bundles have no weights to quantize"
-        );
-        self.precision = precision;
-        self
-    }
-
-    /// The documented F1-drift tolerance for a storage precision (see
-    /// [`F16_F1_TOLERANCE`] / [`INT8_F1_TOLERANCE`]; exact f64 tolerates
-    /// zero drift).
-    pub fn f1_tolerance(precision: WeightPrecision) -> f64 {
-        match precision {
-            WeightPrecision::F64 => 0.0,
-            WeightPrecision::F16 => F16_F1_TOLERANCE,
-            WeightPrecision::Int8 => INT8_F1_TOLERANCE,
-        }
-    }
-
-    /// The accuracy-delta gate: compares this bundle's monitor against the
-    /// exact reference on `test` and rejects the bundle if F1 drifted
-    /// beyond its precision's documented tolerance. Returns the measured
-    /// |ΔF1| when the gate passes.
-    ///
-    /// # Errors
-    ///
-    /// [`ArtifactError::AccuracyDrift`] when the drift exceeds
-    /// [`f1_tolerance`](Self::f1_tolerance).
-    pub fn validate_accuracy(
-        &self,
-        reference: &TrainedMonitor,
-        test: &Dataset,
-    ) -> Result<f64, ArtifactError> {
-        let delta = (self.monitor.evaluate(test).f1() - reference.evaluate(test).f1()).abs();
-        let tolerance = Self::f1_tolerance(self.precision);
-        if delta > tolerance {
-            return Err(ArtifactError::AccuracyDrift { delta, tolerance });
-        }
-        Ok(delta)
-    }
-
-    /// The load-time dequant-or-native choice for LSTM bundles: an exact
-    /// bundle serves through the f64 engine (bit-identical to training);
-    /// a quantized one through the native f32 engine, whose extra rounding
-    /// is already inside the precision's accuracy tolerance. `None` for
-    /// non-LSTM monitors.
-    pub fn lstm_engine(&self) -> Option<LstmEngine<'_>> {
-        match &self.monitor.model {
-            MonitorModel::Lstm(net) => Some(match self.precision {
-                WeightPrecision::F64 => LstmEngine::F64(net),
-                _ => LstmEngine::f32_from(net),
-            }),
-            _ => None,
-        }
-    }
-
-    /// Writes the bundle: `cpsmon-bundle v1` for exact-f64 bundles (the
-    /// format older builds read), `v2` with a `precision` line and a
-    /// quantized network document otherwise.
+    /// Writes the bundle in the `cpsmon-bundle v1` format.
     ///
     /// # Errors
     ///
     /// Propagates I/O errors from the writer.
     pub fn save(&self, w: &mut impl Write) -> io::Result<()> {
-        if self.precision == WeightPrecision::F64 {
-            writeln!(w, "{MAGIC} {VERSION}")?;
-        } else {
-            writeln!(w, "{MAGIC} {VERSION_V2}")?;
-        }
+        writeln!(w, "{MAGIC} {VERSION}")?;
         writeln!(w, "kind {}", self.monitor.kind.tag())?;
-        if self.precision != WeightPrecision::F64 {
-            writeln!(w, "precision {}", self.precision.label())?;
-        }
         writeln!(w, "fingerprint {:016x}", self.fingerprint)?;
         let cfg = &self.train_config;
         writeln!(w, "epochs {}", cfg.epochs)?;
@@ -390,20 +259,8 @@ impl MonitorBundle {
                     join_floats(&[r.bgt, r.hypo, r.iob_eps, r.bg_trend_eps])
                 )?;
             }
-            MonitorModel::Mlp(net) => {
-                if self.precision == WeightPrecision::F64 {
-                    net.save(w)?;
-                } else {
-                    net.save_quantized(w, self.precision)?;
-                }
-            }
-            MonitorModel::Lstm(net) => {
-                if self.precision == WeightPrecision::F64 {
-                    net.save(w)?;
-                } else {
-                    net.save_quantized(w, self.precision)?;
-                }
-            }
+            MonitorModel::Mlp(net) => net.save(w)?,
+            MonitorModel::Lstm(net) => net.save(w)?,
         }
         // Explicit trailer so truncation anywhere — even inside the final
         // payload line — is detectable.
@@ -444,26 +301,13 @@ impl MonitorBundle {
         if magic_parts.next() != Some(MAGIC) {
             return Err(ArtifactError::BadMagic(magic.clone()));
         }
-        let v2 = match magic_parts.next() {
-            Some(VERSION) => false,
-            Some(VERSION_V2) => true,
-            v => return Err(ArtifactError::UnsupportedVersion(v.unwrap_or("").into())),
-        };
+        let version = magic_parts.next().unwrap_or("");
+        if version != VERSION {
+            return Err(ArtifactError::UnsupportedVersion(version.into()));
+        }
         let kind_tag = lines.read_kv(r, "kind")?;
         let kind = MonitorKind::from_tag(kind_tag.first().map_or("", String::as_str))
             .ok_or_else(|| lines.err(format!("unknown monitor kind '{}'", kind_tag.join(" "))))?;
-        let precision = if v2 {
-            lines
-                .read_kv(r, "precision")?
-                .first()
-                .and_then(|t| WeightPrecision::from_label(t))
-                .ok_or_else(|| lines.err("bad precision token"))?
-        } else {
-            WeightPrecision::F64
-        };
-        if precision != WeightPrecision::F64 && kind == MonitorKind::RuleBased {
-            return Err(lines.err("rule-based bundles cannot be quantized"));
-        }
         let fp_hex = lines.read_kv(r, "fingerprint")?;
         let fingerprint = u64::from_str_radix(fp_hex.first().map_or("", String::as_str), 16)
             .map_err(|_| lines.err("bad fingerprint"))?;
@@ -500,28 +344,8 @@ impl MonitorBundle {
                     bg_trend_eps,
                 }))
             }
-            MonitorKind::Mlp | MonitorKind::MlpCustom => {
-                let (net, p) = MlpNet::load_with_precision(r)?;
-                if p != precision {
-                    return Err(lines.err(format!(
-                        "bundle precision {} disagrees with embedded network precision {}",
-                        precision.label(),
-                        p.label()
-                    )));
-                }
-                MonitorModel::Mlp(net)
-            }
-            MonitorKind::Lstm | MonitorKind::LstmCustom => {
-                let (net, p) = LstmNet::load_with_precision(r)?;
-                if p != precision {
-                    return Err(lines.err(format!(
-                        "bundle precision {} disagrees with embedded network precision {}",
-                        precision.label(),
-                        p.label()
-                    )));
-                }
-                MonitorModel::Lstm(net)
-            }
+            MonitorKind::Mlp | MonitorKind::MlpCustom => MonitorModel::Mlp(MlpNet::load(r)?),
+            MonitorKind::Lstm | MonitorKind::LstmCustom => MonitorModel::Lstm(LstmNet::load(r)?),
         };
         let trailer = lines
             .next(r)
@@ -542,7 +366,6 @@ impl MonitorBundle {
                 seed,
             },
             fingerprint,
-            precision,
         })
     }
 
@@ -761,105 +584,6 @@ mod tests {
             matches!(err, ArtifactError::FingerprintMismatch { .. }),
             "{err}"
         );
-    }
-
-    #[test]
-    fn quantized_lstm_bundle_roundtrips_and_passes_accuracy_gate() {
-        let ds = dataset();
-        let cfg = TrainConfig::quick_test();
-        let monitor = MonitorKind::Lstm.train(&ds, &cfg).unwrap();
-        let reference = monitor.clone();
-        for precision in [WeightPrecision::F16, WeightPrecision::Int8] {
-            let bundle = MonitorBundle::new(monitor.clone(), &ds, &cfg).with_precision(precision);
-            let mut buf = Vec::new();
-            bundle.save(&mut buf).unwrap();
-            let text = String::from_utf8(buf.clone()).unwrap();
-            assert!(text.starts_with("cpsmon-bundle v2\n"), "quantized → v2");
-            let loaded = MonitorBundle::load_validated(
-                &mut BufReader::new(buf.as_slice()),
-                bundle.fingerprint,
-            )
-            .unwrap();
-            assert_eq!(loaded.precision, precision);
-            let delta = loaded.validate_accuracy(&reference, &ds.test).unwrap();
-            assert!(
-                delta <= MonitorBundle::f1_tolerance(precision),
-                "{} drift {delta} above documented tolerance",
-                precision.label()
-            );
-            // The dequant-or-native choice: quantized bundles serve f32.
-            let engine = loaded.lstm_engine().expect("lstm bundle");
-            assert_eq!(engine.label(), "f32");
-        }
-        // Exact bundles keep the v1 format and the f64 engine.
-        let exact = MonitorBundle::new(monitor.clone(), &ds, &cfg);
-        let mut buf = Vec::new();
-        exact.save(&mut buf).unwrap();
-        assert!(String::from_utf8(buf)
-            .unwrap()
-            .starts_with("cpsmon-bundle v1\n"));
-        assert_eq!(exact.lstm_engine().expect("lstm bundle").label(), "f64");
-    }
-
-    #[test]
-    fn corrupted_int8_scale_fails_load_validated() {
-        // The regression the gate exists for: a corrupted scale must fail
-        // loudly, not dequantize to garbage and silently mispredict.
-        let ds = dataset();
-        let cfg = TrainConfig::quick_test();
-        let monitor = MonitorKind::Lstm.train(&ds, &cfg).unwrap();
-        let bundle = MonitorBundle::new(monitor, &ds, &cfg).with_precision(WeightPrecision::Int8);
-        let mut buf = Vec::new();
-        bundle.save(&mut buf).unwrap();
-        let text = String::from_utf8(buf).unwrap();
-        let corrupted: Vec<String> = text
-            .lines()
-            .map(|l| {
-                if let Some(rest) = l.strip_prefix("tensor8 lstm0.wh ") {
-                    let mut parts: Vec<&str> = rest.split_whitespace().collect();
-                    let n = parts.len();
-                    parts[n - 1] = "inf";
-                    format!("tensor8 lstm0.wh {}", parts.join(" "))
-                } else {
-                    l.to_string()
-                }
-            })
-            .collect();
-        let joined = corrupted.join("\n");
-        let err = MonitorBundle::load_validated(
-            &mut BufReader::new(joined.as_bytes()),
-            bundle.fingerprint,
-        )
-        .unwrap_err();
-        assert!(matches!(err, ArtifactError::Net(_)), "{err}");
-        assert!(err.to_string().contains("scale") || err.source().is_some());
-    }
-
-    #[test]
-    fn accuracy_gate_rejects_drifted_monitor() {
-        // Pair an int8 bundle with a deliberately wrong reference (the rule
-        // monitor) so the F1 delta exceeds the tolerance.
-        let ds = dataset();
-        let cfg = TrainConfig::quick_test();
-        let lstm = MonitorKind::Lstm.train(&ds, &cfg).unwrap();
-        let rule = MonitorKind::RuleBased.train(&ds, &cfg).unwrap();
-        let f1_gap = (lstm.evaluate(&ds.test).f1() - rule.evaluate(&ds.test).f1()).abs();
-        assert!(
-            f1_gap > INT8_F1_TOLERANCE,
-            "fixture monitors too close (gap {f1_gap}) to exercise the gate"
-        );
-        let bundle = MonitorBundle::new(lstm, &ds, &cfg).with_precision(WeightPrecision::Int8);
-        let err = bundle.validate_accuracy(&rule, &ds.test).unwrap_err();
-        assert!(matches!(err, ArtifactError::AccuracyDrift { .. }), "{err}");
-    }
-
-    #[test]
-    #[should_panic(expected = "no weights to quantize")]
-    fn rule_bundles_refuse_quantization() {
-        let ds = dataset();
-        let cfg = TrainConfig::quick_test();
-        let monitor = MonitorKind::RuleBased.train(&ds, &cfg).unwrap();
-        let _ = MonitorBundle::new(monitor, &ds, &cfg).with_precision(WeightPrecision::F16);
     }
 
     #[test]

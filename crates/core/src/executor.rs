@@ -29,10 +29,8 @@ use crate::features::Normalizer;
 use crate::guard::{GuardPolicy, HealthState, InputGuard};
 use crate::monitor::{MonitorModel, TrainedMonitor};
 use crate::pipeline::{Action, LatencyAttribution, Mitigator};
-use crate::stream::{
-    argmax_row, GuardedVerdict, InvalidSample, LstmEngine, StepStream, Verdict, WindowStream,
-};
-use cpsmon_nn::{GradModel, LstmStreamState, Matrix};
+use crate::stream::{argmax_row, GuardedVerdict, InvalidSample, StepStream, Verdict, WindowStream};
+use cpsmon_nn::{GradModel, LstmNet, LstmStreamState, Matrix};
 use cpsmon_sim::trace::StepRecord;
 use cpsmon_stl::{ApsContext, RuleMonitor};
 
@@ -95,8 +93,8 @@ pub enum Engine<'a> {
     Rule(&'a RuleMonitor),
     /// A windowed network over each slot's normalized window.
     Windowed(&'a dyn GradModel),
-    /// The stateful LSTM engine and its recurrent state, one row per slot.
-    Stateful(&'a LstmEngine<'a>, &'a mut LstmStreamState),
+    /// The stateful LSTM network and its recurrent state, one row per slot.
+    Stateful(&'a LstmNet, &'a mut LstmStreamState),
 }
 
 impl<'a> Engine<'a> {
@@ -357,7 +355,7 @@ impl<S: SlotStream> Executor<S> {
                         .copy_from_slice(self.slots[i].stream.row());
                 }
                 let stepped = if full { &mut *state } else { &mut *packed };
-                let probs = net.step(&self.batch, stepped);
+                let probs = net.step_stream(&self.batch, stepped);
                 self.scored
                     .extend((0..rows).map(|r| (argmax_row(probs.row(r)), probs.get(r, 1))));
                 if !full {

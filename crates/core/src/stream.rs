@@ -22,8 +22,9 @@
 //!   serving engine — hidden/cell state carried across records
 //!   (one timestep of compute per record instead of a full-window
 //!   recompute), pooled structure-of-arrays so a whole fleet advances
-//!   through one fused GEMM per gate block, at either f64 or f32
-//!   ([`LstmEngine`]) precision. See DESIGN.md §12.
+//!   through one fused GEMM per gate block
+//!   ([`LstmNet::step_stream`](cpsmon_nn::LstmNet::step_stream)). See
+//!   DESIGN.md §12.
 //!
 //! Both pools are thin facades over the one pooled executor,
 //! [`crate::executor::Executor`].
@@ -48,7 +49,7 @@ use crate::features::{step_features, FeatureConfig, Normalizer, FEATURES_PER_STE
 use crate::guard::{GuardPolicy, HealthState};
 use crate::monitor::{MonitorModel, TrainedMonitor};
 use crate::pipeline::{Action, LatencyAttribution, Mitigator};
-use cpsmon_nn::{LstmNet, LstmNetF32, LstmNetScratch, LstmStreamState, Matrix, MlpScratch};
+use cpsmon_nn::{LstmNet, LstmNetScratch, LstmStreamState, Matrix, MlpScratch};
 use cpsmon_sim::trace::StepRecord;
 use cpsmon_stl::{ApsContext, RuleMonitor};
 
@@ -710,51 +711,12 @@ impl StepStream {
     }
 }
 
-/// The numeric engine behind a stateful LSTM session or pool: the
-/// full-precision network, or the f32 serving engine quantized bundles
-/// dequantize into.
+/// The network behind a stateful LSTM session or pool, as its
+/// constructors take it. The session and pool constructors unwrap it at
+/// once and step the borrowed network directly.
 pub enum LstmEngine<'m> {
     /// Borrowed f64 network — bit-identical to the training-time forward.
     F64(&'m LstmNet),
-    /// Owned single-precision engine (see [`LstmNetF32`]).
-    F32(LstmNetF32),
-}
-
-impl<'m> LstmEngine<'m> {
-    /// Builds the f32 serving engine from a (possibly dequantized) network.
-    pub fn f32_from(net: &LstmNet) -> Self {
-        LstmEngine::F32(LstmNetF32::from_net(net))
-    }
-
-    /// Features per timestep.
-    pub fn feature_dim(&self) -> usize {
-        match self {
-            LstmEngine::F64(n) => n.feature_dim(),
-            LstmEngine::F32(n) => n.feature_dim(),
-        }
-    }
-
-    /// Precision label for logs and bench metadata.
-    pub fn label(&self) -> &'static str {
-        match self {
-            LstmEngine::F64(_) => "f64",
-            LstmEngine::F32(_) => "f32",
-        }
-    }
-
-    pub(crate) fn stream_state(&self, rows: usize) -> LstmStreamState {
-        match self {
-            LstmEngine::F64(n) => n.stream_state(rows),
-            LstmEngine::F32(n) => n.stream_state(rows),
-        }
-    }
-
-    pub(crate) fn step<'s>(&self, x: &Matrix, st: &'s mut LstmStreamState) -> &'s Matrix {
-        match self {
-            LstmEngine::F64(n) => n.step_stream(x, st),
-            LstmEngine::F32(n) => n.step_stream(x, st),
-        }
-    }
 }
 
 /// One *stateful* streaming LSTM session: carries `h`/`c` across records
@@ -769,7 +731,7 @@ impl<'m> LstmEngine<'m> {
 /// pool-transparency: this session and any [`LstmSessionPool`] slot fed
 /// the same records produce bit-identical verdicts.
 pub struct LstmStreamSession<'m> {
-    engine: LstmEngine<'m>,
+    net: &'m LstmNet,
     stream: StepStream,
     state: LstmStreamState,
     x: Matrix,
@@ -778,12 +740,12 @@ pub struct LstmStreamSession<'m> {
 impl<'m> LstmStreamSession<'m> {
     /// Creates a stateful session with explicit featurization parameters.
     pub fn new(engine: LstmEngine<'m>, cfg: FeatureConfig, normalizer: &Normalizer) -> Self {
-        let dim = engine.feature_dim();
+        let LstmEngine::F64(net) = engine;
         Self {
-            state: engine.stream_state(1),
-            engine,
+            net,
             stream: StepStream::new(cfg, normalizer),
-            x: Matrix::zeros(1, dim),
+            state: net.stream_state(1),
+            x: Matrix::zeros(1, net.feature_dim()),
         }
     }
 
@@ -798,7 +760,7 @@ impl<'m> LstmStreamSession<'m> {
         let t0 = Instant::now();
         let step = self.stream.push(rec);
         self.x.row_mut(0).copy_from_slice(self.stream.features());
-        let probs = self.engine.step(&self.x, &mut self.state);
+        let probs = self.net.step_stream(&self.x, &mut self.state);
         let attribution = LatencyAttribution::compute_only(t0.elapsed());
         Verdict {
             step,
@@ -839,7 +801,7 @@ impl<'m> LstmStreamSession<'m> {
 /// the imputed context (the recurrent state still advances on imputed
 /// inputs, so recovery is seamless).
 pub struct LstmSessionPool<'m> {
-    engine: LstmEngine<'m>,
+    net: &'m LstmNet,
     state: LstmStreamState,
     exec: Executor<StepStream>,
 }
@@ -853,9 +815,10 @@ impl<'m> LstmSessionPool<'m> {
         normalizer: &Normalizer,
         n: usize,
     ) -> Self {
+        let LstmEngine::F64(net) = engine;
         Self {
-            state: engine.stream_state(n),
-            engine,
+            net,
+            state: net.stream_state(n),
             exec: Executor::new(StepStream::new(cfg, normalizer), n),
         }
     }
@@ -891,11 +854,6 @@ impl<'m> LstmSessionPool<'m> {
         self.exec.is_empty()
     }
 
-    /// The engine precision ("f64" / "f32").
-    pub fn engine_label(&self) -> &'static str {
-        self.engine.label()
-    }
-
     /// Feeds one record to session `i` (sanitized through its guard when
     /// guards are armed). The verdict is produced by the next
     /// [`drain_ready`](Self::drain_ready).
@@ -924,7 +882,7 @@ impl<'m> LstmSessionPool<'m> {
     /// of the batched step.
     pub fn drain_ready(&mut self) -> Vec<Option<GuardedVerdict>> {
         let mut out = vec![None; self.exec.len()];
-        let engine = Engine::Stateful(&self.engine, &mut self.state);
+        let engine = Engine::Stateful(self.net, &mut self.state);
         self.exec.drain(engine, |i, gv| out[i] = Some(gv));
         out
     }
@@ -1316,25 +1274,6 @@ mod tests {
                 } else {
                     assert!(slot.is_none(), "unpushed session {i} emitted at {t}");
                 }
-            }
-        }
-    }
-
-    #[test]
-    fn stateful_pool_f32_engine_matches_individual_f32_sessions() {
-        let (traces, ds) = dataset();
-        let monitor = lstm_net(&ds);
-        let net = net_of(&monitor);
-        let records = traces[0].records();
-        let mut pool = LstmSessionPool::for_dataset(LstmEngine::f32_from(net), &ds, 2);
-        let mut single = LstmStreamSession::for_dataset(LstmEngine::f32_from(net), &ds);
-        assert_eq!(pool.engine_label(), "f32");
-        for rec in records.iter().take(20) {
-            let pooled = pool.step(&[*rec, *rec]);
-            let s = single.step(rec);
-            for slot in &pooled {
-                let p = slot.expect("emits").verdict;
-                assert_eq!(p.proba.to_bits(), s.proba.to_bits(), "f32 pool diverged");
             }
         }
     }

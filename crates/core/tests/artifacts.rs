@@ -118,10 +118,14 @@ fn bad_magic_and_wrong_version_are_rejected() {
         "wrong variant"
     );
 
-    // v2 is a real version now (quantized bundles), but a v1 body merely
-    // relabeled v2 lacks the mandatory precision line and must not load.
+    // v2 was the retired quantized format: it fails with the same typed
+    // error as any other version this build does not read.
     let relabeled = text.replacen("cpsmon-bundle v1", "cpsmon-bundle v2", 1);
-    assert!(MonitorBundle::load(&mut BufReader::new(relabeled.as_bytes())).is_err());
+    let err = MonitorBundle::load(&mut BufReader::new(relabeled.as_bytes())).unwrap_err();
+    assert!(
+        matches!(err, ArtifactError::UnsupportedVersion(ref v) if v == "v2"),
+        "{err}"
+    );
 }
 
 #[test]

@@ -2,9 +2,8 @@
 //! pool transparency. A [`LstmSessionPool`] of any size, driven by any push
 //! schedule — lockstep, ragged, or a single session — must emit verdicts
 //! bit-identical to running each session individually through
-//! [`LstmStreamSession`], for both the exact f64 engine and the f32 serving
-//! engine. This is the guarantee that lets deployments batch aggressively
-//! without re-validating monitor behaviour.
+//! [`LstmStreamSession`]. This is the guarantee that lets deployments batch
+//! aggressively without re-validating monitor behaviour.
 
 use cpsmon_core::{FeatureConfig, LstmEngine, LstmSessionPool, LstmStreamSession, Normalizer};
 use cpsmon_nn::init::random_normal;
@@ -74,17 +73,11 @@ fn schedule_strategy() -> impl Strategy<Value = (usize, Vec<Vec<bool>>)> {
 
 /// Drives one pool and `n` individual sessions through the same schedule
 /// and asserts bit-identical verdicts tick by tick.
-fn assert_pool_transparent(
-    make_engine: &dyn Fn(&LstmNet) -> LstmEngine<'_>,
-    seed: u64,
-    n: usize,
-    schedule: &[Vec<bool>],
-    records: &[StepRecord],
-) {
+fn assert_pool_transparent(seed: u64, n: usize, schedule: &[Vec<bool>], records: &[StepRecord]) {
     let (cfg, norm, net) = fixture(seed);
-    let mut pool = LstmSessionPool::new(make_engine(&net), cfg, &norm, n);
+    let mut pool = LstmSessionPool::new(LstmEngine::F64(&net), cfg, &norm, n);
     let mut singles: Vec<LstmStreamSession<'_>> = (0..n)
-        .map(|_| LstmStreamSession::new(make_engine(&net), cfg, &norm))
+        .map(|_| LstmStreamSession::new(LstmEngine::F64(&net), cfg, &norm))
         .collect();
     let mut rec_idx = 0usize;
     for tick in schedule {
@@ -133,16 +126,7 @@ proptest! {
         (n, schedule) in schedule_strategy(),
         records in proptest::collection::vec(record_strategy(), 48),
     ) {
-        assert_pool_transparent(&|net| LstmEngine::F64(net), seed, n, &schedule, &records);
-    }
-
-    #[test]
-    fn pooled_f32_engine_is_bit_identical_to_individual_sessions(
-        seed in 0u64..1_000,
-        (n, schedule) in schedule_strategy(),
-        records in proptest::collection::vec(record_strategy(), 48),
-    ) {
-        assert_pool_transparent(&|net| LstmEngine::f32_from(net), seed, n, &schedule, &records);
+        assert_pool_transparent(seed, n, &schedule, &records);
     }
 
     #[test]
@@ -152,7 +136,6 @@ proptest! {
         records in proptest::collection::vec(record_strategy(), 20),
     ) {
         let schedule: Vec<Vec<bool>> = vec![vec![true]; ticks];
-        assert_pool_transparent(&|net| LstmEngine::F64(net), seed, 1, &schedule, &records);
-        assert_pool_transparent(&|net| LstmEngine::f32_from(net), seed, 1, &schedule, &records);
+        assert_pool_transparent(seed, 1, &schedule, &records);
     }
 }

@@ -80,9 +80,9 @@ pub use error::NnError;
 pub use gru::{Gru, GruConfig, GruNet};
 pub use loss::SemanticLoss;
 pub use lstm::{Lstm, LstmScratch};
-pub use lstm_net::{LstmConfig, LstmNet, LstmNetF32, LstmNetScratch, LstmStreamState};
+pub use lstm_net::{LstmConfig, LstmNet, LstmNetScratch, LstmStreamState};
 pub use matrix::Matrix;
 pub use mlp_net::{MlpConfig, MlpNet, MlpScratch};
 pub use model::{GradModel, Network};
 pub use recurrent_net::{RecurrentCell, RecurrentConfig, RecurrentNet};
-pub use serialize::{LoadError, WeightPrecision};
+pub use serialize::LoadError;

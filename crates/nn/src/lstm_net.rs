@@ -5,13 +5,12 @@
 //! [`RecurrentNet`] with [`Lstm`] cells, so it trains, differentiates and
 //! saves through the shared scaffold. This module adds what only the LSTM
 //! serves: the allocation-free windowed prediction path
-//! ([`LstmNet::predict_proba_scratch`]), the stateful streaming step
-//! ([`LstmNet::step_stream`]) and its single-precision engine
-//! ([`LstmNetF32`]).
+//! ([`LstmNet::predict_proba_scratch`]) and the stateful streaming step
+//! ([`LstmNet::step_stream`]).
 
 use crate::activation::softmax_rows_inplace;
-use crate::lstm::{step_state, Lstm, LstmScratch};
-use crate::matrix::{seed_rows, Matrix};
+use crate::lstm::{Lstm, LstmScratch};
+use crate::matrix::Matrix;
 use crate::par;
 use crate::recurrent_net::{RecurrentConfig, RecurrentNet};
 use crate::simd;
@@ -107,16 +106,12 @@ impl LstmNet {
 
 /// Carried recurrent state for a batch of independent streaming sessions,
 /// laid out structure-of-arrays: row `r` of every per-layer `h`/`c` matrix
-/// is session `r`'s state. One state serves both the f64 engine
-/// ([`LstmNet::step_stream`]) and the f32 quantized engine
-/// ([`LstmNetF32::step_stream`]) — the f32 engine keeps its master state in
-/// f64 too (only weights and GEMMs are single precision), so pools can
-/// gather/scatter rows without caring which engine advances them.
+/// is session `r`'s state.
 ///
-/// The `z`/`probs`/f32 buffers are per-tick scratch, fully overwritten by
-/// each step. A step cuts `h`, `c`, `z`, `probs` and the f32 scratch into
-/// [`par::STEP_CHUNK`]-row views and runs each chunk's whole layer stack as
-/// one [`par::for_each_part`] work item, so the buffers stay here and are
+/// The `z`/`probs` buffers are per-tick scratch, fully overwritten by each
+/// step. A step cuts `h`, `c`, `z` and `probs` into [`par::STEP_CHUNK`]-row
+/// views and runs each chunk's whole layer stack as one
+/// [`par::for_each_part`] work item, so the buffers stay here and are
 /// split, not reallocated. Every chunk reads each layer's `Wx` and `Wh` as
 /// the panels the layer caches. After the first tick at a given row count
 /// a step allocates only what the fan-out itself needs: the list of
@@ -129,8 +124,6 @@ pub struct LstmStreamState {
     z: Vec<f64>,
     probs: Matrix,
     rows: usize,
-    // f32 engine scratch (empty unless LstmNetF32 drives this state).
-    f32: Vec<f32>,
 }
 
 impl Default for LstmStreamState {
@@ -141,13 +134,12 @@ impl Default for LstmStreamState {
             z: Vec::new(),
             probs: Matrix::zeros(0, 0),
             rows: 0,
-            f32: Vec::new(),
         }
     }
 }
 
 /// One row chunk's disjoint views of a step's per-row buffers: the unit of
-/// work an engine's chunk body runs.
+/// work [`LstmNet::step_stream`] fans out.
 struct StepChunk<'a> {
     /// The chunk's records, `rows × feature_dim`.
     x: &'a [f64],
@@ -157,8 +149,6 @@ struct StepChunk<'a> {
     z: &'a mut [f64],
     /// Class probabilities, `rows × classes`.
     probs: &'a mut [f64],
-    /// The f32 engine's scratch; empty for the f64 engine.
-    f32: &'a mut [f32],
 }
 
 impl LstmStreamState {
@@ -232,58 +222,6 @@ impl LstmStreamState {
             }
         }
     }
-
-    /// The row-chunk fan-out behind both engines' `step_stream`. Sizes the
-    /// per-tick buffers for `x` (`gate_width` and `f32_width` values per
-    /// row), cuts every per-row buffer into [`par::STEP_CHUNK`]-row views
-    /// and runs `body` on each chunk through [`par::for_each_part`]. The
-    /// chunk boundaries depend only on the row count, and every kernel of a
-    /// step is row-independent, so each row's bits are the same for any
-    /// batch and any thread count. A batch of one chunk runs inline.
-    fn step_chunks(
-        &mut self,
-        x: &Matrix,
-        gate_width: usize,
-        classes: usize,
-        f32_width: usize,
-        body: impl Fn(StepChunk<'_>) + Sync,
-    ) -> &Matrix {
-        let n = x.rows();
-        assert_eq!(n, self.rows, "state row-count mismatch");
-        let rows = par::STEP_CHUNK;
-        self.z.resize(n * gate_width, 0.0);
-        self.probs.reset_shape(n, classes);
-        self.f32.resize(n * f32_width, 0.0);
-        let layer_count = self.h.len();
-        let mut chunks: Vec<StepChunk<'_>> = x
-            .as_slice()
-            .chunks(rows * x.cols())
-            .zip(self.z.chunks_mut(rows * gate_width))
-            .zip(self.probs.as_mut_slice().chunks_mut(rows * classes))
-            .map(|((x, z), probs)| StepChunk {
-                x,
-                layers: Vec::with_capacity(layer_count),
-                z,
-                probs,
-                f32: &mut [],
-            })
-            .collect();
-        for (h, c) in self.h.iter_mut().zip(&mut self.c) {
-            let len = rows * h.cols();
-            let views = h.as_mut_slice().chunks_mut(len);
-            let views = views.zip(c.as_mut_slice().chunks_mut(len));
-            for (chunk, hc) in chunks.iter_mut().zip(views) {
-                chunk.layers.push(hc);
-            }
-        }
-        // An empty buffer yields no views and leaves every chunk's f32 empty.
-        let f32_views = self.f32.chunks_mut((rows * f32_width).max(1));
-        for (chunk, f32) in chunks.iter_mut().zip(f32_views) {
-            chunk.f32 = f32;
-        }
-        par::for_each_part(chunks, body);
-        &self.probs
-    }
 }
 
 impl LstmNet {
@@ -316,12 +254,13 @@ impl LstmNet {
     /// emitted from the very first record (zero initial state).
     ///
     /// The batch runs in [`par::STEP_CHUNK`]-row chunks, each chunk's whole
-    /// layer stack one `par` work item reading the layers' cached weight
-    /// panels. Every kernel invoked here is row-wise with a fixed
-    /// per-element operation sequence, so row `r`'s outputs are
-    /// bit-identical whether stepped alone or batched with any other
-    /// sessions, on any number of threads — the pooled engine's core
-    /// invariant.
+    /// layer stack one [`par::for_each_part`] work item reading the layers'
+    /// cached weight panels; a batch of one chunk runs inline. The chunk
+    /// boundaries depend only on the row count, and every kernel invoked
+    /// here is row-wise with a fixed per-element operation sequence, so row
+    /// `r`'s outputs are bit-identical whether stepped alone or batched
+    /// with any other sessions, on any number of threads — the pooled
+    /// engine's core invariant.
     ///
     /// # Panics
     ///
@@ -331,11 +270,36 @@ impl LstmNet {
     pub fn step_stream<'s>(&self, x: &Matrix, state: &'s mut LstmStreamState) -> &'s Matrix {
         assert_eq!(x.cols(), self.feature_dim, "step width mismatch");
         assert_eq!(state.h.len(), self.cells.len(), "state layer mismatch");
+        let n = x.rows();
+        assert_eq!(n, state.rows, "state row-count mismatch");
         let widest = self.cells.iter().map(Lstm::hidden_dim).max();
         let gate_width = 4 * widest.expect("at least one layer");
-        state.step_chunks(x, gate_width, self.head.output_dim(), 0, |chunk| {
-            self.step_chunk(chunk);
-        })
+        let classes = self.head.output_dim();
+        let rows = par::STEP_CHUNK;
+        state.z.resize(n * gate_width, 0.0);
+        state.probs.reset_shape(n, classes);
+        let mut chunks: Vec<StepChunk<'_>> = x
+            .as_slice()
+            .chunks(rows * x.cols())
+            .zip(state.z.chunks_mut(rows * gate_width))
+            .zip(state.probs.as_mut_slice().chunks_mut(rows * classes))
+            .map(|((x, z), probs)| StepChunk {
+                x,
+                layers: Vec::with_capacity(self.cells.len()),
+                z,
+                probs,
+            })
+            .collect();
+        for (h, c) in state.h.iter_mut().zip(&mut state.c) {
+            let len = rows * h.cols();
+            let views = h.as_mut_slice().chunks_mut(len);
+            let views = views.zip(c.as_mut_slice().chunks_mut(len));
+            for (chunk, hc) in chunks.iter_mut().zip(views) {
+                chunk.layers.push(hc);
+            }
+        }
+        par::for_each_part(chunks, |chunk| self.step_chunk(chunk));
+        &state.probs
     }
 
     /// One row chunk of [`step_stream`](Self::step_stream): per layer the
@@ -347,7 +311,6 @@ impl LstmNet {
             mut layers,
             z,
             probs,
-            ..
         } = chunk;
         let rows = x.len() / self.feature_dim;
         for (i, lstm) in self.cells.iter().enumerate() {
@@ -361,177 +324,6 @@ impl LstmNet {
         self.head.forward_rows(last_h, rows, probs);
         let classes = self.head.output_dim();
         probs.chunks_exact_mut(classes).for_each(simd::softmax_row);
-    }
-}
-
-/// One LSTM layer's weights in single precision, row-major.
-#[derive(Debug, Clone)]
-struct LstmLayerF32 {
-    wx: Vec<f32>,
-    wh: Vec<f32>,
-    b: Vec<f32>,
-    input_dim: usize,
-    hidden_dim: usize,
-}
-
-/// Single-precision serving engine for a [`LstmNet`] — the execution mode
-/// behind quantized (`f16`/`int8`) monitor bundles.
-///
-/// Weights and the two gate GEMMs per layer are f32
-/// ([`simd::gemm_acc_f32`]); the recurrent
-/// state, gate transcendentals and softmax stay f64 (converted per
-/// element), so the nonlinear tail adds no further precision loss and the
-/// engine reuses the same dispatched `lstm_step_row` kernels as the f64
-/// path. Accuracy relative to the f64 engine is bounded by the quantized
-/// bundle's documented F1 tolerance, enforced by the artifact tests.
-#[derive(Debug, Clone)]
-pub struct LstmNetF32 {
-    layers: Vec<LstmLayerF32>,
-    head_w: Vec<f32>,
-    head_b: Vec<f32>,
-    feature_dim: usize,
-    classes: usize,
-}
-
-fn to_f32(m: &Matrix) -> Vec<f32> {
-    m.as_slice().iter().map(|&v| v as f32).collect()
-}
-
-impl LstmNetF32 {
-    /// Converts a (typically dequantized) network's weights to f32.
-    pub fn from_net(net: &LstmNet) -> Self {
-        Self {
-            layers: net
-                .cells
-                .iter()
-                .map(|l| LstmLayerF32 {
-                    wx: to_f32(l.wx()),
-                    wh: to_f32(l.wh()),
-                    b: to_f32(l.gate_bias()),
-                    input_dim: l.input_dim(),
-                    hidden_dim: l.hidden_dim(),
-                })
-                .collect(),
-            head_w: to_f32(net.head.weights()),
-            head_b: to_f32(net.head.bias()),
-            feature_dim: net.feature_dim,
-            classes: net.head.output_dim(),
-        }
-    }
-
-    /// Features per timestep.
-    pub fn feature_dim(&self) -> usize {
-        self.feature_dim
-    }
-
-    /// Number of output classes.
-    pub fn classes(&self) -> usize {
-        self.classes
-    }
-
-    /// Fresh zeroed recurrent state for `rows` streaming sessions;
-    /// interchangeable with [`LstmNet::stream_state`] for the same
-    /// architecture.
-    pub fn stream_state(&self, rows: usize) -> LstmStreamState {
-        LstmStreamState {
-            h: self
-                .layers
-                .iter()
-                .map(|l| Matrix::zeros(rows, l.hidden_dim))
-                .collect(),
-            c: self
-                .layers
-                .iter()
-                .map(|l| Matrix::zeros(rows, l.hidden_dim))
-                .collect(),
-            rows,
-            ..LstmStreamState::default()
-        }
-    }
-
-    /// Advances every session row by one timestep — the f32 analogue of
-    /// [`LstmNet::step_stream`], with the same row chunking and the same
-    /// row-independence guarantee (each row's bits are unchanged by
-    /// batching or the thread count).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x` is not `state.rows() × feature_dim`.
-    pub fn step_stream<'s>(&self, x: &Matrix, state: &'s mut LstmStreamState) -> &'s Matrix {
-        assert_eq!(x.cols(), self.feature_dim, "step width mismatch");
-        assert_eq!(state.h.len(), self.layers.len(), "state layer mismatch");
-        let widest = self.layers.iter().map(|l| l.hidden_dim).max();
-        let widest = widest.expect("at least one layer");
-        // Per row: the layer input, the pre-update hidden state and the
-        // gate (or logit) accumulator, all f32.
-        let f32_width = self.feature_dim.max(widest) + widest + (4 * widest).max(self.classes);
-        state.step_chunks(x, 4 * widest, self.classes, f32_width, |chunk| {
-            self.step_chunk(chunk, widest);
-        })
-    }
-
-    /// One row chunk of [`step_stream`](Self::step_stream); `widest` is the
-    /// widest hidden layer, which sizes the f32 scratch regions.
-    fn step_chunk(&self, chunk: StepChunk<'_>, widest: usize) {
-        use crate::simd::gemm_acc_f32;
-        let StepChunk {
-            x,
-            mut layers,
-            z,
-            probs,
-            f32,
-        } = chunk;
-        let rows = x.len() / self.feature_dim;
-        let (in32, rest) = f32.split_at_mut(rows * self.feature_dim.max(widest));
-        let (h32, z32) = rest.split_at_mut(rows * widest);
-        // Layer input in f32; starts as the record batch itself.
-        for (d, &s) in in32.iter_mut().zip(x) {
-            *d = s as f32;
-        }
-        let mut in_dim = self.feature_dim;
-        for (layer, (h, c)) in self.layers.iter().zip(&mut layers) {
-            let hd = layer.hidden_dim;
-            let gates = 4 * hd;
-            debug_assert_eq!(in_dim, layer.input_dim);
-            // Pre-update hidden state → f32 for the recurrent GEMM.
-            let h32 = &mut h32[..rows * hd];
-            for (d, &s) in h32.iter_mut().zip(h.iter()) {
-                *d = s as f32;
-            }
-            // z = b (seed) + x·Wx + h·Wh, all single precision.
-            let z32 = &mut z32[..rows * gates];
-            seed_rows(z32, &layer.b);
-            gemm_acc_f32(&in32[..rows * in_dim], rows, in_dim, &layer.wx, gates, z32);
-            gemm_acc_f32(h32, rows, hd, &layer.wh, gates, z32);
-            // Gate nonlinearities in f64 through the dispatched kernel.
-            let z = &mut z[..rows * gates];
-            for (d, &s) in z.iter_mut().zip(z32.iter()) {
-                *d = f64::from(s);
-            }
-            step_state(z, c, h, hd);
-            // Post-update hidden state feeds the next layer.
-            for (d, &s) in in32.iter_mut().zip(h.iter()) {
-                *d = s as f32;
-            }
-            in_dim = hd;
-        }
-        // Head + softmax: f32 GEMM, f64 normalization.
-        let z32 = &mut z32[..rows * self.classes];
-        seed_rows(z32, &self.head_b);
-        gemm_acc_f32(
-            &in32[..rows * in_dim],
-            rows,
-            in_dim,
-            &self.head_w,
-            self.classes,
-            z32,
-        );
-        for (d, &s) in probs.iter_mut().zip(z32.iter()) {
-            *d = f64::from(s);
-        }
-        probs
-            .chunks_exact_mut(self.classes)
-            .for_each(simd::softmax_row);
     }
 }
 
@@ -591,30 +383,6 @@ mod tests {
                 for (r, st) in singles.iter_mut().enumerate() {
                     let row = x.slice_rows(r, r + 1);
                     let p = net.step_stream(&row, st);
-                    for (a, b) in p.as_slice().iter().zip(batch.row(r)) {
-                        assert_eq!(a.to_bits(), b.to_bits(), "row {r} diverged");
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn step_stream_f32_pooled_rows_bit_identical_to_individual() {
-        let net = tiny_net(22);
-        let eng = LstmNetF32::from_net(&net);
-        for (n, threads) in pooled_cases(4) {
-            let _guard = par::ThreadsGuard::set(threads);
-            let ticks: Vec<Matrix> = (0..6)
-                .map(|t| random_normal(n, 3, 1.0, &mut SmallRng::new(200 + t)))
-                .collect();
-            let mut pooled = eng.stream_state(n);
-            let mut singles: Vec<_> = (0..n).map(|_| eng.stream_state(1)).collect();
-            for x in &ticks {
-                let batch = eng.step_stream(x, &mut pooled).clone();
-                for (r, st) in singles.iter_mut().enumerate() {
-                    let row = x.slice_rows(r, r + 1);
-                    let p = eng.step_stream(&row, st);
                     for (a, b) in p.as_slice().iter().zip(batch.row(r)) {
                         assert_eq!(a.to_bits(), b.to_bits(), "row {r} diverged");
                     }
@@ -696,22 +464,6 @@ mod tests {
             let grad_one = bits(&net.input_gradient(&x, &labels));
             assert_eq!(grad_one, grad, "input gradient, {rows} rows");
             assert_eq!(train_once(&x, &labels), trained, "train_batch, {rows} rows");
-        }
-    }
-
-    #[test]
-    fn step_stream_f32_tracks_f64_engine() {
-        let net = tiny_net(23);
-        let eng = LstmNetF32::from_net(&net);
-        let mut s64 = net.stream_state(3);
-        let mut s32 = eng.stream_state(3);
-        for t in 0..8 {
-            let x = random_normal(3, 3, 0.8, &mut SmallRng::new(300 + t));
-            let p64 = net.step_stream(&x, &mut s64).clone();
-            let p32 = eng.step_stream(&x, &mut s32).clone();
-            for (a, b) in p64.as_slice().iter().zip(p32.as_slice()) {
-                assert!((a - b).abs() < 1e-3, "f32 engine drifted: {a} vs {b}");
-            }
         }
     }
 

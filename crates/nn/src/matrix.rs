@@ -70,7 +70,7 @@ pub(crate) fn transpose_matmul_acc(
 
 /// Seeds every `bias.len()`-wide row of the row-major `out` with `bias`:
 /// the accumulator start of a fused `x·W + b`.
-pub(crate) fn seed_rows<T: Copy>(out: &mut [T], bias: &[T]) {
+pub(crate) fn seed_rows(out: &mut [f64], bias: &[f64]) {
     for row in out.chunks_exact_mut(bias.len()) {
         row.copy_from_slice(bias);
     }

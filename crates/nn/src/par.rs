@@ -79,9 +79,8 @@ pub const PREDICT_CHUNK: usize = 64;
 pub const GRAD_CHUNK: usize = 64;
 
 /// Rows per chunk for the pooled stateful LSTM step
-/// ([`LstmNet::step_stream`](crate::LstmNet::step_stream) and
-/// [`LstmNetF32::step_stream`](crate::LstmNetF32::step_stream)): each chunk
-/// runs its whole layer stack as one work item. The step is row-independent,
+/// ([`LstmNet::step_stream`](crate::LstmNet::step_stream)): each chunk runs
+/// its whole layer stack as one work item. The step is row-independent,
 /// so this affects scheduling granularity only. Every chunk reads the
 /// panels each layer caches, so the chunk size does not change how much
 /// packing a tick does; 256 rows gives a 1000-session tick four work

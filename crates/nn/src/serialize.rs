@@ -10,44 +10,11 @@
 //! ```text
 //! cpsmon-net v1 mlp
 //! semantic 0.25
-//! classes 2
-//! tensors 6
+//! layers 3
 //! tensor dense0.w 36 256
 //! <one row of space-separated floats per line>
 //! …
 //! ```
-//!
-//! ## Format v2: quantized tensors
-//!
-//! Version 2 of the format (magic `cpsmon-net v2 <kind>`) adds a
-//! `precision <f64|f16|int8>` line after the magic and two quantized
-//! tensor encodings beside the exact `tensor` one:
-//!
-//! ```text
-//! cpsmon-net v2 lstm
-//! precision int8
-//! semantic 0.25
-//! shape 6 6
-//! lstms 2
-//! tensor16 lstm0.wx 6 512        ← rows of 4-hex-digit IEEE f16 bits
-//! tensor8  lstm0.wh 128 512 0.0123 ← per-tensor scale, rows of i8 ints
-//! …
-//! ```
-//!
-//! - `tensor16`: each value is the IEEE binary16 bit pattern (round to
-//!   nearest even from the f64 weight), written as 4 hex digits.
-//! - `tensor8`: symmetric per-tensor affine quantization — `scale`
-//!   = max-abs / 127, each value the nearest integer of `v / scale`
-//!   clamped to ±127, dequantized as `q × scale`. A non-finite or
-//!   non-positive scale is rejected at parse time, so a corrupted file
-//!   fails loudly instead of silently mispredicting.
-//!
-//! Readers accept v1 and v2 interchangeably ([`MlpNet::load`] /
-//! [`RecurrentNet::load`] report which precision was stored via
-//! [`load_with_precision`](RecurrentNet::load_with_precision)); writers
-//! emit v1 for exact f64 saves ([`save`](RecurrentNet::save)) and v2 for
-//! quantized ones ([`save_quantized`](RecurrentNet::save_quantized)), so
-//! artifacts produced by older builds keep loading unchanged.
 //!
 //! Every recurrent network ([`LstmNet`](crate::LstmNet),
 //! [`GruNet`](crate::GruNet)) shares one layout, named by its cell's
@@ -64,9 +31,11 @@
 //! tensor head.b 1 2
 //! ```
 //!
-//! A file whose tensors parse but do not fit together (a bias of the wrong
-//! width, layers whose widths do not chain, a zero dimension) is rejected
-//! with [`LoadError::Parse`], never a panic.
+//! `v1` is the only format version: any other magic, including the retired
+//! quantized `v2`, is a [`LoadError::Parse`] at line 1. A file whose
+//! tensors parse but do not fit together (a bias of the wrong width, layers
+//! whose widths do not chain, a zero dimension) is rejected with
+//! [`LoadError::Parse`] too, never a panic.
 
 use crate::dense::Dense;
 use crate::loss::SemanticLoss;
@@ -117,105 +86,6 @@ impl From<io::Error> for LoadError {
     }
 }
 
-/// Weight storage precision of a serialized network.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum WeightPrecision {
-    /// Exact f64 weights (`tensor`, lossless roundtrip).
-    F64,
-    /// IEEE binary16 weights (`tensor16`, ~3 decimal digits).
-    F16,
-    /// Symmetric int8 weights with a per-tensor scale (`tensor8`).
-    Int8,
-}
-
-impl WeightPrecision {
-    /// The token used in the v2 `precision` line.
-    pub fn label(&self) -> &'static str {
-        match self {
-            WeightPrecision::F64 => "f64",
-            WeightPrecision::F16 => "f16",
-            WeightPrecision::Int8 => "int8",
-        }
-    }
-
-    /// Parses a `precision` token.
-    pub fn from_label(s: &str) -> Option<WeightPrecision> {
-        match s {
-            "f64" => Some(WeightPrecision::F64),
-            "f16" => Some(WeightPrecision::F16),
-            "int8" => Some(WeightPrecision::Int8),
-            _ => None,
-        }
-    }
-}
-
-/// Converts an f64 to IEEE binary16 bits, rounding to nearest even
-/// (through f32 first — exact, since binary16 precision is far below
-/// binary32's and double rounding cannot occur at these widths).
-pub fn f16_bits_from_f64(v: f64) -> u16 {
-    let x = (v as f32).to_bits();
-    let sign = ((x >> 16) & 0x8000) as u16;
-    let exp = ((x >> 23) & 0xff) as i32;
-    let man = x & 0x007f_ffff;
-    if exp == 0xff {
-        // Inf / NaN (keep NaN distinguishable from Inf).
-        return sign | 0x7c00 | u16::from(man != 0) << 9;
-    }
-    let e16 = exp - 127 + 15;
-    if e16 >= 0x1f {
-        return sign | 0x7c00; // overflow → ±Inf
-    }
-    if e16 <= 0 {
-        if e16 < -10 {
-            return sign; // underflow → ±0
-        }
-        // Subnormal: shift the (implicit-1) mantissa into place.
-        let man = man | 0x0080_0000;
-        let shift = (14 - e16) as u32;
-        let half = (man >> shift) as u16;
-        let rem = man & ((1u32 << shift) - 1);
-        let halfway = 1u32 << (shift - 1);
-        let round_up = rem > halfway || (rem == halfway && half & 1 == 1);
-        return sign | (half + u16::from(round_up));
-    }
-    let half = ((e16 as u32) << 10 | man >> 13) as u16;
-    let rem = man & 0x1fff;
-    let round_up = rem > 0x1000 || (rem == 0x1000 && half & 1 == 1);
-    // A mantissa carry correctly bumps the exponent (up to ±Inf).
-    sign | (half + u16::from(round_up))
-}
-
-/// Converts IEEE binary16 bits to f64 (exact: every finite binary16 value
-/// is representable in binary64).
-pub fn f64_from_f16_bits(bits: u16) -> f64 {
-    let sign = if bits & 0x8000 != 0 { -1.0 } else { 1.0 };
-    let exp = ((bits >> 10) & 0x1f) as i32;
-    let man = f64::from(bits & 0x3ff);
-    let mag = match exp {
-        0 => man * 2f64.powi(-24),
-        0x1f => {
-            if man == 0.0 {
-                f64::INFINITY
-            } else {
-                f64::NAN
-            }
-        }
-        _ => (1.0 + man / 1024.0) * 2f64.powi(exp - 15),
-    };
-    sign * mag
-}
-
-/// The symmetric per-tensor int8 scale: max-abs / 127, or 1 for an
-/// all-zero tensor so dequantization stays well-defined.
-pub fn int8_scale(m: &Matrix) -> f64 {
-    let max_abs = m.as_slice().iter().fold(0.0f64, |a, &v| a.max(v.abs()));
-    if max_abs == 0.0 {
-        1.0
-    } else {
-        max_abs / 127.0
-    }
-}
-
 fn write_matrix(w: &mut impl Write, name: &str, m: &Matrix) -> io::Result<()> {
     writeln!(w, "tensor {name} {} {}", m.rows(), m.cols())?;
     for r in 0..m.rows() {
@@ -225,70 +95,15 @@ fn write_matrix(w: &mut impl Write, name: &str, m: &Matrix) -> io::Result<()> {
     Ok(())
 }
 
-/// Writes one tensor in the encoding `precision` selects (`F64` is the v1
-/// `tensor` encoding).
-fn write_matrix_q(
-    w: &mut impl Write,
-    name: &str,
-    m: &Matrix,
-    precision: WeightPrecision,
-) -> io::Result<()> {
-    match precision {
-        WeightPrecision::F64 => write_matrix(w, name, m),
-        WeightPrecision::F16 => {
-            writeln!(w, "tensor16 {name} {} {}", m.rows(), m.cols())?;
-            for r in 0..m.rows() {
-                let row: Vec<String> = m
-                    .row(r)
-                    .iter()
-                    .map(|&v| format!("{:04x}", f16_bits_from_f64(v)))
-                    .collect();
-                writeln!(w, "{}", row.join(" "))?;
-            }
-            Ok(())
-        }
-        WeightPrecision::Int8 => {
-            let scale = int8_scale(m);
-            writeln!(w, "tensor8 {name} {} {} {scale}", m.rows(), m.cols())?;
-            for r in 0..m.rows() {
-                let row: Vec<String> = m
-                    .row(r)
-                    .iter()
-                    .map(|&v| format!("{}", (v / scale).round().clamp(-127.0, 127.0) as i32))
-                    .collect();
-                writeln!(w, "{}", row.join(" "))?;
-            }
-            Ok(())
-        }
-    }
-}
-
 /// Writes a dense layer's `<prefix>.w` and `<prefix>.b` tensors.
-fn write_dense(
-    w: &mut impl Write,
-    prefix: &str,
-    layer: &Dense,
-    precision: WeightPrecision,
-) -> io::Result<()> {
-    write_matrix_q(w, &format!("{prefix}.w"), layer.weights(), precision)?;
-    write_matrix_q(w, &format!("{prefix}.b"), layer.bias(), precision)
+fn write_dense(w: &mut impl Write, prefix: &str, layer: &Dense) -> io::Result<()> {
+    write_matrix(w, &format!("{prefix}.w"), layer.weights())?;
+    write_matrix(w, &format!("{prefix}.b"), layer.bias())
 }
 
-/// Writes the magic (v1 for `None`, v2 plus its `precision` line for a
-/// quantized save) and the `semantic` line every net kind opens with.
-fn write_header(
-    w: &mut impl Write,
-    kind: &str,
-    precision: Option<WeightPrecision>,
-    semantic: &SemanticLoss,
-) -> io::Result<()> {
-    match precision {
-        None => writeln!(w, "cpsmon-net v1 {kind}")?,
-        Some(p) => {
-            writeln!(w, "cpsmon-net v2 {kind}")?;
-            writeln!(w, "precision {}", p.label())?;
-        }
-    }
+/// Writes the magic and the `semantic` line every net kind opens with.
+fn write_header(w: &mut impl Write, kind: &str, semantic: &SemanticLoss) -> io::Result<()> {
+    writeln!(w, "cpsmon-net v1 {kind}")?;
     writeln!(w, "semantic {}", semantic.weight)
 }
 
@@ -320,22 +135,15 @@ impl<R: BufRead> Lines<R> {
         }
     }
 
-    /// Reads one tensor in any encoding the format version allows:
-    /// `tensor` always, `tensor16` / `tensor8` only in v2 files. All
-    /// encodings dequantize to an f64 [`Matrix`] here — loading is the
-    /// "dequant" half of the dequant-or-native choice; the native f32
-    /// engine is built separately from the dequantized network.
-    fn read_matrix(&mut self, expected_name: &str, v2: bool) -> Result<Matrix, LoadError> {
+    /// Reads one `tensor` block into a [`Matrix`].
+    fn read_matrix(&mut self, expected_name: &str) -> Result<Matrix, LoadError> {
         let header = self.next()?;
         let parts: Vec<&str> = header.split_whitespace().collect();
-        let kind = parts.first().copied().unwrap_or("");
-        let quantized = kind == "tensor16" || kind == "tensor8";
-        if !(kind == "tensor" || (v2 && quantized)) {
+        if parts.first() != Some(&"tensor") {
             return Err(self.err(format!("expected tensor header, got '{header}'")));
         }
-        let expected_len = if kind == "tensor8" { 5 } else { 4 };
-        if parts.len() != expected_len {
-            return Err(self.err(format!("malformed {kind} header '{header}'")));
+        if parts.len() != 4 {
+            return Err(self.err(format!("malformed tensor header '{header}'")));
         }
         if parts[1] != expected_name {
             return Err(self.err(format!(
@@ -345,20 +153,6 @@ impl<R: BufRead> Lines<R> {
         }
         let rows: usize = parts[2].parse().map_err(|_| self.err("bad row count"))?;
         let cols: usize = parts[3].parse().map_err(|_| self.err("bad column count"))?;
-        let scale = if kind == "tensor8" {
-            let s: f64 = parts[4]
-                .parse()
-                .map_err(|_| self.err(format!("bad int8 scale '{}'", parts[4])))?;
-            if !s.is_finite() || s <= 0.0 {
-                return Err(self.err(format!(
-                    "corrupted int8 scale {s} for tensor '{expected_name}' \
-                     (must be finite and positive)"
-                )));
-            }
-            s
-        } else {
-            1.0
-        };
         // The header's size is untrusted: reserve only what the rows read
         // so far prove exists.
         let mut data = Vec::new();
@@ -366,25 +160,10 @@ impl<R: BufRead> Lines<R> {
             let line = self.next()?;
             let before = data.len();
             for tok in line.split_whitespace() {
-                let v = match kind {
-                    "tensor16" => f64_from_f16_bits(
-                        u16::from_str_radix(tok, 16)
-                            .map_err(|_| self.err(format!("bad f16 bits '{tok}'")))?,
-                    ),
-                    "tensor8" => {
-                        let q: i32 = tok
-                            .parse()
-                            .map_err(|_| self.err(format!("bad int8 value '{tok}'")))?;
-                        if !(-127..=127).contains(&q) {
-                            return Err(self.err(format!("int8 value {q} out of range")));
-                        }
-                        f64::from(q) * scale
-                    }
-                    _ => tok
-                        .parse()
+                data.push(
+                    tok.parse()
                         .map_err(|_| self.err(format!("bad float '{tok}'")))?,
-                };
-                data.push(v);
+                );
             }
             if data.len() - before != cols {
                 return Err(self.err(format!(
@@ -397,9 +176,9 @@ impl<R: BufRead> Lines<R> {
     }
 
     /// Reads a dense layer's `<prefix>.w` and `<prefix>.b` tensors.
-    fn read_dense(&mut self, prefix: &str, v2: bool) -> Result<Dense, LoadError> {
-        let w = self.read_matrix(&format!("{prefix}.w"), v2)?;
-        let b = self.read_matrix(&format!("{prefix}.b"), v2)?;
+    fn read_dense(&mut self, prefix: &str) -> Result<Dense, LoadError> {
+        let w = self.read_matrix(&format!("{prefix}.w"))?;
+        let b = self.read_matrix(&format!("{prefix}.b"))?;
         Dense::from_params(w, b).map_err(|m| self.err(format!("{prefix}: {m}")))
     }
 
@@ -426,32 +205,20 @@ impl<R: BufRead> Lines<R> {
     }
 }
 
-/// Parses the header [`write_header`] writes for `kind`: returns the stored
-/// precision (v1 is implicitly [`WeightPrecision::F64`]; v2 reads the
-/// `precision` line that follows the magic) and the semantic loss.
-fn read_header(
-    lines: &mut Lines<impl BufRead>,
-    kind: &str,
-) -> Result<(WeightPrecision, SemanticLoss), LoadError> {
+/// Parses the header [`write_header`] writes for `kind` and returns the
+/// semantic loss.
+fn read_header(lines: &mut Lines<impl BufRead>, kind: &str) -> Result<SemanticLoss, LoadError> {
     let magic = lines.next()?;
-    let precision = if magic == format!("cpsmon-net v1 {kind}") {
-        WeightPrecision::F64
-    } else if magic == format!("cpsmon-net v2 {kind}") {
-        let token = lines.read_kv("precision")?;
-        token
-            .first()
-            .and_then(|t| WeightPrecision::from_label(t))
-            .ok_or_else(|| lines.err("bad precision token"))?
-    } else {
+    if magic != format!("cpsmon-net v1 {kind}") {
         return Err(lines.err(format!("bad magic '{magic}'")));
-    };
+    }
     let weight = lines
         .read_kv("semantic")?
         .first()
         .and_then(|v| v.parse::<f64>().ok())
         .filter(|w| w.is_finite() && *w >= 0.0)
         .ok_or_else(|| lines.err("bad semantic weight"))?;
-    Ok((precision, SemanticLoss::new(weight)))
+    Ok(SemanticLoss::new(weight))
 }
 
 impl MlpNet {
@@ -461,59 +228,29 @@ impl MlpNet {
     ///
     /// Propagates I/O errors from the writer.
     pub fn save(&self, w: &mut impl Write) -> io::Result<()> {
-        self.write(w, None)
-    }
-
-    /// Writes the network to `w` in the cpsmon-net v2 format with weights
-    /// stored at `precision`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors from the writer.
-    pub fn save_quantized(&self, w: &mut impl Write, precision: WeightPrecision) -> io::Result<()> {
-        self.write(w, Some(precision))
-    }
-
-    fn write(&self, w: &mut impl Write, precision: Option<WeightPrecision>) -> io::Result<()> {
-        write_header(w, "mlp", precision, &self.semantic)?;
+        write_header(w, "mlp", &self.semantic)?;
         writeln!(w, "layers {}", self.layers().len())?;
-        let precision = precision.unwrap_or(WeightPrecision::F64);
         for (i, layer) in self.layers().iter().enumerate() {
-            write_dense(w, &format!("dense{i}"), layer, precision)?;
+            write_dense(w, &format!("dense{i}"), layer)?;
         }
         Ok(())
     }
 
-    /// Reads a network previously written by [`save`](Self::save) or
-    /// [`save_quantized`](Self::save_quantized) (v1 or v2, any precision —
-    /// quantized weights are dequantized to f64).
+    /// Reads a network previously written by [`save`](Self::save).
     ///
     /// # Errors
     ///
     /// Returns [`LoadError`] on I/O failure or malformed input.
     pub fn load(r: &mut impl BufRead) -> Result<MlpNet, LoadError> {
-        Self::load_with_precision(r).map(|(net, _)| net)
-    }
-
-    /// Like [`load`](Self::load), also reporting the precision the file
-    /// stored its weights at.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LoadError`] on I/O failure or malformed input.
-    pub fn load_with_precision(
-        r: &mut impl BufRead,
-    ) -> Result<(MlpNet, WeightPrecision), LoadError> {
         let mut lines = Lines::new(r);
-        let (precision, semantic) = read_header(&mut lines, "mlp")?;
-        let v2 = precision != WeightPrecision::F64;
+        let semantic = read_header(&mut lines, "mlp")?;
         let count = lines.read_count("layers")?;
         let layers = (0..count)
-            .map(|i| lines.read_dense(&format!("dense{i}"), v2))
+            .map(|i| lines.read_dense(&format!("dense{i}")))
             .collect::<Result<Vec<_>, _>>()?;
         let mut net = MlpNet::from_layers(layers).map_err(|m| lines.err(m))?;
         net.semantic = semantic;
-        Ok((net, precision))
+        Ok(net)
     }
 }
 
@@ -524,53 +261,25 @@ impl<C: RecurrentCell> RecurrentNet<C> {
     ///
     /// Propagates I/O errors from the writer.
     pub fn save(&self, w: &mut impl Write) -> io::Result<()> {
-        self.write(w, None)
-    }
-
-    /// Writes the network to `w` in the cpsmon-net v2 format with weights
-    /// stored at `precision`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors from the writer.
-    pub fn save_quantized(&self, w: &mut impl Write, precision: WeightPrecision) -> io::Result<()> {
-        self.write(w, Some(precision))
-    }
-
-    fn write(&self, w: &mut impl Write, precision: Option<WeightPrecision>) -> io::Result<()> {
-        write_header(w, C::KIND, precision, &self.semantic)?;
+        write_header(w, C::KIND, &self.semantic)?;
         writeln!(w, "shape {} {}", self.feature_dim, self.timesteps)?;
         writeln!(w, "{}s {}", C::KIND, self.cells.len())?;
-        let precision = precision.unwrap_or(WeightPrecision::F64);
         for (i, cell) in self.cells.iter().enumerate() {
             for (name, m) in C::TENSORS.iter().zip(cell.params()) {
-                write_matrix_q(w, &format!("{}{i}.{name}", C::KIND), m, precision)?;
+                write_matrix(w, &format!("{}{i}.{name}", C::KIND), m)?;
             }
         }
-        write_dense(w, "head", &self.head, precision)
+        write_dense(w, "head", &self.head)
     }
 
-    /// Reads a network previously written by [`save`](Self::save) or
-    /// [`save_quantized`](Self::save_quantized) (v1 or v2, any precision —
-    /// quantized weights are dequantized to f64).
+    /// Reads a network previously written by [`save`](Self::save).
     ///
     /// # Errors
     ///
     /// Returns [`LoadError`] on I/O failure or malformed input.
     pub fn load(r: &mut impl BufRead) -> Result<Self, LoadError> {
-        Self::load_with_precision(r).map(|(net, _)| net)
-    }
-
-    /// Like [`load`](Self::load), also reporting the precision the file
-    /// stored its weights at.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LoadError`] on I/O failure or malformed input.
-    pub fn load_with_precision(r: &mut impl BufRead) -> Result<(Self, WeightPrecision), LoadError> {
         let mut lines = Lines::new(r);
-        let (precision, semantic) = read_header(&mut lines, C::KIND)?;
-        let v2 = precision != WeightPrecision::F64;
+        let semantic = read_header(&mut lines, C::KIND)?;
         let shape = lines.read_kv("shape")?;
         let dims: Vec<usize> = shape.iter().filter_map(|v| v.parse().ok()).collect();
         let &[feature_dim, timesteps] = dims.as_slice() else {
@@ -586,7 +295,7 @@ impl<C: RecurrentCell> RecurrentNet<C> {
             let name = format!("{}{i}", C::KIND);
             let tensors = C::TENSORS
                 .iter()
-                .map(|t| lines.read_matrix(&format!("{name}.{t}"), v2))
+                .map(|t| lines.read_matrix(&format!("{name}.{t}")))
                 .collect::<Result<Vec<_>, _>>()?;
             let cell = C::from_params(tensors).map_err(|m| lines.err(format!("{name}: {m}")))?;
             if cell.input_dim() != prev {
@@ -598,7 +307,7 @@ impl<C: RecurrentCell> RecurrentNet<C> {
             prev = cell.hidden_dim();
             cells.push(cell);
         }
-        let head = lines.read_dense("head", v2)?;
+        let head = lines.read_dense("head")?;
         if head.input_dim() != prev || head.output_dim() == 0 {
             return Err(lines.err(format!(
                 "head is {}x{}, expected {prev} rows and at least one class",
@@ -606,14 +315,13 @@ impl<C: RecurrentCell> RecurrentNet<C> {
                 head.output_dim()
             )));
         }
-        let net = RecurrentNet {
+        Ok(RecurrentNet {
             cells,
             head,
             feature_dim,
             timesteps,
             semantic,
-        };
-        Ok((net, precision))
+        })
     }
 }
 
@@ -741,133 +449,23 @@ mod tests {
     }
 
     #[test]
-    fn f16_bits_roundtrip_through_f64_exactly() {
-        // Every finite binary16 value must survive f16 → f64 → f16.
-        for bits in 0..=u16::MAX {
-            let v = f64_from_f16_bits(bits);
-            if v.is_nan() {
-                continue;
-            }
-            assert_eq!(f16_bits_from_f64(v), bits, "bits {bits:#06x}");
-        }
-    }
-
-    #[test]
-    fn f16_conversion_rounds_to_nearest_even() {
-        assert_eq!(f16_bits_from_f64(1.0), 0x3c00);
-        assert_eq!(f16_bits_from_f64(-2.0), 0xc000);
-        // 1 + 2^-11 is exactly halfway between 1.0 and the next f16; ties
-        // go to the even mantissa (1.0).
-        assert_eq!(f16_bits_from_f64(1.0 + 2f64.powi(-11)), 0x3c00);
-        // Slightly above the halfway point rounds up.
-        assert_eq!(f16_bits_from_f64(1.0 + 2f64.powi(-11) * 1.01), 0x3c01);
-        // Overflow saturates to infinity, tiny values flush to zero.
-        assert_eq!(f16_bits_from_f64(1e6), 0x7c00);
-        assert_eq!(f16_bits_from_f64(-1e6), 0xfc00);
-        assert_eq!(f16_bits_from_f64(1e-12), 0x0000);
-    }
-
-    #[test]
-    fn lstm_v2_f64_roundtrip_is_exact() {
-        let net = lstm_fixture(31);
-        let mut buf = Vec::new();
-        net.save_quantized(&mut buf, WeightPrecision::F64).unwrap();
-        let (loaded, precision) =
-            LstmNet::load_with_precision(&mut BufReader::new(buf.as_slice())).unwrap();
-        assert_eq!(precision, WeightPrecision::F64);
-        let x = random_normal(3, 12, 1.0, &mut SmallRng::new(2));
-        assert_eq!(net.predict_proba(&x), loaded.predict_proba(&x));
-    }
-
-    #[test]
-    fn lstm_quantized_roundtrips_within_precision() {
-        let net = lstm_fixture(33);
-        let x = random_normal(4, 12, 1.0, &mut SmallRng::new(5));
-        let exact = net.predict_proba(&x);
-        for (precision, tol) in [(WeightPrecision::F16, 5e-3), (WeightPrecision::Int8, 5e-2)] {
-            let mut buf = Vec::new();
-            net.save_quantized(&mut buf, precision).unwrap();
-            let (loaded, p) =
-                LstmNet::load_with_precision(&mut BufReader::new(buf.as_slice())).unwrap();
-            assert_eq!(p, precision);
-            let probs = loaded.predict_proba(&x);
-            for (a, b) in exact.as_slice().iter().zip(probs.as_slice()) {
-                assert!(
-                    (a - b).abs() < tol,
-                    "{} drifted: {a} vs {b}",
-                    precision.label()
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn mlp_quantized_roundtrips_within_precision() {
-        let net = MlpNet::new(&MlpConfig {
-            input_dim: 5,
-            hidden: vec![7, 3],
-            classes: 2,
-            seed: 9,
-        });
-        let x = random_normal(4, 5, 1.0, &mut SmallRng::new(1));
-        let exact = net.predict_proba(&x);
-        let mut buf = Vec::new();
-        net.save_quantized(&mut buf, WeightPrecision::F16).unwrap();
-        let (loaded, p) = MlpNet::load_with_precision(&mut BufReader::new(buf.as_slice())).unwrap();
-        assert_eq!(p, WeightPrecision::F16);
-        for (a, b) in exact
-            .as_slice()
-            .iter()
-            .zip(loaded.predict_proba(&x).as_slice())
-        {
-            assert!((a - b).abs() < 5e-3, "f16 mlp drifted: {a} vs {b}");
-        }
-    }
-
-    #[test]
-    fn corrupted_int8_scale_is_rejected() {
-        let net = lstm_fixture(35);
-        let mut buf = Vec::new();
-        net.save_quantized(&mut buf, WeightPrecision::Int8).unwrap();
-        let text = String::from_utf8(buf).unwrap();
-        for bad in ["0", "-1", "nan", "inf"] {
-            // Replace the first tensor8 scale with a corrupted value.
-            let corrupted: Vec<String> = text
-                .lines()
-                .map(|l| {
-                    if let Some(rest) = l.strip_prefix("tensor8 lstm0.wx ") {
-                        let mut parts: Vec<&str> = rest.split_whitespace().collect();
-                        let n = parts.len();
-                        parts[n - 1] = bad;
-                        format!("tensor8 lstm0.wx {}", parts.join(" "))
-                    } else {
-                        l.to_string()
-                    }
-                })
-                .collect();
-            let joined = corrupted.join("\n");
-            let err = LstmNet::load(&mut BufReader::new(joined.as_bytes())).unwrap_err();
-            let msg = err.to_string();
-            assert!(
-                msg.contains("scale"),
-                "scale {bad} must be rejected with a scale error, got: {msg}"
-            );
-        }
-    }
-
-    #[test]
     fn v1_reader_rejects_quantized_tensors() {
-        // A v1 magic with v2 tensor encodings must not parse.
-        let net = lstm_fixture(37);
-        let mut buf = Vec::new();
-        net.save_quantized(&mut buf, WeightPrecision::F16).unwrap();
-        let text = String::from_utf8(buf).unwrap().replacen(
-            "cpsmon-net v2 lstm\nprecision f16\n",
+        // The retired v2 format (a `precision` line after a v2 magic, and
+        // `tensor16`/`tensor8` encodings) must not parse.
+        let text = saved(|w| lstm_fixture(37).save(w));
+        let load = |text: &str| LstmNet::load(&mut BufReader::new(text.as_bytes()));
+        let v2 = text.replacen(
             "cpsmon-net v1 lstm\n",
+            "cpsmon-net v2 lstm\nprecision f16\n",
             1,
         );
-        let err = LstmNet::load(&mut BufReader::new(text.as_bytes())).unwrap_err();
-        assert!(matches!(err, LoadError::Parse { .. }), "{err}");
+        let err = load(&v2).unwrap_err();
+        assert!(matches!(err, LoadError::Parse { line: 1, .. }), "{err}");
+        for header in ["tensor16 lstm0.wx 3 24", "tensor8 lstm0.wx 3 24 0.01"] {
+            let quantized = text.replacen("tensor lstm0.wx 3 24", header, 1);
+            assert_ne!(quantized, text, "fixture has no '{header}' site");
+            expect_parse_error(load(&quantized));
+        }
     }
 
     #[test]

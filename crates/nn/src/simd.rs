@@ -1648,213 +1648,6 @@ mod avx512 {
 }
 
 // ---------------------------------------------------------------------------
-// f32 GEMM (quantized serving engine)
-// ---------------------------------------------------------------------------
-
-fn check_gemm_shapes_f32(a: &[f32], m: usize, k: usize, b: &[f32], n: usize, out: &[f32]) {
-    assert_eq!(a.len(), m * k, "gemm lhs buffer length mismatch");
-    assert_eq!(b.len(), k * n, "gemm rhs buffer length mismatch");
-    assert_eq!(out.len(), m * n, "gemm output buffer length mismatch");
-}
-
-/// Dispatched `out += a · b` in single precision — the GEMM behind the
-/// quantized (`f16`/`int8`-sourced) serving engine. Per output element the
-/// multiply-adds are applied in strictly ascending `k` order under every
-/// backend (scalar: unfused; vector tiers: fused with `f32::mul_add`
-/// tails, which round identically to the `ps` lanes), so each row of a
-/// batch gets the same bits it would get in a 1-row call.
-///
-/// # Panics
-///
-/// Panics if any buffer length disagrees with the stated shape.
-pub fn gemm_acc_f32(a: &[f32], m: usize, k: usize, b: &[f32], n: usize, out: &mut [f32]) {
-    check_gemm_shapes_f32(a, m, k, b, n, out);
-    match backend() {
-        #[cfg(target_arch = "x86_64")]
-        Backend::Avx512 => unsafe { gemm_acc_f32_avx512(a, m, k, b, n, out) },
-        #[cfg(target_arch = "x86_64")]
-        Backend::Avx2Fma => unsafe { gemm_acc_f32_avx2(a, m, k, b, n, out) },
-        _ => gemm_acc_f32_scalar(a, m, k, b, n, out),
-    }
-}
-
-/// Portable f32 GEMM: blocked ikj with sequential unfused `+=` per
-/// element, ascending `k`.
-pub fn gemm_acc_f32_scalar(a: &[f32], m: usize, k: usize, b: &[f32], n: usize, out: &mut [f32]) {
-    check_gemm_shapes_f32(a, m, k, b, n, out);
-    for k0 in (0..k).step_by(GEMM_KC) {
-        let k1 = (k0 + GEMM_KC).min(k);
-        for i in 0..m {
-            let a_row = &a[i * k..(i + 1) * k];
-            let out_row = &mut out[i * n..(i + 1) * n];
-            for kk in k0..k1 {
-                let a_val = a_row[kk];
-                let b_row = &b[kk * n..(kk + 1) * n];
-                for (o, &bv) in out_row.iter_mut().zip(b_row.iter()) {
-                    *o += a_val * bv;
-                }
-            }
-        }
-    }
-}
-
-/// AVX2+FMA f32 GEMM: 4-row × 8-lane microkernel with `f32::mul_add`
-/// scalar tails, single-row axpy remainder. Ascending-`k` FMA chain per
-/// element everywhere.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2", enable = "fma")]
-unsafe fn gemm_acc_f32_avx2(a: &[f32], m: usize, k: usize, b: &[f32], n: usize, out: &mut [f32]) {
-    use std::arch::x86_64::*;
-    let ap = a.as_ptr();
-    let bp = b.as_ptr();
-    let op = out.as_mut_ptr();
-    for k0 in (0..k).step_by(GEMM_KC) {
-        let k1 = (k0 + GEMM_KC).min(k);
-        let mut i = 0;
-        while i + 4 <= m {
-            let a0 = ap.add(i * k);
-            let a1 = ap.add((i + 1) * k);
-            let a2 = ap.add((i + 2) * k);
-            let a3 = ap.add((i + 3) * k);
-            let o0 = op.add(i * n);
-            let o1 = op.add((i + 1) * n);
-            let o2 = op.add((i + 2) * n);
-            let o3 = op.add((i + 3) * n);
-            let mut j = 0;
-            while j + 8 <= n {
-                let mut c0 = _mm256_loadu_ps(o0.add(j));
-                let mut c1 = _mm256_loadu_ps(o1.add(j));
-                let mut c2 = _mm256_loadu_ps(o2.add(j));
-                let mut c3 = _mm256_loadu_ps(o3.add(j));
-                for kk in k0..k1 {
-                    let b0 = _mm256_loadu_ps(bp.add(kk * n + j));
-                    c0 = _mm256_fmadd_ps(_mm256_set1_ps(*a0.add(kk)), b0, c0);
-                    c1 = _mm256_fmadd_ps(_mm256_set1_ps(*a1.add(kk)), b0, c1);
-                    c2 = _mm256_fmadd_ps(_mm256_set1_ps(*a2.add(kk)), b0, c2);
-                    c3 = _mm256_fmadd_ps(_mm256_set1_ps(*a3.add(kk)), b0, c3);
-                }
-                _mm256_storeu_ps(o0.add(j), c0);
-                _mm256_storeu_ps(o1.add(j), c1);
-                _mm256_storeu_ps(o2.add(j), c2);
-                _mm256_storeu_ps(o3.add(j), c3);
-                j += 8;
-            }
-            while j < n {
-                for row in 0..4 {
-                    let ar = ap.add((i + row) * k);
-                    let or = op.add((i + row) * n + j);
-                    let mut acc = *or;
-                    for kk in k0..k1 {
-                        acc = (*ar.add(kk)).mul_add(*bp.add(kk * n + j), acc);
-                    }
-                    *or = acc;
-                }
-                j += 1;
-            }
-            i += 4;
-        }
-        while i < m {
-            let a_row = &a[i * k..(i + 1) * k];
-            let or = op.add(i * n);
-            #[allow(clippy::needless_range_loop)] // kk also strides into b
-            for kk in k0..k1 {
-                let av = _mm256_set1_ps(a_row[kk]);
-                let br = bp.add(kk * n);
-                let mut j = 0;
-                while j + 8 <= n {
-                    let c = _mm256_loadu_ps(or.add(j));
-                    let c = _mm256_fmadd_ps(av, _mm256_loadu_ps(br.add(j)), c);
-                    _mm256_storeu_ps(or.add(j), c);
-                    j += 8;
-                }
-                while j < n {
-                    *or.add(j) = a_row[kk].mul_add(*br.add(j), *or.add(j));
-                    j += 1;
-                }
-            }
-            i += 1;
-        }
-    }
-}
-
-/// AVX-512 f32 GEMM: 4-row × 16-lane microkernel, same chain discipline.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f", enable = "avx2", enable = "fma")]
-unsafe fn gemm_acc_f32_avx512(a: &[f32], m: usize, k: usize, b: &[f32], n: usize, out: &mut [f32]) {
-    use std::arch::x86_64::*;
-    let ap = a.as_ptr();
-    let bp = b.as_ptr();
-    let op = out.as_mut_ptr();
-    for k0 in (0..k).step_by(GEMM_KC) {
-        let k1 = (k0 + GEMM_KC).min(k);
-        let mut i = 0;
-        while i + 4 <= m {
-            let a0 = ap.add(i * k);
-            let a1 = ap.add((i + 1) * k);
-            let a2 = ap.add((i + 2) * k);
-            let a3 = ap.add((i + 3) * k);
-            let o0 = op.add(i * n);
-            let o1 = op.add((i + 1) * n);
-            let o2 = op.add((i + 2) * n);
-            let o3 = op.add((i + 3) * n);
-            let mut j = 0;
-            while j + 16 <= n {
-                let mut c0 = _mm512_loadu_ps(o0.add(j));
-                let mut c1 = _mm512_loadu_ps(o1.add(j));
-                let mut c2 = _mm512_loadu_ps(o2.add(j));
-                let mut c3 = _mm512_loadu_ps(o3.add(j));
-                for kk in k0..k1 {
-                    let b0 = _mm512_loadu_ps(bp.add(kk * n + j));
-                    c0 = _mm512_fmadd_ps(_mm512_set1_ps(*a0.add(kk)), b0, c0);
-                    c1 = _mm512_fmadd_ps(_mm512_set1_ps(*a1.add(kk)), b0, c1);
-                    c2 = _mm512_fmadd_ps(_mm512_set1_ps(*a2.add(kk)), b0, c2);
-                    c3 = _mm512_fmadd_ps(_mm512_set1_ps(*a3.add(kk)), b0, c3);
-                }
-                _mm512_storeu_ps(o0.add(j), c0);
-                _mm512_storeu_ps(o1.add(j), c1);
-                _mm512_storeu_ps(o2.add(j), c2);
-                _mm512_storeu_ps(o3.add(j), c3);
-                j += 16;
-            }
-            while j < n {
-                for row in 0..4 {
-                    let ar = ap.add((i + row) * k);
-                    let or = op.add((i + row) * n + j);
-                    let mut acc = *or;
-                    for kk in k0..k1 {
-                        acc = (*ar.add(kk)).mul_add(*bp.add(kk * n + j), acc);
-                    }
-                    *or = acc;
-                }
-                j += 1;
-            }
-            i += 4;
-        }
-        while i < m {
-            let a_row = &a[i * k..(i + 1) * k];
-            let or = op.add(i * n);
-            #[allow(clippy::needless_range_loop)] // kk also strides into b
-            for kk in k0..k1 {
-                let av = _mm512_set1_ps(a_row[kk]);
-                let br = bp.add(kk * n);
-                let mut j = 0;
-                while j + 16 <= n {
-                    let c = _mm512_loadu_ps(or.add(j));
-                    let c = _mm512_fmadd_ps(av, _mm512_loadu_ps(br.add(j)), c);
-                    _mm512_storeu_ps(or.add(j), c);
-                    j += 16;
-                }
-                while j < n {
-                    *or.add(j) = a_row[kk].mul_add(*br.add(j), *or.add(j));
-                    j += 1;
-                }
-            }
-            i += 1;
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Dispatched element-wise kernels
 // ---------------------------------------------------------------------------
 
@@ -2328,41 +2121,6 @@ mod tests {
                     "n={n} lane {i}: {} vs {}",
                     got[i],
                     want[i]
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn f32_gemm_backends_agree() {
-        // Scalar f32 reference vs whatever vector tier is active, plus a
-        // row-independence check: row r of a batched call must equal a
-        // 1-row call on that row (the pooled-engine invariant).
-        for (m, k, n) in [(1, 1, 1), (5, 9, 37), (6, 130, 33), (4, 16, 16)] {
-            let a: Vec<f32> = (0..m * k).map(|i| (i as f32 * 0.37).sin()).collect();
-            let b: Vec<f32> = (0..k * n).map(|i| (i as f32 * 0.61).cos()).collect();
-            let mut got = vec![0.5f32; m * n];
-            gemm_acc_f32(&a, m, k, &b, n, &mut got);
-            let mut want = vec![0.5f32; m * n];
-            gemm_acc_f32_scalar(&a, m, k, &b, n, &mut want);
-            for i in 0..m * n {
-                assert!(
-                    (got[i] - want[i]).abs() <= 1e-4 * want[i].abs().max(1.0),
-                    "{m}x{k}·{k}x{n} elt {i}: {} vs {}",
-                    got[i],
-                    want[i]
-                );
-            }
-            for i in 0..m {
-                let mut row = vec![0.5f32; n];
-                gemm_acc_f32(&a[i * k..(i + 1) * k], 1, k, &b, n, &mut row);
-                assert_eq!(
-                    row.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                    got[i * n..(i + 1) * n]
-                        .iter()
-                        .map(|v| v.to_bits())
-                        .collect::<Vec<_>>(),
-                    "{m}x{k}·{k}x{n} row {i} not independent"
                 );
             }
         }

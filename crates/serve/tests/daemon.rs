@@ -467,6 +467,25 @@ fn admin_surface_reports_health_and_reloads_bundles_safely() {
     assert_eq!(status, 409, "mis-shaped reload rejected: {body}");
     assert!(body.contains("\"reloaded\":false"), "got {body}");
 
+    // A bundle relabeled with the retired quantized format version: a
+    // typed version rejection, not a parse of the body.
+    let relabeled = tmp_path("bundle-v2.bin");
+    std::fs::write(
+        &relabeled,
+        text.replacen("cpsmon-bundle v1", "cpsmon-bundle v2", 1),
+    )
+    .unwrap();
+    let (status, body) = http(
+        admin,
+        &format!("POST /reload?path={} HTTP/1.0\r\n\r\n", relabeled.display()),
+    );
+    assert_eq!(status, 409, "v2 reload rejected: {body}");
+    assert!(body.contains("\"reloaded\":false"), "got {body}");
+    assert!(
+        body.contains("unsupported bundle format version 'v2'"),
+        "got {body}"
+    );
+
     // The rejected reloads left the swapped bundle serving.
     let (status, body) = http(admin, "GET /stats HTTP/1.0\r\n\r\n");
     assert_eq!(status, 200);
@@ -488,5 +507,6 @@ fn admin_surface_reports_health_and_reloads_bundles_safely() {
     let _ = std::fs::remove_file(&good);
     let _ = std::fs::remove_file(&corrupt);
     let _ = std::fs::remove_file(&misshaped);
+    let _ = std::fs::remove_file(&relabeled);
     daemon.shutdown().unwrap();
 }
